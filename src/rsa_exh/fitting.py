@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, log_ndtr, logit
-from scipy.stats import qmc
 
 from .data import Condition, Dataset, MODEL_MESSAGES, Survey, preprocess
 from .models import ModelId, ModelParams, XI_MODELS, predict_table
@@ -124,65 +123,99 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return float(_tobit_loglik(np.array([pred]), np.array([observed]), sigma)[0])
+    responses = _SliderResponses.split(np.array([observed]))
+    return float(responses.loglik(np.array([pred]), sigma)[0])
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _tobit_loglik(pred: np.ndarray, observed: np.ndarray, sigma: float) -> np.ndarray:
-    z = (observed - pred) / sigma
-    interior = -0.5 * z * z - _HALF_LOG_2PI - math.log(sigma)
-    lo = log_ndtr((0.0 - pred) / sigma)
-    hi = log_ndtr(-(1.0 - pred) / sigma)  # log of the upper tail mass
-    return np.where(observed <= 0.0, lo, np.where(observed >= 1.0, hi, interior))
+@dataclass(frozen=True)
+class _SliderResponses:
+    """Slider responses split by censoring: the positions of the responses at
+    or below 0, at or above 1 and strictly inside, and the inside values."""
+
+    low: np.ndarray
+    high: np.ndarray
+    inside: np.ndarray
+    interior: np.ndarray
+
+    @classmethod
+    def split(cls, observed: np.ndarray) -> "_SliderResponses":
+        low, high = observed <= 0.0, observed >= 1.0
+        inside = np.flatnonzero(~(low | high))
+        return cls(np.flatnonzero(low), np.flatnonzero(high), inside, observed[inside])
+
+    def loglik(self, pred: np.ndarray, sigma: float) -> np.ndarray:
+        """Per-response tobit log-likelihoods, in response order: each tail
+        mass and density is evaluated only where it is the score."""
+        out = np.empty(pred.shape)
+        out[self.low] = log_ndtr((0.0 - pred[self.low]) / sigma)
+        out[self.high] = log_ndtr(-(1.0 - pred[self.high]) / sigma)  # upper tail
+        z = (self.interior - pred[self.inside]) / sigma
+        out[self.inside] = -0.5 * z * z - _HALF_LOG_2PI - math.log(sigma)
+        return out
 
 
 @dataclass(frozen=True)
 class _PackedData:
-    """Column-major view of a preprocessed dataset for fast re-scoring."""
+    """Column-major view of a preprocessed dataset for fast re-scoring.
 
-    comp_priors: dict  # Condition -> (priors, responses)
-    prod_priors: dict  # Condition -> (priors, message indices, row labels)
+    ``priors`` holds the raw priors of all rows, grouped by condition in the
+    order UTT_A, UTT_AB, WORLD_A, WORLD_AB, so that one ``predict_table``
+    call serves every condition.  ``comprehension`` has one entry
+    ``(condition, rows, responses)`` per nonempty slider condition: the slice
+    of ``priors`` it occupies and its :class:`_SliderResponses`.
+    ``production`` has one entry ``(condition, rows, messages, labels)`` per
+    nonempty production condition: its positions in ``priors``, the indices
+    of the produced messages and the participant label of each row.
+    """
+
+    priors: np.ndarray
+    comprehension: tuple
+    production: tuple
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "_PackedData":
         dataset = preprocess(dataset)
-        comp: dict = {}
-        prod: dict = {}
-        for cond in (Condition.UTT_A, Condition.UTT_AB):
+        priors: list[float] = []
+        comp, prod = [], []
+        for cond in (Condition.UTT_A, Condition.UTT_AB, Condition.WORLD_A, Condition.WORLD_AB):
             rows = [r for r in dataset.rows if r.condition is cond]
-            comp[cond] = (
-                np.array([r.raw_prior for r in rows]),
-                np.array([r.response_posterior for r in rows]),
-            )
-        for cond in (Condition.WORLD_A, Condition.WORLD_AB):
-            rows = [r for r in dataset.rows if r.condition is cond]
-            prod[cond] = (
-                np.array([r.raw_prior for r in rows]),
-                np.array([MODEL_MESSAGES.index(r.response_message) for r in rows], dtype=int),
-                [r.participant_id for r in rows],
-            )
-        return cls(comp, prod)
+            if not rows:
+                continue
+            start = len(priors)
+            priors.extend(r.raw_prior for r in rows)
+            if cond in (Condition.UTT_A, Condition.UTT_AB):
+                responses = np.array([r.response_posterior for r in rows])
+                comp.append(
+                    (cond, slice(start, len(priors)), _SliderResponses.split(responses))
+                )
+            else:
+                messages = [MODEL_MESSAGES.index(r.response_message) for r in rows]
+                prod.append((
+                    cond,
+                    np.arange(start, len(priors)),
+                    np.array(messages, dtype=int),
+                    [r.participant_id for r in rows],
+                ))
+        return cls(np.array(priors), tuple(comp), tuple(prod))
 
 
 def _packed_loglik(
     model: ModelId, params: ModelParams, noise: NoiseParams, packed: _PackedData
 ) -> float:
+    table = predict_table(model, params, packed.priors)
     total = 0.0
-    for cond, (priors, responses) in packed.comp_priors.items():
-        if priors.size == 0:
-            continue
-        table = predict_table(model, params, priors)
-        pred = table.post_a if cond is Condition.UTT_A else table.post_ab
-        sigma = noise.sigma_a if cond is Condition.UTT_A else noise.sigma_ab
-        total += float(_tobit_loglik(pred, responses, sigma).sum())
-    for cond, (priors, indices, labels) in packed.prod_priors.items():
-        if priors.size == 0:
-            continue
-        table = predict_table(model, params, priors)
+    for cond, rows, responses in packed.comprehension:
+        if cond is Condition.UTT_A:
+            pred, sigma = table.post_a[rows], noise.sigma_a
+        else:
+            pred, sigma = table.post_ab[rows], noise.sigma_ab
+        total += float(responses.loglik(pred, sigma).sum())
+    for cond, rows, messages, labels in packed.production:
         probs = table.prod_wa if cond is Condition.WORLD_A else table.prod_wab
-        picked = probs[np.arange(priors.size), indices] + noise.epsilon
+        picked = probs[rows, messages] + noise.epsilon
         if np.any(picked <= 0.0):
             bad = labels[int(np.argmax(picked <= 0.0))]
             raise NonfiniteLikelihood(
@@ -190,7 +223,7 @@ def _packed_loglik(
             )
         total += float(
             np.log(picked).sum()
-            - priors.size * np.log1p(N_CANDIDATE_MESSAGES * noise.epsilon)
+            - rows.size * np.log1p(N_CANDIDATE_MESSAGES * noise.epsilon)
         )
     return total
 
@@ -262,7 +295,7 @@ class _ParamSpec:
         return logit(ratio)
 
     def initial_points(self, n: int, seed: int) -> np.ndarray:
-        cube = qmc.LatinHypercube(d=len(self.names), seed=seed).random(n)
+        cube = _latin_hypercube(n, len(self.names), seed)
         span_lin = self.init_lo + cube * (self.init_hi - self.init_lo)
         span_log = np.exp(
             np.log(self.init_lo) + cube * (np.log(self.init_hi) - np.log(self.init_lo))
@@ -270,6 +303,20 @@ class _ParamSpec:
         return np.apply_along_axis(
             self.encode, 1, np.where(self.log_init, span_log, span_lin)
         )
+
+
+def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
+    """``n`` points of a random Latin hypercube in ``[0, 1)^d`` (McKay et al.
+    1979): each axis is cut into ``n`` strata, every stratum holds one point,
+    placed uniformly within it.  Draws the same numbers as
+    ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)``, without
+    importing ``scipy.stats``."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - samples) / n
 
 
 def _split(values: dict[str, float], model: ModelId, equal_costs: bool):

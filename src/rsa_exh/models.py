@@ -47,6 +47,9 @@ LOG2 = np.log(2.0)
 #: the documented continuity limit of each form.
 P_EPS = 1e-12
 
+#: Smallest normal float64; sums below it have lost precision or underflowed.
+TINY = np.finfo(float).tiny
+
 
 class MissingParameter(ValueError):
     """A model requires a parameter that was not supplied."""
@@ -374,7 +377,8 @@ def _wonky_table(params: ModelParams, p: np.ndarray, bayesian: bool) -> Predicti
 
 
 def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
-    """Level-1 speakers, joint level-1 listener, and level-2 speakers.
+    """Level-1 speakers and the level-2 speakers built on the joint level-1
+    listener.
 
     The joint listener rows run over the four (world, QUD) cells
     ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
@@ -384,7 +388,8 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
     costs = np.array([0.0, dab, danb])
 
     # Level-1 speaker under the partial QUD: world-independent, cost-driven.
-    s1_part = np.exp(_log_softmax(-lam * costs))
+    log_s1_part = _log_softmax(-lam * costs)
+    s1_part = np.exp(log_s1_part)
     # Level-1 speaker under the total QUD in w_a: the bare message scores
     # only through the literal interpretation's share of the cell posterior.
     x = lam * ((1 - chi) * np.log1p(-pc) + danb)
@@ -405,8 +410,18 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
             [(1 - pc) * (1 - qc) * s1_part[2], pc * (1 - qc) * s1_part[2],
              (1 - pc) * qc * s1_tot_wa_anb, zeros], axis=-1),
     }
-    # With the priors clamped away from the endpoints every message keeps a
-    # positive total, so the joint posteriors are plain normalizations.
+    # With the priors clamped away from the endpoints the totals of A and
+    # A_AND_B stay positive, so their joint posteriors are plain
+    # normalizations.  Every weight of A_AND_NOT_B carries a factor of about
+    # exp(-lam * delta_anb) or below, and its total underflows once that
+    # exponent passes about 745.  Its first two weights add up to
+    # (1 - qc) * s1_part[2], so a total can fall below TINY only where that
+    # scalar is below 2 * TINY.  Such rows get placeholder weights here, and
+    # the terms built on them are redone in log space below.
+    tiny = ()
+    if (1 - qc) * s1_part[2] < 2 * TINY:
+        tiny = np.flatnonzero(weights["AnB"].sum(axis=-1) < TINY)
+        weights["AnB"][tiny] = 1.0
     joint = {key: w / w.sum(axis=-1, keepdims=True) for key, w in weights.items()}
 
     # Level-2 speaker addressing the partial QUD: scored by each message's
@@ -415,13 +430,22 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
         [_safe_log(joint[k][:, 0] + joint[k][:, 1]) for k in ("A", "AB", "AnB")],
         axis=-1,
     )
+    if len(tiny):
+        log_wa, log_wab = np.log1p(-pc[tiny]), np.log(pc[tiny])
+        log_joint_anb = _log_softmax(np.stack(
+            [log_wa + np.log1p(-qc) + log_s1_part[2],
+             log_wab + np.log1p(-qc) + log_s1_part[2],
+             log_wa + np.log(qc) - np.logaddexp(0.0, x[tiny])], axis=-1))
+        log_m[tiny, 2] = np.logaddexp(log_joint_anb[:, 0], log_joint_anb[:, 1])
     s2_part = np.exp(_log_softmax(lam * (log_m - costs)))
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way.
     y = lam * (_safe_log(joint["A"][:, 2]) - _safe_log(joint["AnB"][:, 2]) + danb)
+    if len(tiny):
+        y[tiny] = lam * (_safe_log(joint["A"][tiny, 2]) - log_joint_anb[:, 2] + danb)
     s2_tot_wa = np.stack([expit(y), zeros, expit(-y)], axis=-1)
     s2_tot_wab = np.stack([zeros, np.ones(n), zeros], axis=-1)
-    return s1_part, s1_tot_wa_a, joint, s2_part, s2_tot_wa, s2_tot_wab
+    return s1_part, s1_tot_wa_a, s2_part, s2_tot_wa, s2_tot_wab
 
 
 def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
@@ -429,7 +453,7 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     # endpoint values q in {0, 1} are thereby the continuity limits.
     qc = float(np.clip(params.require_xi(), P_EPS, 1.0 - P_EPS))
     pc = _clip_prior(p)
-    s1_part, s1_tot_wa_a, _, s2_part, s2_tot_wa, s2_tot_wab = _svrsa_components(
+    s1_part, s1_tot_wa_a, s2_part, s2_tot_wa, s2_tot_wab = _svrsa_components(
         params, pc, qc
     )
 

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rsa_exh
 from rsa_exh.cli import run
 from rsa_exh.data import parse_dataset
 from rsa_exh.fitting import FIT_COLUMNS
@@ -224,3 +229,21 @@ def test_invalid_prior_value_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--model", "base", "--lambda", "1", "--p", "1.5"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the import time; nothing in the CLI needs it
+    src = str(Path(rsa_exh.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, rsa_exh.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from rsa_exh.data import (
     ResponseMessage,
     Survey,
     SynthDesign,
+    preprocess,
     synth_generate,
 )
 from rsa_exh.fitting import (
@@ -20,6 +21,7 @@ from rsa_exh.fitting import (
     FitOptions,
     NoiseParams,
     NonfiniteLikelihood,
+    _ParamSpec,
     compare,
     comprehension_loglik,
     dataset_loglik,
@@ -29,7 +31,7 @@ from rsa_exh.fitting import (
     production_loglik,
     smoothed_production_probs,
 )
-from rsa_exh.models import ModelId
+from rsa_exh.models import ModelId, XI_MODELS, predict
 from rsa_exh.scenario import ModelParams
 
 BASE_PARAMS = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
@@ -144,6 +146,83 @@ def test_dataset_loglik_nonfinite_names_row():
         dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, ds)
 
 
+def test_dataset_loglik_nonfinite_names_row_after_other_conditions():
+    # the offending World.AB row comes after rows of every other condition
+    # and after a valid World.AB row, so it sits far from offset 0
+    rows = (
+        ObservationRow("c1", Survey.COMPREHENSION, 0.6, Condition.UTT_A,
+                       response_posterior=0.4),
+        ObservationRow("c2", Survey.COMPREHENSION, 0.3, Condition.UTT_AB,
+                       response_posterior=1.0),
+        ObservationRow("p1", Survey.PRODUCTION, 0.2, Condition.WORLD_A,
+                       response_message=ResponseMessage.A),
+        ObservationRow("p2", Survey.PRODUCTION, 0.7, Condition.WORLD_AB,
+                       response_message=ResponseMessage.A_AND_B),
+        ObservationRow("oddball", Survey.PRODUCTION, 0.5, Condition.WORLD_AB,
+                       response_message=ResponseMessage.A_AND_NOT_B),  # false in w_ab
+    )
+    zero_eps = NoiseParams(sigma_a=0.3, sigma_ab=0.3, epsilon=0.0)
+    ds = Dataset(rows, priors_compressed=True, messages_merged=True)
+    with pytest.raises(NonfiniteLikelihood, match="oddball"):
+        dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, ds)
+    valid = Dataset(rows[:-1], priors_compressed=True, messages_merged=True)
+    expected = _row_by_row_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, valid)
+    assert dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, valid) == pytest.approx(
+        expected, rel=1e-12, abs=0
+    )
+
+
+def _row_by_row_loglik(model, params, noise, dataset):
+    """The joint loglik as the exact sum of the per-observation scores."""
+    scores = []
+    for row in preprocess(dataset).rows:
+        pred = predict(model, params, row.raw_prior)
+        observed = row.response_posterior
+        if row.condition is Condition.UTT_A:
+            scores.append(comprehension_loglik(pred.post_a, observed, noise.sigma_a))
+        elif row.condition is Condition.UTT_AB:
+            scores.append(comprehension_loglik(pred.post_ab, observed, noise.sigma_ab))
+        else:
+            probs = pred.prod_wa if row.condition is Condition.WORLD_A else pred.prod_wab
+            scores.append(production_loglik(probs, row.response_message, noise.epsilon))
+    return math.fsum(scores)
+
+
+def _shuffled_synth(seed):
+    # wide comprehension noise, so that many slider responses are censored
+    ds = synth_generate(ModelId.WRSA,
+                        ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NoiseParams(sigma_a=0.6, sigma_ab=0.4, epsilon=0.022),
+                        SMALL_DESIGN, seed=seed)
+    rows = list(ds.rows)
+    np.random.default_rng(seed).shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_dataset_loglik_equals_sum_of_row_scores(model):
+    rows = _shuffled_synth(12)
+    responses = [r.response_posterior for r in rows if r.survey is Survey.COMPREHENSION]
+    assert 0.0 in responses and 1.0 in responses
+    assert any(0.0 < r < 1.0 for r in responses)
+    comprehension = [r for r in rows if r.survey is Survey.COMPREHENSION]
+    production = [r for r in rows if r.survey is Survey.PRODUCTION]
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        params = ModelParams(
+            lam=float(np.exp(rng.uniform(np.log(0.5), np.log(30.0)))),
+            delta_ab=float(rng.uniform(0.0, 3.0)),
+            delta_anb=float(rng.uniform(0.0, 3.0)),
+            xi=float(rng.uniform(0.05, 0.95)) if model in XI_MODELS else None,
+        )
+        for subset in (rows, comprehension, production):
+            ds = Dataset(tuple(subset))
+            expected = _row_by_row_loglik(model, params, NOISE, ds)
+            assert dataset_loglik(model, params, NOISE, ds) == pytest.approx(
+                expected, rel=1e-12, abs=0
+            )
+
+
 def test_true_params_beat_perturbed_in_expectation():
     true_params = ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86)
     perturbed = ModelParams(lam=6.5, delta_ab=0.5, delta_anb=0.9, xi=0.5)
@@ -160,6 +239,24 @@ def test_true_params_beat_perturbed_in_expectation():
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", [ModelId.BASE_RSA, ModelId.WRSA])
+@pytest.mark.parametrize("equal_costs", [False, True])
+def test_initial_points_match_scipy_latin_hypercube(model, equal_costs):
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    spec = _ParamSpec.build(model, equal_costs, Constraints())
+    for n in (1, 2, 10, 32):
+        for seed in range(10):
+            cube = qmc.LatinHypercube(d=len(spec.names), seed=seed).random(n)
+            span_lin = spec.init_lo + cube * (spec.init_hi - spec.init_lo)
+            span_log = np.exp(
+                np.log(spec.init_lo) + cube * (np.log(spec.init_hi) - np.log(spec.init_lo))
+            )
+            expected = np.apply_along_axis(
+                spec.encode, 1, np.where(spec.log_init, span_log, span_lin)
+            )
+            np.testing.assert_array_equal(spec.initial_points(n, seed), expected)
 
 
 def test_aic_identity_arithmetic():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -185,6 +186,36 @@ def test_svrsa_zero_total_qud_prior_gives_uninformative_bare_message():
     for p in (0.2, 0.5, 0.9):
         pred = svrsa_predict(params, p, variant=1)
         assert pred.post_a == pytest.approx(p, abs=1e-9)
+
+
+@pytest.mark.parametrize("model", [ModelId.SVRSA1, ModelId.SVRSA2])
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(lam=200.0, delta_ab=4.0, delta_anb=4.0, xi=0.5),
+        ModelParams(lam=10.0, delta_ab=0.0, delta_anb=200.0, xi=0.5),
+    ],
+)
+def test_svrsa_matches_oracle_where_conjunction_weights_underflow(model, params):
+    # lam * delta_anb is beyond ~745: every level-1 weight of A_AND_NOT_B
+    # underflows, and its joint posterior needs log space
+    ours = predict_table(model, params, GRID)
+    ref = oracle_predict_table(model, params, GRID)
+    for name in ("post_a", "post_ab", "prod_wa", "prod_wab"):
+        np.testing.assert_allclose(getattr(ours, name), getattr(ref, name), rtol=0, atol=1e-9)
+
+
+def test_svrsa_production_rows_normalized_on_stress_grid():
+    lams = (0.2, 1.0, 10.0, 50.0, 200.0, 1e3)
+    costs = (0.0, 0.01, 1.0, 4.0, 20.0, 200.0)
+    priors = np.linspace(0.0, 1.0, 30)
+    for model in (ModelId.SVRSA1, ModelId.SVRSA2):
+        for lam, dab, danb, xi in itertools.product(lams, costs, costs, (0.0, 0.5, 1.0)):
+            params = ModelParams(lam=lam, delta_ab=dab, delta_anb=danb, xi=xi)
+            table = predict_table(model, params, priors)
+            for rows in (table.prod_wa, table.prod_wab):
+                assert np.all(np.isfinite(rows)), params
+                np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
