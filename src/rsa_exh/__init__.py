@@ -1,10 +1,11 @@
 """RSA model variants for exhaustivity/anti-exhaustivity.
 
 A library and CLI covering: closed-form predictions of nine recursive
-speaker/listener model variants, a generic brute-force recursion engine they
-are verified against, analytic anti-exhaustivity condition checkers and prior
-sweeps, and a joint maximum-likelihood fitting/AIC-comparison pipeline for
-combined production and comprehension data.
+speaker/listener model variants behind one surface (``predict_table``), a
+generic brute-force recursion engine (``iterate``, batched over priors) that
+they are verified against, analytic anti-exhaustivity condition checkers and
+prior sweeps, and a joint maximum-likelihood fitting/AIC-comparison pipeline
+for combined production and comprehension data.
 """
 
 from .analysis import (
@@ -62,13 +63,10 @@ from .models import (
     ModelId,
     Predictions,
     base_rsa_l1,
-    base_rsa_s2,
     bwrsa_l1,
-    li_predict,
     lu_predict,
     predict,
     predict_table,
-    svrsa_predict,
     wrsa_l1,
 )
 from .scenario import (

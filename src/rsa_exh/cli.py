@@ -25,7 +25,7 @@ from .data import SynthDesign, parse_dataset, read_column_map, synth_generate, w
 from .engine import iterate
 from .fitting import FIT_COLUMNS, FitOptions, NoiseParams, compare, fit, fit_result_row
 from .models import ModelId, XI_MODELS
-from .oracles import canonical_scenario, svrsa_oracle
+from .oracles import canonical_scenario, oracle_predict_table
 from .scenario import ModelParams
 
 SIMULATE_COLUMNS = ("level", "role", "given", "outcome", "probability")
@@ -278,7 +278,7 @@ def _simulate_iterate_rows(model, params, p, depth) -> list[dict]:
 def _simulate_svrsa_rows(model, params, p, depth, parser) -> list[dict]:
     if depth > 2:
         parser.error("supervaluationist variants define levels 1 and 2 only")
-    table = svrsa_oracle(params, np.array([p]), variant=1 if model is ModelId.SVRSA1 else 2)
+    table = oracle_predict_table(model, params, p)
     pred = table.at(0)
     rows = [
         {"level": 1, "role": "listener", "given": "A", "outcome": "w_ab",

@@ -5,8 +5,11 @@ This is the brute-force reference engine: scenarios are index-based tables
 explicit enumeration.  All probability arithmetic runs in log space with
 max-subtraction; ``-inf`` is the sentinel for "probability exactly zero" and
 exponentiates to exactly 0, so rationality values in the hundreds do not
-overflow.  The closed forms in :mod:`rsa_exh.models` are pinned against
-constructions built from these primitives (see :mod:`rsa_exh.oracles`).
+overflow.  :func:`iterate` is the one reference recursion, batched over
+priors: ``rsa-exh simulate`` prints its tables, and :mod:`rsa_exh.oracles`
+reads off it the references that pin seven closed forms of
+:mod:`rsa_exh.models`.  The scalar operations are the hand-checkable
+contracts that the batched tables are tested against.
 
 Lifted variables (interpretations, background assumptions, QUDs) are encoded
 as a flat "context" axis.  Where a variant marginalizes the lifted variable is
@@ -59,9 +62,6 @@ class Distribution:
     def prob(self, item) -> float:
         return float(self.probs[self.support.index(item)])
 
-    def as_dict(self) -> dict:
-        return {item: float(p) for item, p in zip(self.support, self.probs)}
-
 
 def _normalized(support, weights: np.ndarray) -> Distribution:
     total = weights.sum()
@@ -75,7 +75,8 @@ class GenericScenario:
     ``truth`` has shape (contexts, messages, worlds); ``world_prior`` one row
     per context (rows may differ, as in the wonky-prior models), and
     ``context_prior`` weighs the lifted values.  A scenario without lifted
-    variables uses a single context.
+    variables uses a single context.  Leading batch axes on ``world_prior``,
+    (..., contexts, worlds), give one scenario per batch entry.
     """
 
     worlds: tuple
@@ -110,7 +111,9 @@ class GenericScenario:
             raise ValueError("truth table shape must be (contexts, messages, worlds)")
         if costs.shape != (len(self.messages),) or np.any(costs < 0):
             raise ValueError("costs must be one nonnegative value per message")
-        if np.any(np.abs(world_prior.sum(axis=1) - 1.0) > _SUM_TOL):
+        if world_prior.shape[-2:] != (n_ctx, len(self.worlds)):
+            raise ValueError("world prior shape must be (..., contexts, worlds)")
+        if np.any(np.abs(world_prior.sum(axis=-1) - 1.0) > _SUM_TOL):
             raise ValueError("each context's world prior must sum to 1")
         if abs(context_prior.sum() - 1.0) > _SUM_TOL or np.any(context_prior < 0):
             raise ValueError("context prior must be a probability vector")
@@ -120,9 +123,6 @@ class GenericScenario:
     @property
     def n_contexts(self) -> int:
         return self.truth.shape[0]
-
-    def marginal_world_prior(self) -> np.ndarray:
-        return self.context_prior @ self.world_prior
 
     def world_index(self, world) -> int:
         return self.worlds.index(world)
@@ -271,23 +271,19 @@ def marginal_world(joint: Distribution, worlds: tuple) -> Distribution:
 
 @dataclass
 class RecursionResult:
-    """Speaker/listener tables from :func:`iterate` (probability scale)."""
+    """Log-scale tables from :func:`iterate`, with the world prior's batch axes."""
 
-    scenario: GenericScenario
-    lam: float
-    log_l0: np.ndarray  # (contexts, messages, worlds)
-    log_s1: np.ndarray  # (contexts, worlds, messages)
-    log_s1_marginal: np.ndarray | None  # (worlds, messages)
-    log_l1_joint: np.ndarray  # (messages, contexts, worlds)
-    log_listeners: list  # L1, L2, ... as (messages, worlds)
-    log_speakers: list  # S2, S3, ... as (worlds, messages)
+    log_s1: np.ndarray  # (..., contexts, worlds, messages)
+    log_s1_marginal: np.ndarray | None  # (..., worlds, messages)
+    log_listeners: list  # L1, L2, ... as (..., messages, worlds)
+    log_speakers: list  # S2, S3, ... as (..., worlds, messages)
 
     def listener(self, n: int) -> np.ndarray:
-        """L_n marginal world posteriors, shape (messages, worlds)."""
+        """L_n marginal world posteriors, shape (..., messages, worlds)."""
         return np.exp(self.log_listeners[n - 1])
 
     def speaker(self, n: int) -> np.ndarray:
-        """S_n message choice probabilities, shape (worlds, messages)."""
+        """S_n message choice probabilities, shape (..., worlds, messages)."""
         if n == 1:
             if self.log_s1_marginal is None:
                 raise ValueError(
@@ -310,7 +306,8 @@ def iterate(
 
     Lifted contexts are integrated out at the first pragmatic listener; from
     there the recursion alternates S_{n+1} (softmax of log L_n minus costs)
-    and L_{n+1} (Bayes against the listener's marginal world prior).
+    and L_{n+1} (Bayes against the listener's marginal world prior).  Batch
+    axes of the world prior carry through every table.
 
     ``speaker_mode="joint"`` makes the level-1 speaker choose a
     (message, context) pair jointly (the lexical-intentions construction);
@@ -322,39 +319,34 @@ def iterate(
     utilities = lam * (np.swapaxes(log_l0, -1, -2) - scenario.costs)
     if speaker_mode == "joint":
         # normalize over (context, message) pairs for each world
-        moved = np.moveaxis(utilities, 0, 1)  # (worlds, contexts, messages)
-        flat = log_softmax(moved.reshape(moved.shape[0], -1), axis=-1)
-        log_s1 = np.moveaxis(flat.reshape(moved.shape), 1, 0)
-        log_s1_marginal = logsumexp(log_s1, axis=0)
+        moved = np.moveaxis(utilities, -3, -2)  # (..., worlds, contexts, messages)
+        flat = log_softmax(moved.reshape(moved.shape[:-2] + (-1,)), axis=-1)
+        log_s1 = np.moveaxis(flat.reshape(moved.shape), -2, -3)
+        log_s1_marginal = logsumexp(log_s1, axis=-3)
     elif speaker_mode == "per_context":
         log_s1 = log_softmax(utilities, axis=-1)
-        log_s1_marginal = log_s1[0] if scenario.n_contexts == 1 else None
+        log_s1_marginal = log_s1[..., 0, :, :] if scenario.n_contexts == 1 else None
     else:
         raise ValueError(f"unknown speaker_mode {speaker_mode!r}")
 
-    if listener_world_prior is None:
-        joint_prior = scenario.context_prior[:, None] * scenario.world_prior
-    else:
-        joint_prior = scenario.context_prior[:, None] * np.asarray(
-            listener_world_prior, dtype=float
-        )
+    listener_prior = (
+        scenario.world_prior if listener_world_prior is None
+        else np.asarray(listener_world_prior, dtype=float)
+    )
+    joint_prior = scenario.context_prior[:, None] * listener_prior
     log_l1_joint = log_joint_listener_table(log_s1, joint_prior)
-    log_listeners = [logsumexp(log_l1_joint, axis=1)]
+    log_listeners = [logsumexp(log_l1_joint, axis=-2)]
 
-    prior_w = joint_prior.sum(axis=0)
-    log_prior_w = _safe_log(prior_w)
+    log_prior_w = _safe_log(joint_prior.sum(axis=-2))[..., None, :]
     log_speakers = []
     for _ in range(2, depth + 1):
         log_s = log_speaker_table(log_listeners[-1], scenario.costs, lam)
         log_speakers.append(log_s)
-        log_weights = log_prior_w[None, :] + log_s.T  # (messages, worlds)
-        denom = logsumexp(log_weights, axis=1, keepdims=True)
+        log_weights = log_prior_w + np.swapaxes(log_s, -1, -2)  # (..., messages, worlds)
+        denom = logsumexp(log_weights, axis=-1, keepdims=True)
         log_l = np.where(np.isneginf(denom), NEG_INF, log_weights - denom)
         log_listeners.append(log_l)
-    return RecursionResult(
-        scenario, lam, log_l0, log_s1, log_s1_marginal, log_l1_joint,
-        log_listeners, log_speakers,
-    )
+    return RecursionResult(log_s1, log_s1_marginal, log_listeners, log_speakers)
 
 
 def expected_utility_over_interpretations(

@@ -10,13 +10,15 @@ lexical-intentions variant which uses its marginal level-1 speaker.
 The expressions here are direct transcriptions of each variant's algebra,
 evaluated through logistic/log-sum-exp primitives so that rationality values
 up to the fitting bound (1e3) neither overflow nor underflow destructively.
-Each form is independently pinned against the brute-force recursion of
-:mod:`rsa_exh.engine` (see :mod:`rsa_exh.oracles` and the test suite).
+:func:`predict_table` is the one prediction surface; the public per-variant
+functions are the implementations holding an endpoint or ``rho`` contract.
+Each form is pinned against the brute-force references of
+:mod:`rsa_exh.oracles` (the recursion of :func:`rsa_exh.engine.iterate`).
 
 The listener posterior after ``A`` of the variants that update the measured
-prior by Bayes' rule (baseline, lexical uncertainty, lexical intentions) is
-*order-exact* and *faithfully rounded*.  Order-exact: it compares with the
-clamped prior (``>``, ``==``, ``<``) exactly as the exact posterior
+prior by Bayes' rule (baseline, Bayesian wonky, lexical uncertainty, lexical
+intentions) is *order-exact* and *faithfully rounded*.  Order-exact: it
+compares with the clamped prior (``>``, ``==``, ``<``) exactly as the exact posterior
 ``p A / (p A + (1 - p) B)`` does, where ``A`` and ``B`` are the level-1
 probabilities of ``A`` in ``World.AB`` and ``World.A``.  At high rationality
 ``post - p`` is of order ``exp(-lam x)`` and falls far below float64
@@ -39,7 +41,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .scenario import ModelParams, World
+from .engine import _safe_log, log_softmax
+from .scenario import ModelParams
 
 LOG2 = np.log(2.0)
 
@@ -85,13 +88,6 @@ FIXED_RHO = {
     ModelId.FREE_LU: (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
     ModelId.EXH_LU: (0.5, 0.5, 0.0),
 }
-
-#: Column order of the prediction row schema.
-PREDICTION_COLUMNS = (
-    "model", "p", "post_A", "post_AB",
-    "prod_wa_A", "prod_wa_AB", "prod_wa_AnB",
-    "prod_wab_A", "prod_wab_AB", "prod_wab_AnB",
-)
 
 
 @dataclass(frozen=True)
@@ -149,19 +145,6 @@ def _clip_prior(p) -> np.ndarray:
 def _logistic(lam: float, x):
     """The rate-``lam`` logistic 1 / (1 + exp(-lam * x))."""
     return expit(lam * np.asarray(x, dtype=float))
-
-
-def _safe_log(x):
-    with np.errstate(divide="ignore"):
-        return np.log(x)
-
-
-def _log_softmax(log_weights: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, tolerant of -inf entries and rows."""
-    shifted = log_weights - np.max(log_weights, axis=-1, keepdims=True)
-    shifted = np.where(np.isnan(shifted), -np.inf, shifted)
-    norm = _safe_log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return np.where(np.isneginf(norm), -np.inf, shifted - norm)
 
 
 # ---------------------------------------------------------------------------
@@ -298,74 +281,60 @@ def _base_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
 
 
-def base_rsa_s2(params: ModelParams, p, world: World) -> np.ndarray:
-    """Baseline level-2 production distribution for one world."""
-    table = _base_table(params, np.atleast_1d(np.asarray(p, dtype=float)))
-    rows = table.prod_wa if world is World.A else table.prod_wab
-    return rows[0] if np.ndim(p) == 0 else rows
-
-
 # ---------------------------------------------------------------------------
 # Wonky-prior models: the listener is uncertain whether the speaker assumed
 # the measured prior or a backed-off uniform prior over the two worlds.
 # ---------------------------------------------------------------------------
 
 
-def _wonky_speaker_terms(params: ModelParams, p):
-    """Level-1 probabilities of uttering ``A`` per world and background.
-
-    Returns (usual w_ab, usual w_a, wonky w_ab, wonky w_a): the usual
-    background conditions on the measured prior, the wonky one on the uniform
-    prior over the two worlds (hence the log-2 terms).
-    """
-    pc = _clip_prior(p)
-    lam = params.lam
-    s_wab_usual = _logistic(lam, _safe_log(pc) + params.delta_ab)
-    s_wa_usual = _logistic(lam, _safe_log(1 - pc) + params.delta_anb)
-    s_wab_wonky = _logistic(lam, params.delta_ab - LOG2)
-    s_wa_wonky = _logistic(lam, params.delta_anb - LOG2)
-    return s_wab_usual, s_wa_usual, s_wab_wonky, s_wa_wonky
-
-
 def wrsa_l1(params: ModelParams, p):
     """Wonky-prior posterior: joint inference over world and background.
 
     The prior over (world, background) couples them: under the wonky
-    background both worlds weigh 1/2.  Not Bayesian with respect to the
-    measured prior, so the posterior stays away from 0/1 at the endpoints.
+    background both worlds weigh 1/2 (hence the log-2 terms).  Not Bayesian
+    with respect to the measured prior, so the posterior stays away from 0/1
+    at the endpoints.
     """
     omega = params.require_xi()
+    lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
     pc = _clip_prior(p)
-    s_wab_u, s_wa_u, s_wab_w, s_wa_w = _wonky_speaker_terms(params, p)
-    wab_mass = pc * (1 - omega) * s_wab_u + 0.5 * omega * s_wab_w
-    wa_mass = (1 - pc) * (1 - omega) * s_wa_u + 0.5 * omega * s_wa_w
+    wab_mass = (pc * (1 - omega) * _logistic(lam, _safe_log(pc) + dab)
+                + 0.5 * omega * _logistic(lam, dab - LOG2))
+    wa_mass = ((1 - pc) * (1 - omega) * _logistic(lam, _safe_log(1 - pc) + danb)
+               + 0.5 * omega * _logistic(lam, danb - LOG2))
     out = wab_mass / (wab_mass + wa_mass)
     return out if out.ndim else float(out)
 
 
-def bwrsa_l1(params: ModelParams, p):
-    """Bayesian wonky variant: own world prior, mixture over backgrounds.
-
-    Respects prior zeros exactly: returns p unchanged at p in {0, 1}.
-    """
-    omega = params.require_xi()
-    pc = _clip_prior(p)
-    s_wab_u, s_wa_u, s_wab_w, s_wa_w = _wonky_speaker_terms(params, p)
-    lik_wab = omega * s_wab_w + (1 - omega) * s_wab_u
-    lik_wa = omega * s_wa_w + (1 - omega) * s_wa_u
-    p_arr = np.asarray(p, dtype=float)
-    interior = pc * lik_wab / (pc * lik_wab + (1 - pc) * lik_wa)
-    out = np.where(p_arr <= 0.0, 0.0, np.where(p_arr >= 1.0, 1.0, interior))
-    return out if out.ndim else float(out)
-
-
-def _wonky_table(params: ModelParams, p: np.ndarray, bayesian: bool) -> PredictionTable:
-    post_a = np.atleast_1d(bwrsa_l1(params, p) if bayesian else wrsa_l1(params, p))
+def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
+    post_a = np.atleast_1d(wrsa_l1(params, p))
     log_ab = _safe_log(post_a)
     with np.errstate(divide="ignore"):
         log_a = np.log1p(-post_a)
     prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
+
+
+def bwrsa_l1(params: ModelParams, p):
+    """Bayesian wonky variant: own world prior, mixture over backgrounds.
+
+    Order-exact against the clamped prior (see the module docstring), and
+    respects prior zeros exactly: returns p unchanged at p in {0, 1}.
+    """
+    p_arr = np.asarray(p, dtype=float)
+    out = _bwrsa_table(params, p_arr.reshape(-1)).post_a.reshape(p_arr.shape)
+    return out if out.ndim else float(out)
+
+
+def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
+    # The likelihoods of "A" mix the usual level-1 speaker (measured prior)
+    # with the wonky one (uniform prior): the lexical-uncertainty form with
+    # weights (1 - xi, xi, xi) and constant scores lam (delta - log 2).
+    omega = params.require_xi()
+    table = _lu_table(params, p, (1 - omega, omega, omega), shift=LOG2)
+    table.post_a[p <= 0.0] = 0.0
+    table.post_a[p >= 1.0] = 1.0
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +357,7 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
     costs = np.array([0.0, dab, danb])
 
     # Level-1 speaker under the partial QUD: world-independent, cost-driven.
-    log_s1_part = _log_softmax(-lam * costs)
+    log_s1_part = log_softmax(-lam * costs)
     s1_part = np.exp(log_s1_part)
     # Level-1 speaker under the total QUD in w_a: the bare message scores
     # only through the literal interpretation's share of the cell posterior.
@@ -432,12 +401,12 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
     )
     if len(tiny):
         log_wa, log_wab = np.log1p(-pc[tiny]), np.log(pc[tiny])
-        log_joint_anb = _log_softmax(np.stack(
+        log_joint_anb = log_softmax(np.stack(
             [log_wa + np.log1p(-qc) + log_s1_part[2],
              log_wab + np.log1p(-qc) + log_s1_part[2],
              log_wa + np.log(qc) - np.logaddexp(0.0, x[tiny])], axis=-1))
         log_m[tiny, 2] = np.logaddexp(log_joint_anb[:, 0], log_joint_anb[:, 1])
-    s2_part = np.exp(_log_softmax(lam * (log_m - costs)))
+    s2_part = np.exp(log_softmax(lam * (log_m - costs)))
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way.
     y = lam * (_safe_log(joint["A"][:, 2]) - _safe_log(joint["AnB"][:, 2]) + danb)
@@ -461,8 +430,10 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     # post_a <= p exactly in floating point (the fraction never exceeds 1).
     denom_a = (1 - qc) * s1_part[0] + (1 - pc) * qc * s1_tot_wa_a
     post_a = pc * ((1 - qc) * s1_part[0] / denom_a)
+    # At high rationality the product can round to 1 + 2^-52 (exact: <= 1).
+    # A complement form would lose post_ab's relative accuracy at small p.
     denom_ab = (1 - qc) * s1_part[1] + pc * qc
-    post_ab = pc * (((1 - qc) * s1_part[1] + qc) / denom_ab)
+    post_ab = np.minimum(pc * (((1 - qc) * s1_part[1] + qc) / denom_ab), 1.0)
 
     if variant == 1:
         prod_wa = (1 - qc) * s2_part + qc * s2_tot_wa
@@ -470,18 +441,6 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     else:
         prod_wa, prod_wab = s2_tot_wa, s2_tot_wab
     return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
-
-
-def svrsa_predict(params: ModelParams, p, variant: int) -> Predictions:
-    """Supervaluationist predictions; ``variant`` selects the production mix.
-
-    Variant 1 mixes the partial- and total-QUD level-2 speakers by the QUD
-    prior; variant 2 models production with the total-QUD speaker alone.
-    """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    table = _svrsa_table(params, np.atleast_1d(np.asarray(p, dtype=float)), variant)
-    return table.at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +462,20 @@ def _logistic_split(z):
     return step, tail
 
 
-def _lu_table(params: ModelParams, p: np.ndarray, rho) -> PredictionTable:
+def _lu_table(params: ModelParams, p: np.ndarray, rho, shift=0.0) -> PredictionTable:
+    """Listener whose likelihoods of ``A`` mix the literal level-1 speaker
+    (weight ``rho[0]``) with prior-free speakers scored ``lam (delta - shift)``
+    for whom ``A`` is true only in ``World.A`` (``rho[1]``) or only in
+    ``World.AB`` (``rho[2]``)."""
     rho_lit, rho_exh, rho_anti = rho
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
     pc = _clip_prior(p)
     log_pc, log_qc = np.log(pc), np.log(1 - pc)
     z_ab = lam * (log_pc + dab)
     z_a = lam * (log_qc + danb)
+    c_ab, c_a = lam * (dab - shift), lam * (danb - shift)
     s_wab_lit, s_wa_lit = expit(z_ab), expit(z_a)
-    s_wab_anti, s_wa_exh = expit(lam * dab), expit(lam * danb)
+    s_wab_anti, s_wa_exh = expit(c_ab), expit(c_a)
     lik_ab = rho_lit * s_wab_lit + rho_anti * s_wab_anti
     lik_a = rho_lit * s_wa_lit + rho_exh * s_wa_exh
     wab_mass = pc * lik_ab
@@ -526,7 +490,7 @@ def _lu_table(params: ModelParams, p: np.ndarray, rho) -> PredictionTable:
 
     def scores_at(i):
         # log1p keeps the small score of a small prior to full precision
-        return z_ab[i], lam * (np.log1p(-pc[i]) + danb), lam * dab, lam * danb
+        return z_ab[i], lam * (np.log1p(-pc[i]) + danb), c_ab, c_a
 
     def delta_at(i):
         # A - B with every logistic split into a step and a tail (see
@@ -539,8 +503,8 @@ def _lu_table(params: ModelParams, p: np.ndarray, rho) -> PredictionTable:
         steps = rho_lit * (step_ab - step_a) + (rho_anti * step_anti - rho_exh * step_exh)
         tails = rho_lit * (tail_ab - tail_a) + (rho_anti * tail_anti - rho_exh * tail_exh)
         q = pc[i]
-        # both masses underflow only without the exhaustive and
-        # anti-exhaustive terms; A - B is then 0 as well
+        # the floor keeps a total whose every term has underflowed from
+        # dividing by zero
         return q * (1 - q) * (steps + tails) / np.maximum(wab_mass[i] + wa_mass[i], 5e-324)
 
     def tie(i):
@@ -632,16 +596,6 @@ def _li_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTab
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
 
 
-def li_predict(params: ModelParams, p, variant: int) -> Predictions:
-    """Lexical-intentions predictions; variant 1 produces with the marginal
-    level-1 speaker, variant 2 with the level-2 speaker built on its
-    listener."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    table = _li_table(params, np.atleast_1d(np.asarray(p, dtype=float)), variant)
-    return table.at(0)
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -655,9 +609,9 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     if model is ModelId.BASE_RSA:
         return _base_table(params, p)
     if model is ModelId.WRSA:
-        return _wonky_table(params, p, bayesian=False)
+        return _wrsa_table(params, p)
     if model is ModelId.BWRSA:
-        return _wonky_table(params, p, bayesian=True)
+        return _bwrsa_table(params, p)
     if model is ModelId.SVRSA1:
         return _svrsa_table(params, p, variant=1)
     if model is ModelId.SVRSA2:

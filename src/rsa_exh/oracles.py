@@ -1,12 +1,14 @@
 """Brute-force reference constructions of every model variant.
 
-Each function here rebuilds a variant from the generic engine tables
-(:mod:`rsa_exh.engine`): explicit literal-listener tables, softmax speakers,
-and Bayesian joint listeners over whatever lifted variables the variant
-carries.  Nothing is algebraically simplified, which is the point: the test
-suite pins the closed forms of :mod:`rsa_exh.models` against these
-constructions on dense grids.  All functions are vectorized over the prior
-(a leading batch axis on every table).
+Seven variants (baseline, wonky x2, lexical uncertainty x2, lexical
+intentions x2) follow the plain alternating recursion.  Each is written once,
+as a scenario for :func:`rsa_exh.engine.iterate` (:func:`canonical_scenario`),
+and its predictions are read off the recursion that ``rsa-exh simulate``
+prints.  The supervaluationist variants carry the QUD through the level-2
+speaker and have their own construction (:func:`svrsa_oracle`).  Nothing is
+algebraically simplified, which is the point: the test suite pins the closed
+forms of :mod:`rsa_exh.models` against these constructions on dense grids.
+Everything is vectorized over the prior (a leading batch axis).
 """
 
 from __future__ import annotations
@@ -14,17 +16,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from .engine import (
-    log_joint_listener_table,
-    log_literal_listener_table,
-    log_softmax,
-    log_speaker_table,
-)
+from .engine import GenericScenario, _safe_log, iterate, log_softmax
 from .models import FIXED_RHO, ModelId, ModelParams, P_EPS, PredictionTable
 from .scenario import INTERPRETATIONS, MESSAGES, WORLDS, Interpretation, truth_value
 
 _IW_A, _IW_AB = 0, 1
-_IM_A, _IM_AB, _IM_ANB = 0, 1, 2
+_IM_A, _IM_AB = 0, 1
 
 
 def _truth_table(interps) -> np.ndarray:
@@ -36,106 +33,6 @@ def _truth_table(interps) -> np.ndarray:
 
 def _costs(params: ModelParams) -> np.ndarray:
     return np.array([0.0, params.delta_ab, params.delta_anb])
-
-
-def _world_prior(p: np.ndarray) -> np.ndarray:
-    return np.stack([1.0 - p, p], axis=-1)
-
-
-def _safe_log(x):
-    with np.errstate(divide="ignore"):
-        return np.log(x)
-
-
-def _s1_tables(truth: np.ndarray, world_prior: np.ndarray, costs, lam, joint=False):
-    """Level-1 speaker tables (batch, contexts, worlds, messages).
-
-    ``joint=True`` normalizes over (context, message) pairs per world: the
-    speaker picks an interpretation along with the message.
-    """
-    log_l0 = log_literal_listener_table(truth, world_prior)
-    utilities = lam * (np.swapaxes(log_l0, -1, -2) - costs)
-    if not joint:
-        return log_softmax(utilities, axis=-1)
-    moved = np.moveaxis(utilities, -3, -2)  # (batch, worlds, contexts, messages)
-    flat = log_softmax(moved.reshape(moved.shape[:-2] + (-1,)), axis=-1)
-    return np.moveaxis(flat.reshape(moved.shape), -2, -3)
-
-
-def _finish(p, log_l1, log_s2) -> PredictionTable:
-    post_a = np.exp(log_l1[:, _IM_A, _IW_AB])
-    post_ab = np.exp(log_l1[:, _IM_AB, _IW_AB])
-    prod_wa = np.exp(log_s2[:, _IW_A, :])
-    prod_wab = np.exp(log_s2[:, _IW_AB, :])
-    return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
-
-
-def base_oracle(params: ModelParams, p: np.ndarray) -> PredictionTable:
-    """Baseline: one context, plain L0 -> S1 -> L1 -> S2 recursion."""
-    pc = np.clip(p, P_EPS, 1 - P_EPS)
-    truth = _truth_table([Interpretation.LITERAL])
-    wp = _world_prior(pc)[:, None, :]
-    costs, lam = _costs(params), params.lam
-    log_s1 = _s1_tables(truth, wp, costs, lam)
-    log_l1 = logsumexp(log_joint_listener_table(log_s1, wp), axis=-2)
-    log_s2 = log_speaker_table(log_l1, costs, lam)
-    return _finish(p, log_l1, log_s2)
-
-
-def wonky_oracle(params: ModelParams, p: np.ndarray, bayesian: bool) -> PredictionTable:
-    """Wonky-prior variants: lifted background with its own world prior.
-
-    The plain variant's listener runs Bayes on the coupled (background,
-    world) prior; the Bayesian variant keeps her own (measured) world prior
-    while mixing over backgrounds.
-    """
-    omega = params.require_xi()
-    pc = np.clip(p, P_EPS, 1 - P_EPS)
-    n = pc.shape[0]
-    truth = _truth_table([Interpretation.LITERAL] * 2)
-    measured = _world_prior(pc)
-    uniform = np.full((n, 2), 0.5)
-    wp = np.stack([measured, uniform], axis=1)  # (n, contexts, worlds)
-    ctx = np.array([1.0 - omega, omega])
-    costs, lam = _costs(params), params.lam
-    log_s1 = _s1_tables(truth, wp, costs, lam)
-    listener_wp = wp if not bayesian else np.stack([measured, measured], axis=1)
-    joint_prior = ctx[None, :, None] * listener_wp
-    log_l1 = logsumexp(log_joint_listener_table(log_s1, joint_prior), axis=-2)
-    log_s2 = log_speaker_table(log_l1, costs, lam)
-    return _finish(p, log_l1, log_s2)
-
-
-def lu_oracle(params: ModelParams, p: np.ndarray, rho) -> PredictionTable:
-    """Lexical uncertainty: per-interpretation speakers, rho-mixing listener."""
-    pc = np.clip(p, P_EPS, 1 - P_EPS)
-    truth = _truth_table(INTERPRETATIONS)
-    wp = np.broadcast_to(_world_prior(pc)[:, None, :], (pc.shape[0], 3, 2)).copy()
-    ctx = np.asarray(rho, dtype=float)
-    costs, lam = _costs(params), params.lam
-    log_s1 = _s1_tables(truth, wp, costs, lam)
-    joint_prior = ctx[None, :, None] * wp
-    log_l1 = logsumexp(log_joint_listener_table(log_s1, joint_prior), axis=-2)
-    log_s2 = log_speaker_table(log_l1, costs, lam)
-    return _finish(p, log_l1, log_s2)
-
-
-def li_oracle(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
-    """Lexical intentions: joint (message, interpretation) level-1 speaker."""
-    pc = np.clip(p, P_EPS, 1 - P_EPS)
-    truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])
-    wp = np.broadcast_to(_world_prior(pc)[:, None, :], (pc.shape[0], 2, 2)).copy()
-    costs, lam = _costs(params), params.lam
-    log_s1 = _s1_tables(truth, wp, costs, lam, joint=True)
-    # the interpretation prior is uniform and only rescales the joint
-    # posterior, so any constant context weight gives the same listener
-    joint_prior = 0.5 * wp
-    log_l1 = logsumexp(log_joint_listener_table(log_s1, joint_prior), axis=-2)
-    if variant == 1:
-        log_prod = logsumexp(log_s1, axis=1)  # marginal S1, (n, worlds, messages)
-    else:
-        log_prod = log_speaker_table(log_l1, costs, lam)
-    return _finish(p, log_l1, log_prod)
 
 
 def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
@@ -151,7 +48,7 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     pc = np.clip(p, P_EPS, 1 - P_EPS)
     truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])
     costs, lam = _costs(params), params.lam
-    wp = _world_prior(pc)  # (n, worlds)
+    wp = np.stack([1.0 - pc, pc], axis=-1)  # (n, worlds)
     rho = np.array([1.0 - chi, chi])
     qud_prior = np.array([1.0 - qc, qc])
     # cell membership (qud, target world, member world): the partial QUD has
@@ -188,76 +85,63 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
 
 
-def canonical_scenario(model: ModelId, params: ModelParams, p: float):
+def canonical_scenario(model: ModelId, params: ModelParams, p):
     """Scenario plus :func:`rsa_exh.engine.iterate` keyword arguments for the
     variants that follow the plain alternating recursion.
 
-    The supervaluationist variants carry the QUD through every level and do
-    not reduce to ``iterate``; use :func:`svrsa_oracle` for those.
+    ``p`` is a prior or an array of priors; an array becomes the leading
+    batch axis of the world prior.  The supervaluationist variants carry the
+    QUD through every level and do not reduce to ``iterate``; use
+    :func:`svrsa_oracle` for those.
     """
-    from .engine import GenericScenario
+    pc = np.clip(np.asarray(p, dtype=float), P_EPS, 1 - P_EPS)
+    measured = np.stack([1.0 - pc, pc], axis=-1)  # (..., worlds)
 
-    pc = float(np.clip(p, P_EPS, 1 - P_EPS))
-    measured = np.array([1.0 - pc, pc])
-    costs = _costs(params)
+    def scenario(interps, world_prior, context_prior, contexts):
+        return GenericScenario(
+            worlds=WORLDS, messages=MESSAGES, costs=_costs(params),
+            truth=_truth_table(interps), world_prior=world_prior,
+            context_prior=np.array(context_prior, dtype=float), contexts=contexts,
+        )
+
+    def each_context(n_ctx):
+        return np.broadcast_to(measured[..., None, :], measured.shape[:-1] + (n_ctx, 2))
+
+    literal, exhaustive = Interpretation.LITERAL, Interpretation.EXHAUSTIVE
     if model is ModelId.BASE_RSA:
-        scenario = GenericScenario(
-            worlds=WORLDS, messages=MESSAGES, costs=costs,
-            truth=_truth_table([Interpretation.LITERAL]),
-            world_prior=measured, contexts=("literal",),
-        )
-        return scenario, {}
+        return scenario([literal], each_context(1), [1.0], ("literal",)), {}
     if model in (ModelId.WRSA, ModelId.BWRSA):
+        # the wonky background conditions on the uniform prior; the Bayesian
+        # listener keeps the measured prior under both backgrounds
         omega = params.require_xi()
-        scenario = GenericScenario(
-            worlds=WORLDS, messages=MESSAGES, costs=costs,
-            truth=_truth_table([Interpretation.LITERAL] * 2),
-            world_prior=np.stack([measured, np.array([0.5, 0.5])]),
-            context_prior=np.array([1.0 - omega, omega]),
-            contexts=("usual", "wonky"),
-        )
-        kwargs = {} if model is ModelId.WRSA else {
-            "listener_world_prior": np.stack([measured, measured])
-        }
-        return scenario, kwargs
+        uniform = np.broadcast_to(0.5, measured.shape)
+        wonky = scenario([literal] * 2, np.stack([measured, uniform], axis=-2),
+                         [1.0 - omega, omega], ("usual", "wonky"))
+        if model is ModelId.WRSA:
+            return wonky, {}
+        return wonky, {"listener_world_prior": each_context(2)}
     if model in (ModelId.FREE_LU, ModelId.EXH_LU):
-        scenario = GenericScenario(
-            worlds=WORLDS, messages=MESSAGES, costs=costs,
-            truth=_truth_table(INTERPRETATIONS),
-            world_prior=np.broadcast_to(measured, (3, 2)).copy(),
-            context_prior=np.array(FIXED_RHO[model]),
-            contexts=tuple(i.value for i in INTERPRETATIONS),
-        )
-        return scenario, {}
+        return scenario(INTERPRETATIONS, each_context(3), FIXED_RHO[model],
+                        tuple(i.value for i in INTERPRETATIONS)), {}
     if model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
-        scenario = GenericScenario(
-            worlds=WORLDS, messages=MESSAGES, costs=costs,
-            truth=_truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE]),
-            world_prior=np.broadcast_to(measured, (2, 2)).copy(),
-            context_prior=np.array([0.5, 0.5]),
-            contexts=("literal", "exhaustive"),
-        )
-        return scenario, {"speaker_mode": "joint"}
+        return (scenario([literal, exhaustive], each_context(2), [0.5, 0.5],
+                         ("literal", "exhaustive")), {"speaker_mode": "joint"})
     raise ValueError(f"{model.value} does not follow the plain recursion")
 
 
 def oracle_predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
-    """Engine-built predictions for any model (mirror of ``predict_table``)."""
+    """Engine-built predictions for any model (mirror of ``predict_table``).
+
+    Comprehension is the level-1 listener; production the level-2 speaker,
+    or the marginal level-1 speaker for the first lexical-intentions variant.
+    """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if model is ModelId.BASE_RSA:
-        return base_oracle(params, p)
-    if model is ModelId.WRSA:
-        return wonky_oracle(params, p, bayesian=False)
-    if model is ModelId.BWRSA:
-        return wonky_oracle(params, p, bayesian=True)
-    if model is ModelId.SVRSA1:
-        return svrsa_oracle(params, p, variant=1)
-    if model is ModelId.SVRSA2:
-        return svrsa_oracle(params, p, variant=2)
-    if model in (ModelId.FREE_LU, ModelId.EXH_LU):
-        return lu_oracle(params, p, FIXED_RHO[model])
-    if model is ModelId.RSA_LI1:
-        return li_oracle(params, p, variant=1)
-    if model is ModelId.RSA_LI2:
-        return li_oracle(params, p, variant=2)
-    raise ValueError(f"unknown model {model!r}")
+    if model in (ModelId.SVRSA1, ModelId.SVRSA2):
+        return svrsa_oracle(params, p, variant=1 if model is ModelId.SVRSA1 else 2)
+    scenario, kwargs = canonical_scenario(model, params, p)
+    result = iterate(scenario, params.lam, 2, **kwargs)
+    l1 = result.listener(1)
+    prod = result.speaker(1 if model is ModelId.RSA_LI1 else 2)
+    return PredictionTable(
+        p, l1[:, _IM_A, _IW_AB], l1[:, _IM_AB, _IW_AB], prod[:, _IW_A], prod[:, _IW_AB]
+    )

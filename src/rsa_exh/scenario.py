@@ -12,7 +12,6 @@ index-based tables; this module pins down the canonical one.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,13 +94,6 @@ def truth_value(message: Message, world: World, interpretation: Interpretation) 
     return world in _A_TRUE_IN[interpretation]
 
 
-def validate_prior(p: float) -> float:
-    """Check that ``p`` (the conditional prior of ``World.AB``) lies in [0, 1]."""
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
-        raise ValueError(f"prior must be in [0, 1], got {p!r}")
-    return float(p)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Fit-free knobs shared by every model variant.
@@ -121,10 +113,6 @@ class ModelParams:
     chi : float
         Prior on the exhaustive interpretation (supervaluationist variants
         only); fixed at 0.5.
-    rho : tuple of three floats, optional
-        Interpretation priors (literal, exhaustive, anti-exhaustive) for the
-        unrestricted lexical-uncertainty construction.  The named LU variants
-        fix their own values and ignore this field.
     """
 
     lam: float
@@ -132,7 +120,6 @@ class ModelParams:
     delta_anb: float = 0.0
     xi: float | None = None
     chi: float = 0.5
-    rho: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if not self.lam > 0:
@@ -143,11 +130,6 @@ class ModelParams:
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError(f"chi must be in [0, 1], got {self.chi}")
-        if self.rho is not None:
-            if len(self.rho) != 3 or min(self.rho) < 0:
-                raise ValueError("rho must be three nonnegative weights")
-            if abs(sum(self.rho) - 1.0) > 1e-9:
-                raise ValueError("rho must sum to 1")
 
     def require_xi(self) -> float:
         from .models import MissingParameter  # local import to avoid a cycle

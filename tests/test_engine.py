@@ -237,6 +237,57 @@ def test_iterate_distributions_normalized():
             )
 
 
+PLAIN_RECURSION_MODELS = [m for m in ModelId if m not in (ModelId.SVRSA1, ModelId.SVRSA2)]
+
+
+@pytest.mark.parametrize("model", PLAIN_RECURSION_MODELS, ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(lam=3.9, delta_ab=0.37, delta_anb=2.0, xi=0.3),
+        ModelParams(lam=1e3, delta_ab=0.0, delta_anb=200.0, xi=0.9),
+    ],
+)
+def test_iterate_batched_over_priors_matches_single_prior_calls(model, params):
+    # one call on an array of priors gives, entry for entry, the bits of a
+    # loop of single-prior calls: the joint speaker of the lexical-intentions
+    # variants and the listener prior of the Bayesian wonky variant included
+    priors = np.array([0.0, 1e-12, 1e-9, 0.2, 0.5, 0.83, 1 - 1e-9, 1.0])
+    sc, kwargs = canonical_scenario(model, params, priors)
+    batched = iterate(sc, params.lam, depth=3, **kwargs)
+
+    def tables(result):
+        return [result.log_s1, result.log_s1_marginal, *result.log_listeners,
+                *result.log_speakers]
+
+    for i, p in enumerate(priors):
+        sc_1, kwargs_1 = canonical_scenario(model, params, float(p))
+        single = iterate(sc_1, params.lam, depth=3, **kwargs_1)
+        for b, one in zip(tables(batched), tables(single), strict=True):
+            if one is None:
+                assert b is None
+                continue
+            assert b[i].shape == one.shape
+            assert b[i].tobytes() == one.tobytes(), f"p={p}"
+
+
+def test_scenario_validates_batched_world_prior_along_its_last_axes():
+    truth = np.ones((2, 1, 2), dtype=bool)  # two contexts
+
+    def scenario(world_prior):
+        return GenericScenario(worlds=("w1", "w2"), messages=("m0",), costs=[0.0],
+                               truth=truth, world_prior=world_prior)
+
+    # three contexts' rows where the truth table has two
+    with pytest.raises(ValueError):
+        scenario(np.full((4, 3, 2), 1.0 / 3.0))
+    with pytest.raises(ValueError):
+        scenario(np.full((4, 2, 2), 0.4))
+    # each row sums to 1 over worlds, whatever the sums over contexts
+    batched = scenario(np.array([[[0.2, 0.8], [0.3, 0.7]]] * 3))
+    assert batched.world_prior.shape == (3, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # expected utility over interpretations
 # ---------------------------------------------------------------------------

@@ -10,18 +10,15 @@ from rsa_exh.models import (
     NEAR_PRIOR,
     ModelId,
     base_rsa_l1,
-    base_rsa_s2,
     bwrsa_l1,
-    li_predict,
     lu_predict,
     predict,
     predict_table,
-    svrsa_predict,
     wrsa_l1,
     XI_MODELS,
 )
-from rsa_exh.oracles import oracle_predict_table, svrsa_oracle
-from rsa_exh.scenario import ModelParams, World
+from rsa_exh.oracles import oracle_predict_table
+from rsa_exh.scenario import ModelParams
 
 GRID = np.arange(1, 100) / 100
 GRID_199 = np.arange(1, 200) / 200
@@ -66,7 +63,7 @@ def test_base_s2_worked_example():
     # parameters that put the level-1 posterior at exactly 1/2
     params = ModelParams(lam=1.0)
     assert base_rsa_l1(params, 0.5) == pytest.approx(0.5, abs=1e-15)
-    row_wa = base_rsa_s2(params, 0.5, World.A)
+    row_wa = predict(ModelId.BASE_RSA, params, 0.5).prod_wa
     assert row_wa[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert row_wa[1] == 0.0
     assert row_wa[2] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -76,7 +73,7 @@ def test_base_s2_false_message_excluded():
     rng = np.random.default_rng(0)
     for _ in range(20):
         params = random_params(rng)
-        row = base_rsa_s2(params, float(rng.uniform(0.01, 0.99)), World.AB)
+        row = predict(ModelId.BASE_RSA, params, float(rng.uniform(0.01, 0.99))).prod_wab
         assert row[2] == 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -85,7 +82,7 @@ def test_base_s2_high_rationality_limit():
     # the bare message wins in w_a when its cost advantage beats the
     # (vanishing) informativity penalty
     params = ModelParams(lam=200.0, delta_ab=0.0, delta_anb=1.0)
-    row = base_rsa_s2(params, 0.5, World.A)
+    row = predict(ModelId.BASE_RSA, params, 0.5).prod_wa
     assert row[0] > 1 - 1e-9
 
 
@@ -129,7 +126,7 @@ def test_svrsa_never_exceeds_prior():
     for _ in range(300):
         params = random_params(rng, xi=True)
         p = float(rng.uniform(0.01, 0.99))
-        pred = svrsa_predict(params, p, variant=1)
+        pred = predict(ModelId.SVRSA1, params, p)
         assert pred.post_a < p
 
 
@@ -137,7 +134,7 @@ def test_svrsa_total_qud_speaker_is_categorical_in_wab():
     rng = np.random.default_rng(2)
     for _ in range(20):
         params = random_params(rng, xi=True)
-        pred = svrsa_predict(params, float(rng.uniform(0.05, 0.95)), variant=2)
+        pred = predict(ModelId.SVRSA2, params, float(rng.uniform(0.05, 0.95)))
         np.testing.assert_allclose(pred.prod_wab, [0.0, 1.0, 0.0], atol=0)
 
 
@@ -177,14 +174,14 @@ def test_svrsa_conjunction_compatible_with_wa_at_low_prior():
     # the conjunction can signal the partial QUD, so its posterior on w_ab
     # dips below 1 when the prior is low
     params = ModelParams(lam=1.0, delta_ab=0.1, delta_anb=0.5, xi=0.5)
-    pred = svrsa_predict(params, 0.1, variant=1)
+    pred = predict(ModelId.SVRSA1, params, 0.1)
     assert pred.post_ab < 1.0
 
 
 def test_svrsa_zero_total_qud_prior_gives_uninformative_bare_message():
     params = ModelParams(lam=2.0, delta_ab=0.4, delta_anb=0.8, xi=0.0)
     for p in (0.2, 0.5, 0.9):
-        pred = svrsa_predict(params, p, variant=1)
+        pred = predict(ModelId.SVRSA1, params, p)
         assert pred.post_a == pytest.approx(p, abs=1e-9)
 
 
@@ -272,13 +269,13 @@ def test_li_bare_message_no_more_likely_in_wab():
             delta_ab=dab,
             delta_anb=dab + float(rng.uniform(0, 1.5)),
         )
-        pred = li_predict(params, float(rng.uniform(0.01, 0.99)), variant=1)
+        pred = predict(ModelId.RSA_LI1, params, float(rng.uniform(0.01, 0.99)))
         assert pred.prod_wab[0] <= pred.prod_wa[0] + 1e-12
 
 
 def test_li_s1_limit_at_certain_prior():
     params = ModelParams(lam=4.0, delta_ab=0.3, delta_anb=0.7)
-    pred = li_predict(params, 1.0, variant=1)
+    pred = predict(ModelId.RSA_LI1, params, 1.0)
     expected = 1.0 / (1.0 + 2.0 * math.exp(-params.lam * params.delta_anb))
     assert pred.prod_wa[0] == pytest.approx(expected, rel=1e-9)
 
@@ -292,6 +289,13 @@ def _bayes_likelihoods(model: ModelId, params: ModelParams, p, mp):
     if model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
         e_wa = (1 - p) ** lam
         return sigma(z_ab - mp.log(2)), (1 + e_wa) / (1 + e_wa + 2 * mp.exp(-lam * danb))
+    if model is ModelId.BWRSA:
+        # usual background on the measured prior, wonky one on the uniform
+        xi = mp.mpf(params.xi)
+        return (
+            (1 - xi) * sigma(z_ab) + xi * sigma(lam * (dab - mp.log(2))),
+            (1 - xi) * sigma(z_a) + xi * sigma(lam * (danb - mp.log(2))),
+        )
     rho_lit, rho_exh, rho_anti = (
         (1, 0, 0) if model is ModelId.BASE_RSA else (mp.mpf(r) for r in FIXED_RHO[model])
     )
@@ -303,7 +307,8 @@ def _bayes_likelihoods(model: ModelId, params: ModelParams, p, mp):
 
 @pytest.mark.parametrize(
     "model",
-    [ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.EXH_LU, ModelId.RSA_LI1, ModelId.RSA_LI2],
+    [ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.EXH_LU, ModelId.RSA_LI1, ModelId.RSA_LI2,
+     ModelId.BWRSA],
 )
 @pytest.mark.parametrize(
     "lam, dab, danb, digits", [(100.0, 3.0, 3.1, 320), (1e3, 2.0, 2.1, 1000)]
@@ -319,7 +324,8 @@ def test_bayes_listener_order_against_prior_at_high_rationality(
     # as A / B lies against 1, and well inside the band where it is formed as
     # p + (post - p) it must be within one ulp of the exact posterior.
     mp = pytest.importorskip("mpmath")
-    params = ModelParams(lam=lam, delta_ab=dab, delta_anb=danb)
+    xi = 0.5 if model is ModelId.BWRSA else None
+    params = ModelParams(lam=lam, delta_ab=dab, delta_anb=danb, xi=xi)
     table = predict_table(model, params, GRID_199)
     with mp.workdps(digits):
         for p, post in zip(GRID_199, table.post_a):
