@@ -55,7 +55,6 @@ from .fitting import (
     comprehension_loglik,
     dataset_loglik,
     fit,
-    fit_equal_costs,
     production_loglik,
 )
 from .models import (

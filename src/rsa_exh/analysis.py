@@ -62,7 +62,7 @@ def check_listener_antiexh_base(params: ModelParams, p: float) -> bool:
     after the bare message exceeds its prior iff the prior log-odds beat the
     cost disadvantage of the explicit exclusion."""
     _require_interior(p)
-    return math.log(p) - math.log(1 - p) > params.delta_anb - params.delta_ab
+    return math.log(p) - math.log1p(-p) > params.delta_anb - params.delta_ab
 
 
 def check_speaker_antiexh_base(params: ModelParams, p: float) -> bool:
@@ -78,7 +78,7 @@ def check_explicit_preferred(params: ModelParams, p: float) -> bool:
     the explicit ``A_AND_NOT_B`` over the bare message iff the informativity
     gain exceeds its cost."""
     _require_interior(p)
-    return -math.log(1 - p) > params.delta_anb
+    return -math.log1p(-p) > params.delta_anb
 
 
 def _require_interior(p: float) -> None:
@@ -108,13 +108,13 @@ def _predicate_values(
     rather than by the degenerate prior itself.
 
     The listener comparison ``post_a > pc`` is exact for the variants that
-    update the measured prior by Bayes' rule (baseline, lexical uncertainty,
-    lexical intentions): their posterior after ``A`` is order-exact against
-    the clamped prior, i.e. above, on or below it exactly when the exact
-    posterior is, even where ``post - p`` is far below float64 resolution
-    (see :mod:`rsa_exh.models`).  It is never rounded onto the prior when the
-    exact posterior differs from it, so scans find no spurious sign changes
-    at high rationality.
+    update the measured prior by Bayes' rule (baseline, Bayesian wonky,
+    lexical uncertainty, lexical intentions): their posterior after ``A`` is
+    order-exact against the clamped prior, i.e. above, on or below it
+    exactly when the exact posterior is, even where ``post - p`` is far below
+    float64 resolution (see :mod:`rsa_exh.models`, also for the limit of the
+    mixtures).  It is never rounded onto the prior when the exact posterior
+    differs from it, so scans find no spurious sign changes.
     """
     pc = np.clip(p, P_EPS, 1.0 - P_EPS)
     table = predict_table(model, params, pc)

@@ -57,6 +57,18 @@ class ResponseMessage(Enum):
 #: Messages a model assigns probability to (post-merge categories).
 MODEL_MESSAGES = (ResponseMessage.A, ResponseMessage.A_AND_B, ResponseMessage.A_AND_NOT_B)
 
+#: Number of candidate messages after merging (smoothing denominator).
+N_CANDIDATE_MESSAGES = len(MODEL_MESSAGES)
+
+
+def smoothed_production_probs(pred, epsilon: float) -> np.ndarray:
+    """The full error-smoothed distribution ``(S + eps) / (1 + n eps)`` over
+    the ``n`` candidate messages; sums to 1 for any epsilon >= 0."""
+    pred = np.asarray(pred, dtype=float)
+    smoothed = (pred + epsilon) / (1.0 + N_CANDIDATE_MESSAGES * epsilon)
+    return smoothed / smoothed.sum(axis=-1, keepdims=True)
+
+
 _SURVEY_ALIASES = {
     "comprehension": Survey.COMPREHENSION,
     "interpretation": Survey.COMPREHENSION,
@@ -351,9 +363,8 @@ def synth_generate(
                 )
         else:
             probs = table.prod_wa if condition is Condition.WORLD_A else table.prod_wab
-            smoothed = (probs + noise.epsilon) / (1.0 + 3.0 * noise.epsilon)
-            smoothed = smoothed / smoothed.sum(axis=1, keepdims=True)
-            choices = [rng.choice(3, p=row) for row in smoothed]
+            smoothed = smoothed_production_probs(probs, noise.epsilon)
+            choices = [rng.choice(N_CANDIDATE_MESSAGES, p=row) for row in smoothed]
             for raw_p, choice in zip(priors, choices):
                 counter += 1
                 rows.append(

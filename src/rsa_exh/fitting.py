@@ -18,11 +18,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit, log_ndtr, logit
 
-from .data import Condition, Dataset, MODEL_MESSAGES, Survey, preprocess
+from .data import (Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, Survey, preprocess,
+                   smoothed_production_probs)  # noqa: F401 (re-exported)
 from .models import ModelId, ModelParams, XI_MODELS, predict_table
-
-#: Number of candidate messages after merging (smoothing denominator).
-N_CANDIDATE_MESSAGES = 3
 
 
 class NonfiniteLikelihood(ValueError):
@@ -105,13 +103,6 @@ def production_loglik(pred, observed, epsilon: float) -> float:
             "observed message has probability 0 and epsilon is 0"
         )
     return float(np.log(numer) - np.log1p(N_CANDIDATE_MESSAGES * epsilon))
-
-
-def smoothed_production_probs(pred, epsilon: float) -> np.ndarray:
-    """The full error-smoothed distribution; sums to 1 for any epsilon >= 0."""
-    pred = np.asarray(pred, dtype=float)
-    smoothed = (pred + epsilon) / (1.0 + N_CANDIDATE_MESSAGES * epsilon)
-    return smoothed / smoothed.sum(axis=-1, keepdims=True)
 
 
 def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
@@ -358,8 +349,11 @@ def fit(
     def objective(t: np.ndarray) -> float:
         try:
             params, noise = _split(spec.decode(t), model, equal_costs)
+        except ValueError:  # lambda or a noise scale decoded to 0
+            return np.inf
+        try:
             return -_packed_loglik(model, params, noise, packed)
-        except (ValueError, FloatingPointError):
+        except NonfiniteLikelihood:
             return np.inf
 
     best = None
@@ -410,16 +404,6 @@ def fit(
     )
 
 
-def fit_equal_costs(
-    model: ModelId,
-    dataset: Dataset,
-    constraints: Constraints | None = None,
-    options: FitOptions | None = None,
-) -> FitResult:
-    """Constrained refit with one shared cost for both conjunctions."""
-    return fit(model, dataset, constraints, options, equal_costs=True)
-
-
 def compare(
     models,
     dataset: Dataset,
@@ -435,7 +419,7 @@ def compare(
     for model in models:
         try:
             results.append(fit(model, dataset, constraints, options, equal_costs))
-        except Exception as exc:  # per-model failure: record, keep comparing
+        except ValueError as exc:  # per-model failure: record, keep comparing
             warnings.warn(NoConvergence(f"{model.value}: fit failed: {exc}"))
             results.append(
                 FitResult(

@@ -15,26 +15,30 @@ functions are the implementations holding an endpoint or ``rho`` contract.
 Each form is pinned against the brute-force references of
 :mod:`rsa_exh.oracles` (the recursion of :func:`rsa_exh.engine.iterate`).
 
-The listener posterior after ``A`` of the variants that update the measured
-prior by Bayes' rule (baseline, Bayesian wonky, lexical uncertainty, lexical
-intentions) is *order-exact* and *faithfully rounded*.  Order-exact: it
-compares with the clamped prior (``>``, ``==``, ``<``) exactly as the exact posterior
-``p A / (p A + (1 - p) B)`` does, where ``A`` and ``B`` are the level-1
-probabilities of ``A`` in ``World.AB`` and ``World.A``.  At high rationality
-``post - p`` is of order ``exp(-lam x)`` and falls far below float64
-resolution, so the order comes from ``A`` against ``B`` (their difference
-built from the complements ``1 - sigma(z) = sigma(-z)``, or their log
-ratio), not from the rounded posterior.  Faithfully rounded: within a
-relative distance ``NEAR_PRIOR`` of the prior the posterior is
-``p + (post - p)`` rounded once, within about one ulp of the exact posterior
-of the model's scores ``z``, and never rounded onto the prior when it
-differs from it; further out it is the log-space value ``exp(log post)``,
-whose error is far below its distance from the prior.  The scores themselves
-carry the rounding of ``log p``.  See :func:`_posterior_after_a`.
+Six variants update the measured prior by Bayes' rule (baseline, Bayesian
+wonky, both lexical-uncertainty and both lexical-intentions variants), and
+one routine, :func:`_bayes_listener`, forms their listener posterior after
+``A``: ``p A / (p A + (1 - p) B)``, where ``A`` and ``B`` are the level-1
+probabilities of ``A`` in ``World.AB`` and ``World.A``.  It is *order-exact*:
+it compares with the clamped prior (``>``, ``==``, ``<``) exactly as the
+exact posterior of the model's scores does, although at high rationality
+``post - p`` is of order ``exp(-lam x)``, far below float64 resolution; the
+order comes from ``A`` against ``B``, not from the rounded posterior.  It is
+*faithfully rounded*: within a relative distance ``NEAR_PRIOR`` of the prior
+it is ``p + (post - p)`` rounded once, within about one ulp of the exact
+posterior and never rounded onto the prior when that differs from it;
+further out it is the log-space value, whose error is far below its
+distance from the prior.  Where one pair of logistics carries ``A - B``
+(baseline, lexical intentions) its sign is that of ``z_ab - z_a``, exactly.
+The mixtures (lexical uncertainty, Bayesian wonky) sum four logistics, whose
+``A - B`` float64 resolves only to a few ``eps max(A, B)``: their order is
+exact where ``|A - B| >= 4 eps max(A, B)`` (``eps = 2^-52``).  The scores
+carry the rounding of ``log p`` and ``log1p(-p)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -142,102 +146,160 @@ def _clip_prior(p) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=float), P_EPS, 1.0 - P_EPS)
 
 
-def _logistic(lam: float, x):
-    """The rate-``lam`` logistic 1 / (1 + exp(-lam * x))."""
-    return expit(lam * np.asarray(x, dtype=float))
-
-
 # ---------------------------------------------------------------------------
-# Baseline model
+# The Bayes-rule listener after "A", shared by the baseline, Bayesian wonky,
+# lexical-uncertainty and lexical-intentions variants
 # ---------------------------------------------------------------------------
 
 #: Band around the prior, relative to it, inside which the listener posterior
-#: after ``A`` is formed as ``p + (post - p)`` (see _posterior_after_a).  The
+#: after ``A`` is formed as ``p + (post - p)`` (see _bayes_listener).  The
 #: log-space value used outside it is accurate to better than about 1e-10
 #: (relative) in the fitting box, so its order against the prior is never in
 #: doubt there; a narrow band keeps the per-entry correction rare.
 NEAR_PRIOR = 2.0 ** -20
 
 
-def _posterior_after_a(
-    pc: np.ndarray, log_pc: np.ndarray, log_post_ab: np.ndarray, delta_at, tie
-) -> np.ndarray:
-    """Listener posterior on ``World.AB`` after ``A``, order-exact against
-    the clamped prior ``pc``.
+def _log_mixture(w: float, z: np.ndarray, k: float) -> np.ndarray:
+    """``log(w sigma(z) + k)`` for scalars ``w, k >= 0``.
 
-    Away from the prior this is the log-space value ``exp(log_post_ab)``,
-    whose error is far below its distance from ``pc``.  Where
-    ``|log_post_ab - log_pc| <= NEAR_PRIOR`` it is ``pc + delta_at(i)``:
-    ``delta_at(i)`` is the model's ``post - p`` at the indices ``i`` (an
-    index array or a full slice), computed without cancellation so that its
-    sign is that of ``A - B``; the sum is rounded once and cannot cross
-    ``pc``.  Where it rounds to ``pc`` although the exact posterior differs,
-    the result is the neighbour of ``pc`` on the exact posterior's side.
-    Where ``|delta|`` is below 1e-290 the complements of ``A`` and ``B`` are
-    subnormal or have underflowed (``lam * x`` beyond about 708) and no
-    longer carry the sign; there ``tie(i)`` returns a number with the sign of
-    ``A - B`` taken from log space, where ``log sigma(-z) = -softplus(z)`` is
-    still representable.
+    A constant below TINY is dropped; the log-sigmoid then keeps the value
+    finite where ``sigma(z)`` underflows."""
+    if k >= TINY:
+        return np.log(w * expit(z) + k)
+    log_w = math.log(w) if w > 0 else -np.inf
+    return (log_w + np.minimum(z, 0.0)) - np.log1p(np.exp(-np.abs(z)))
+
+
+def _logistic_split(z):
+    """``sigma(z)`` as a step in {0, 1/2, 1} plus a tail kept to full
+    relative precision: ``tanh(z / 2) / 2`` for ``|z| <= 1`` and
+    ``+-sigma(-|z|)`` beyond, so that sums of logistics cancel in the steps
+    (exactly) rather than in the tails."""
+    z = np.asarray(z, dtype=float)
+    size = np.abs(z)
+    mid = size <= 1.0
+    step = np.where(mid, 0.5, z > 0)
+    tail = np.where(mid, 0.5 * np.tanh(0.5 * z), -np.sign(z) * expit(-size))
+    return step, tail
+
+
+def _logistic_gap(a, b):
+    """``sigma(a) - sigma(b)`` to full relative precision, as
+    ``+-sigma(hi) sigma(-lo) (1 - exp(lo - hi))`` over the ordered pair (so
+    that ``expm1`` cannot overflow)."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return np.sign(a - b) * expit(hi) * expit(-lo) * -np.expm1(lo - hi)
+
+
+def _mixture_gap(rho, z_ab, z_a, c_ab, c_a):
+    """``A - B`` of a mixture (see _bayes_listener) and its sign.
+
+    Every logistic is split into a step and a tail (see _logistic_split):
+    the steps cancel exactly, and the tails keep their relative accuracy
+    where the likelihoods round to their limits or to 1/2.  An equal-weight
+    pair whose steps agree enters through its gap in product form (see
+    _logistic_gap), which stays accurate where its two scores nearly
+    coincide.  Where ``|A - B|`` is below 1e-290 the tails are subnormal or
+    have underflowed (``|z|`` beyond about 708) and the sign comes from log
+    space, where ``log sigma(-|z|) = -softplus(|z|)`` is still representable.
     """
-    post = np.exp(log_post_ab)
-    gap = np.subtract(log_post_ab, log_pc)
-    near = np.abs(gap, out=gap) <= NEAR_PRIOR
-    if near.any():
-        at = np.flatnonzero(near)
-        i = slice(None) if at.size == pc.size else at
-        q, delta = pc[i], delta_at(i)
-        fine = q + delta
-        stuck = fine == q
-        if stuck.any():
-            side = np.sign(delta[stuck])
-            unresolved = np.abs(delta[stuck]) < 1e-290
-            if unresolved.any():
-                side[unresolved] = np.sign(tie(at[stuck][unresolved]))
-            fine[stuck] = np.nextafter(q[stuck], q[stuck] + side)
-        post[i] = fine
-    return post
+    rho_lit, rho_exh, rho_anti = rho
+    (s_ab, s_a), (t_ab, t_a) = _logistic_split(np.stack([z_ab, z_a]))
+    (s_anti, s_exh), (t_anti, t_exh) = _logistic_split([c_ab, c_a])
+    lit = np.where(s_ab == s_a, _logistic_gap(z_ab, z_a), t_ab - t_a)
+    if rho_anti == rho_exh and s_anti == s_exh:
+        const = rho_anti * _logistic_gap(c_ab, c_a)
+    else:
+        const = rho_anti * t_anti - rho_exh * t_exh
+    steps = rho_lit * (s_ab - s_a) + (rho_anti * s_anti - rho_exh * s_exh)
+    diff = steps + (rho_lit * lit + const)
+    side = np.sign(diff)
+    tie = np.abs(diff) < 1e-290
+    if tie.any():
+        # the steps cancel: weigh the positive against the negative tails
+        z = np.stack(np.broadcast_arrays(z_ab[tie], z_a[tie], c_ab, c_a))
+        rho_signed = np.array([rho_lit, -rho_lit, rho_anti, -rho_exh])[:, None]
+        weight = rho_signed * np.where(z > 0, -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            log_tail = np.log(np.abs(weight)) - np.logaddexp(0.0, np.abs(z))
+        above = np.logaddexp.reduce(np.where(weight > 0, log_tail, -np.inf), axis=0)
+        below = np.logaddexp.reduce(np.where(weight < 0, log_tail, -np.inf), axis=0)
+        side[tie] = np.sign(above - below)
+    return diff, side
 
 
-def _base_listener(params: ModelParams, p: np.ndarray):
-    """Baseline level-1 listener after ``A``: the posterior on ``World.AB``
-    (with the endpoint convention of :func:`base_rsa_l1`) and the log
-    posteriors on ``World.AB`` and ``World.A``."""
-    lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
-    pc = _clip_prior(p)
-    log_pc, log_qc = np.log(pc), np.log(1 - pc)
-    # masses proportional to prior times the level-1 probability of "A",
-    # sigma(z) with scores z_ab = lam (log p + delta_ab), z_a likewise
-    log_wab = log_pc - np.logaddexp(0.0, -lam * (log_pc + dab))
-    log_wa = log_qc - np.logaddexp(0.0, -lam * (log_qc + danb))
-    denom = np.logaddexp(log_wab, log_wa)
+def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0, c_a=0.0):
+    """Listener posterior on ``World.AB`` after ``A`` by Bayes' rule (see the
+    module docstring), and the log posteriors on ``World.AB`` and ``World.A``.
+
+    ``pc`` is the clamped prior, ``log_pc = log(pc)``, ``log_qc =
+    log1p(-pc)``.  The likelihoods of ``A`` are ``A = rho_lit sigma(z_ab) +
+    rho_anti sigma(c_ab)`` and ``B = rho_lit sigma(z_a) + rho_exh sigma(c_a)``
+    with ``rho = (rho_lit, rho_exh, rho_anti)``.  Where ``|log post - log pc|
+    <= NEAR_PRIOR`` the posterior is ``pc + pc (1 - pc) (A - B) / (pc A +
+    (1 - pc) B)``, the difference taken without cancellation; where that sum
+    rounds onto ``pc`` although ``A != B`` it is the neighbour of ``pc`` on
+    the side of ``A - B``.
+    """
+    rho_lit, rho_exh, rho_anti = rho
+    log_wab = log_pc + _log_mixture(rho_lit, z_ab, rho_anti * expit(c_ab))
+    log_wa = log_qc + _log_mixture(rho_lit, z_a, rho_exh * expit(c_a))
+    # np.logaddexp(log_wab, log_wa) spelled out, which takes half the time
+    denom = np.maximum(log_wab, log_wa) + np.log1p(np.exp(-np.abs(log_wab - log_wa)))
     log_ab, log_a = log_wab - denom, log_wa - denom
-
-    def scores_at(i):
-        # log1p keeps the small score of a small prior to full precision
-        return lam * (log_pc[i] + dab), lam * (np.log1p(-pc[i]) + danb)
-
-    def delta_at(i):
-        # log(A / B) = softplus(-z_a) - softplus(-z_ab), with the linear parts
-        # max(-z, 0) subtracted apart from the bounded curved parts, so that
-        # scores far below 0 do not cancel
-        z_ab_i, z_a_i = scores_at(i)
-        llr = (np.maximum(-z_a_i, 0.0) - np.maximum(-z_ab_i, 0.0)) + (
-            np.log1p(np.exp(-np.abs(z_a_i))) - np.log1p(np.exp(-np.abs(z_ab_i)))
-        )
-        # post - p = (1 - p) post (1 - B/A) above the prior and
-        # p (1 - post) (A/B - 1) below it: every factor stays bounded
-        up = llr > 0
-        post_or_rest = np.exp(np.where(up, log_ab[i], log_a[i]))
-        return (pc[i] - up) * post_or_rest * np.expm1(-np.abs(llr))
-
-    def tie(i):
-        z_ab_i, z_a_i = scores_at(i)
-        return z_ab_i - z_a_i
-
-    post = _posterior_after_a(pc, log_pc, log_ab, delta_at, tie)
-    post[p <= 0.0] = 0.0
-    post[p >= 1.0] = 1.0
+    post = np.exp(log_ab)
+    near = np.abs(log_ab - log_pc) <= NEAR_PRIOR
+    if not near.any():
+        return post, log_ab, log_a
+    i = slice(None) if near.all() else np.flatnonzero(near)
+    q, a, b = pc[i], z_ab[i], z_a[i]
+    if rho_exh == rho_anti == 0:
+        # one pair: (A - B) / max(A, B) = +-sigma(-lo) (1 - exp(lo - hi)), and
+        # post - p = (1 - p) post (A - B) / A above the prior and
+        # p (1 - post) (A - B) / B below it: every factor stays bounded
+        gap = a - b
+        side = np.sign(gap)
+        up = gap > 0
+        delta = np.exp(np.where(up, log_ab[i], log_a[i]))
+        delta *= q - up
+        delta *= expit(-np.minimum(a, b))
+        delta *= np.expm1(-np.abs(gap))
+    else:
+        diff, side = _mixture_gap(rho, a, b, c_ab, c_a)
+        # the floor keeps a total that has underflowed from dividing by zero
+        delta = q * (1 - q) * diff / np.maximum(np.exp(denom[i]), 5e-324)
+    fine = q + delta
+    stuck = fine == q
+    if stuck.any():
+        fine[stuck] = np.nextafter(q[stuck], q[stuck] + side[stuck])
+    post[i] = fine
     return post, log_ab, log_a
+
+
+def _two_way_rows(x_wa, x_wab):
+    """Speaker rows over (A, A_AND_B, A_AND_NOT_B) for a choice between ``A``
+    and the explicit message: ``[sigma(x_wa), 0, sigma(-x_wa)]`` in
+    ``World.A`` and ``[sigma(x_wab), sigma(-x_wab), 0]`` in ``World.AB``."""
+    prod_wa, prod_wab = np.zeros((2,) + x_wa.shape + (3,))
+    prod_wa[..., 0], prod_wa[..., 2] = expit(x_wa), expit(-x_wa)
+    prod_wab[..., 0], prod_wab[..., 1] = expit(x_wab), expit(-x_wab)
+    return prod_wa, prod_wab
+
+
+def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a):
+    """Level-2 speaker rows from the level-1 posteriors after ``A``.
+
+    In ``World.A`` the choice is between ``A`` (scored by the listener's
+    residual w_a posterior) and the explicit ``A_AND_NOT_B``; in ``World.AB``
+    between ``A`` and ``A_AND_B``.  Literally false messages get zero.
+    """
+    lam = params.lam
+    return _two_way_rows(lam * (log_l1_a + params.delta_anb), lam * (log_l1_ab + params.delta_ab))
+
+
+# ---------------------------------------------------------------------------
+# Baseline model: the literal interpretation only
+# ---------------------------------------------------------------------------
 
 
 def base_rsa_l1(params: ModelParams, p):
@@ -255,30 +317,15 @@ def base_rsa_l1(params: ModelParams, p):
     (continuity limit).
     """
     p_arr = np.asarray(p, dtype=float)
-    out = _base_listener(params, p_arr.reshape(-1))[0].reshape(p_arr.shape)
+    out = _base_table(params, p_arr.reshape(-1)).post_a.reshape(p_arr.shape)
     return out if out.ndim else float(out)
 
 
-def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a):
-    """Level-2 speaker rows from the level-1 posteriors after ``A``.
-
-    In ``World.A`` the choice is between ``A`` (scored by the listener's
-    residual w_a posterior) and the explicit ``A_AND_NOT_B``; in ``World.AB``
-    between ``A`` and ``A_AND_B``.  Literally false messages get zero.
-    """
-    lam = params.lam
-    x_wa = lam * (np.asarray(log_l1_a) + params.delta_anb)
-    x_wab = lam * (np.asarray(log_l1_ab) + params.delta_ab)
-    zeros = np.zeros_like(x_wa)
-    prod_wa = np.stack([expit(x_wa), zeros, expit(-x_wa)], axis=-1)
-    prod_wab = np.stack([expit(x_wab), expit(-x_wab), zeros], axis=-1)
-    return prod_wa, prod_wab
-
-
 def _base_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
-    post_a, log_ab, log_a = _base_listener(params, p)
-    prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
-    return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
+    table = _lu_table(params, p, (1.0, 0.0, 0.0))
+    table.post_a[p <= 0.0] = 0.0
+    table.post_a[p >= 1.0] = 1.0
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +345,10 @@ def wrsa_l1(params: ModelParams, p):
     omega = params.require_xi()
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
     pc = _clip_prior(p)
-    wab_mass = (pc * (1 - omega) * _logistic(lam, _safe_log(pc) + dab)
-                + 0.5 * omega * _logistic(lam, dab - LOG2))
-    wa_mass = ((1 - pc) * (1 - omega) * _logistic(lam, _safe_log(1 - pc) + danb)
-               + 0.5 * omega * _logistic(lam, danb - LOG2))
+    wab_mass = (pc * (1 - omega) * expit(lam * (np.log(pc) + dab))
+                + 0.5 * omega * expit(lam * (dab - LOG2)))
+    wa_mass = ((1 - pc) * (1 - omega) * expit(lam * (np.log1p(-pc) + danb))
+               + 0.5 * omega * expit(lam * (danb - LOG2)))
     out = wab_mass / (wab_mass + wa_mass)
     return out if out.ndim else float(out)
 
@@ -449,78 +496,19 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
 # ---------------------------------------------------------------------------
 
 
-def _logistic_split(z):
-    """``sigma(z)`` as a step in {0, 1/2, 1} plus a tail kept to full
-    relative precision: ``tanh(z / 2) / 2`` for ``|z| <= 1`` and
-    ``+-sigma(-|z|)`` beyond, so that sums of logistics cancel in the steps
-    (exactly) rather than in the tails."""
-    z = np.asarray(z, dtype=float)
-    mid = np.abs(z) <= 1.0
-    up = z > 0
-    step = np.where(mid, 0.5, up * 1.0)
-    tail = np.where(mid, 0.5 * np.tanh(0.5 * z), np.where(up, -expit(-z), expit(z)))
-    return step, tail
-
-
 def _lu_table(params: ModelParams, p: np.ndarray, rho, shift=0.0) -> PredictionTable:
     """Listener whose likelihoods of ``A`` mix the literal level-1 speaker
     (weight ``rho[0]``) with prior-free speakers scored ``lam (delta - shift)``
     for whom ``A`` is true only in ``World.A`` (``rho[1]``) or only in
     ``World.AB`` (``rho[2]``)."""
-    rho_lit, rho_exh, rho_anti = rho
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
     pc = _clip_prior(p)
-    log_pc, log_qc = np.log(pc), np.log(1 - pc)
-    z_ab = lam * (log_pc + dab)
-    z_a = lam * (log_qc + danb)
-    c_ab, c_a = lam * (dab - shift), lam * (danb - shift)
-    s_wab_lit, s_wa_lit = expit(z_ab), expit(z_a)
-    s_wab_anti, s_wa_exh = expit(c_ab), expit(c_a)
-    lik_ab = rho_lit * s_wab_lit + rho_anti * s_wab_anti
-    lik_a = rho_lit * s_wa_lit + rho_exh * s_wa_exh
-    wab_mass = pc * lik_ab
-    wa_mass = (1 - pc) * lik_a
-    with np.errstate(divide="ignore"):
-        log_wab, log_wa = np.log(wab_mass), np.log(wa_mass)
-    denom = np.logaddexp(log_wab, log_wa)
-    fallback = np.isneginf(denom)
-    log_ab = np.where(fallback, log_pc, log_wab - denom)
-    log_a = np.where(fallback, log_qc, log_wa - denom)
+    log_pc, log_qc = np.log(pc), np.log1p(-pc)
+    post_a, log_ab, log_a = _bayes_listener(
+        pc, log_pc, log_qc, lam * (log_pc + dab), lam * (log_qc + danb),
+        rho, lam * (dab - shift), lam * (danb - shift),
+    )
     prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
-
-    def scores_at(i):
-        # log1p keeps the small score of a small prior to full precision
-        return z_ab[i], lam * (np.log1p(-pc[i]) + danb), c_ab, c_a
-
-    def delta_at(i):
-        # A - B with every logistic split into a step and a tail (see
-        # _logistic_split): the steps cancel exactly and the tails keep
-        # their relative accuracy where the likelihoods round to their limits
-        # or to 1/2
-        (step_ab, tail_ab), (step_a, tail_a), (step_anti, tail_anti), (step_exh, tail_exh) = (
-            _logistic_split(z) for z in scores_at(i)
-        )
-        steps = rho_lit * (step_ab - step_a) + (rho_anti * step_anti - rho_exh * step_exh)
-        tails = rho_lit * (tail_ab - tail_a) + (rho_anti * tail_anti - rho_exh * tail_exh)
-        q = pc[i]
-        # the floor keeps a total whose every term has underflowed from
-        # dividing by zero
-        return q * (1 - q) * (steps + tails) / np.maximum(wab_mass[i] + wa_mass[i], 5e-324)
-
-    def tie(i):
-        # all tails have underflowed, so the steps cancel: weigh the positive
-        # against the negative tails in log space,
-        # log sigma(-|z|) = -softplus(|z|)
-        z = np.stack(np.broadcast_arrays(*scores_at(i)))
-        rho_signed = np.array([rho_lit, -rho_lit, rho_anti, -rho_exh])[:, None]
-        weight = rho_signed * np.where(z > 0, -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            log_tail = np.log(np.abs(weight)) - np.logaddexp(0.0, np.abs(z))
-        above = np.logaddexp.reduce(np.where(weight > 0, log_tail, -np.inf), axis=0)
-        below = np.logaddexp.reduce(np.where(weight < 0, log_tail, -np.inf), axis=0)
-        return above - below
-
-    post_a = _posterior_after_a(pc, log_pc, log_ab, delta_at, tie)
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
 
 
@@ -544,53 +532,18 @@ def lu_predict(params: ModelParams, p, rho) -> Predictions:
 # ---------------------------------------------------------------------------
 
 
-def _li_s1(params: ModelParams, pc: np.ndarray, log_pc: np.ndarray):
-    """Marginal level-1 speaker rows (A, A_AND_B, A_AND_NOT_B) per world."""
-    lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
-    e_wa = np.exp(lam * np.log1p(-pc))
-    denom_wa = 1 + e_wa + 2 * np.exp(-lam * danb)
-    s1_a_wa = (1 + e_wa) / denom_wa
-    s1_anb_wa = 2 * np.exp(-lam * danb) / denom_wa
-    z_ab = lam * (log_pc + dab)
-    s1_a_wab = expit(z_ab - LOG2)
-    s1_ab_wab = expit(LOG2 - z_ab)
-    zeros = np.zeros_like(pc)
-    prod_wa = np.stack([s1_a_wa, zeros, s1_anb_wa], axis=-1)
-    prod_wab = np.stack([s1_a_wab, s1_ab_wab, zeros], axis=-1)
-    return prod_wa, prod_wab
-
-
 def _li_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
+    lam = params.lam
     pc = _clip_prior(p)
-    log_pc = np.log(pc)
-    s1_wa, s1_wab = _li_s1(params, pc, log_pc)
-    wab_mass = pc * s1_wab[:, 0]
-    wa_mass = (1 - pc) * s1_wa[:, 0]
-    with np.errstate(divide="ignore"):
-        log_wab = np.log(wab_mass)
-    log_wa = np.log(wa_mass)
-    denom = np.logaddexp(log_wab, log_wa)
-    log_ab = log_wab - denom
-    log_a = log_wa - denom
-
-    def delta_at(i):
-        # A - B = A (1 - B) - B (1 - A), from the shares of the explicit
-        # messages: accurate where A and B both round to 1
-        diff = s1_wab[i, 0] * s1_wa[i, 2] - s1_wa[i, 0] * s1_wab[i, 1]
-        q = pc[i]
-        return q * (1 - q) * diff / (wab_mass[i] + wa_mass[i])
-
-    def tie(i):
-        # A = sigma(x), B = sigma(y) with x = lam (log p + delta_ab) - log 2
-        # and y = lam delta_anb + log((1 + (1 - p)^lam) / 2), so A - B has
-        # the sign of x - y, in which the log 2 terms cancel
-        lam = params.lam
-        x = lam * (log_pc[i] + params.delta_ab)
-        return x - lam * params.delta_anb - np.log1p(np.exp(lam * np.log1p(-pc[i])))
-
-    post_a = _posterior_after_a(pc, log_pc, log_ab, delta_at, tie)
+    log_pc, log_qc = np.log(pc), np.log1p(-pc)
+    # The marginal level-1 speaker says "A" with probability sigma(x) in
+    # World.AB, and with (1 + e) / (1 + e + 2 exp(-lam delta_anb)) = sigma(y)
+    # in World.A, e = (1 - p)^lam; its other message takes the rest.
+    x = lam * (log_pc + params.delta_ab) - LOG2
+    y = (lam * params.delta_anb - LOG2) + np.log1p(np.exp(lam * log_qc))
+    post_a, log_ab, log_a = _bayes_listener(pc, log_pc, log_qc, x, y)
     if variant == 1:
-        prod_wa, prod_wab = s1_wa, s1_wab
+        prod_wa, prod_wab = _two_way_rows(y, x)
     else:
         prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)

@@ -62,6 +62,13 @@ def test_explicit_checker_examples():
     assert not check_explicit_preferred(ModelParams(lam=1.0, delta_anb=1.0), 0.5)
 
 
+def test_explicit_checker_takes_log1p_of_small_priors():
+    # -log1p(-p) = 2.300000002645e-09 at p = 2.3e-9, above delta_anb;
+    # -log(1 - p) rounds 1 - p first and comes out below it
+    params = ModelParams(lam=92.0, delta_anb=2.299999986774124e-09)
+    assert check_explicit_preferred(params, 2.3e-9)
+
+
 def test_checkers_require_interior_prior():
     params = ModelParams(lam=1.0)
     for checker in (

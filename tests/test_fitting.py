@@ -15,10 +15,12 @@ from rsa_exh.data import (
     preprocess,
     synth_generate,
 )
+from rsa_exh import fitting
 from rsa_exh.fitting import (
     FIT_COLUMNS,
     Constraints,
     FitOptions,
+    NoConvergence,
     NoiseParams,
     NonfiniteLikelihood,
     _ParamSpec,
@@ -26,12 +28,11 @@ from rsa_exh.fitting import (
     comprehension_loglik,
     dataset_loglik,
     fit,
-    fit_equal_costs,
     fit_result_row,
     production_loglik,
     smoothed_production_probs,
 )
-from rsa_exh.models import ModelId, XI_MODELS, predict
+from rsa_exh.models import MissingParameter, ModelId, XI_MODELS, predict
 from rsa_exh.scenario import ModelParams
 
 BASE_PARAMS = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
@@ -277,7 +278,7 @@ def test_fit_recovers_cost_gap_on_base_data():
 def test_equal_costs_fit_is_nested():
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=2)
     free = fit(ModelId.BASE_RSA, ds, options=FAST_OPTIONS)
-    tied = fit_equal_costs(ModelId.BASE_RSA, ds, options=FAST_OPTIONS)
+    tied = fit(ModelId.BASE_RSA, ds, options=FAST_OPTIONS, equal_costs=True)
     assert tied.loglik <= free.loglik + 1e-6
     assert tied.n_params == free.n_params - 1
     assert tied.params.delta_ab == tied.params.delta_anb
@@ -304,6 +305,36 @@ def test_compare_single_and_duplicate_models():
         [ModelId.BASE_RSA, ModelId.WRSA], ds, options=FAST_OPTIONS
     )
     assert ranked[0].aic <= ranked[1].aic
+
+
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+@pytest.mark.parametrize("error", [TypeError("fault"), MissingParameter("fault")])
+def test_fit_propagates_errors_raised_while_scoring(monkeypatch, error):
+    # the objective scores inf only for a NonfiniteLikelihood and for a
+    # parameter vector that decodes to a zero scale; anything else is a fault
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
+    monkeypatch.setattr(fitting, "predict_table", _raise(error))
+    with pytest.raises(type(error)):
+        fit(ModelId.BASE_RSA, ds, options=FitOptions(restarts=1, seed=0))
+
+
+def test_compare_propagates_errors_other_than_value_errors(monkeypatch):
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
+    monkeypatch.setattr(fitting, "predict_table", _raise(TypeError("fault")))
+    with pytest.raises(TypeError):
+        compare([ModelId.BASE_RSA], ds, options=FitOptions(restarts=1, seed=0))
+
+
+def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch):
+    monkeypatch.setattr(fitting, "fit", _raise(NonfiniteLikelihood("row 's0001'")))
+    with pytest.warns(NoConvergence, match="s0001"):
+        (result,) = compare([ModelId.BASE_RSA], Dataset(()))
+    assert result.aic == math.inf and result.params is None and not result.converged
 
 
 def test_compare_requires_models():

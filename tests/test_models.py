@@ -6,6 +6,7 @@ import pytest
 
 from rsa_exh.models import (
     FIXED_RHO,
+    LOG2,
     MissingParameter,
     NEAR_PRIOR,
     ModelId,
@@ -336,6 +337,73 @@ def test_bayes_listener_order_against_prior_at_high_rationality(
             exact = prior * lik_ab / (prior * lik_ab + (1 - prior) * lik_a)
             if abs(exact - p) <= NEAR_PRIOR * p / 2:
                 assert abs(post - exact) <= math.ulp(post), f"p={p}"
+
+
+BAYES_MODELS = [
+    ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.EXH_LU, ModelId.RSA_LI1, ModelId.RSA_LI2,
+    ModelId.BWRSA,
+]
+
+
+def _float_scores(model: ModelId, params: ModelParams, p):
+    """The float64 scores ``(z_ab, z_a, c_ab, c_a)`` and the weights
+    ``(rho_lit, rho_exh, rho_anti)`` of the likelihoods of "A", formed as the
+    closed forms form them."""
+    lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
+    if model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
+        x = lam * (np.log(p) + dab) - LOG2
+        y = (lam * danb - LOG2) + np.log1p(np.exp(lam * np.log1p(-p)))
+        return (x, y, 0.0, 0.0), (1.0, 0.0, 0.0)
+    if model is ModelId.BWRSA:
+        rho, shift = (1 - params.xi, params.xi, params.xi), LOG2
+    else:
+        rho, shift = FIXED_RHO.get(model, (1.0, 0.0, 0.0)), 0.0
+    scores = (lam * (np.log(p) + dab), lam * (np.log1p(-p) + danb),
+              lam * (dab - shift), lam * (danb - shift))
+    return scores, rho
+
+
+@pytest.mark.parametrize("model", BAYES_MODELS)
+def test_bayes_listener_near_crossings_at_moderate_rationality(model):
+    # Priors 1e-6 .. 1e-14 from a crossing A = B lie in the band where post_a
+    # is formed as p + (post - p).  The reference is the exact posterior of
+    # the model's own float64 scores, taken with numpy's log and log1p as the
+    # model takes them (math.log differs from numpy's on some of these
+    # inputs).  Within half the band post_a must be within 1.5 ulp of it.  Its
+    # order against p must be that of A against B wherever float64 resolves
+    # that: everywhere for one logistic pair (baseline, lexical intentions),
+    # and where |A - B| >= 4 eps max(A, B) for the mixtures.  Each cost pair
+    # is also run swapped, so that every model meets a crossing.
+    mp = pytest.importorskip("mpmath")
+    sigma = lambda x: 1 / (1 + mp.exp(-x))  # noqa: E731
+    one_pair = model in (ModelId.BASE_RSA, ModelId.RSA_LI1, ModelId.RSA_LI2)
+    xi = 0.3 if model is ModelId.BWRSA else None
+    crossings = 0
+    with mp.workdps(60):
+        for lam, d1, d2 in [(0.3, 0.2, 1.1), (1.0, 0.5, 0.6), (3.9, 0.0, 0.37),
+                            (8.0, 1.0, 1.3), (20.0, 0.3, 0.9)]:
+            for dab, danb in ((d1, d2), (d2, d1)):
+                params = ModelParams(lam=lam, delta_ab=dab, delta_anb=danb, xi=xi)
+                gap = lambda p: mp.fsub(*_bayes_likelihoods(model, params, p, mp))  # noqa: E731
+                signs = [int(mp.sign(gap(p))) for p in GRID]
+                for k in np.flatnonzero(np.diff(signs)):
+                    crossings += 1
+                    root = float(mp.findroot(gap, (GRID[k], GRID[k + 1]), solver="anderson"))
+                    priors = root + np.outer([-1.0, 1.0], 10.0 ** -np.arange(6, 15)).ravel()
+                    for p, post in zip(priors, predict_table(model, params, priors).post_a):
+                        scores, rho = _float_scores(model, params, p)
+                        z_ab, z_a, c_ab, c_a = (mp.mpf(float(z)) for z in scores)
+                        rho_lit, rho_exh, rho_anti = (mp.mpf(r) for r in rho)
+                        lik_ab = rho_lit * sigma(z_ab) + rho_anti * sigma(c_ab)
+                        lik_a = rho_lit * sigma(z_a) + rho_exh * sigma(c_a)
+                        diff = lik_ab - lik_a
+                        if one_pair or abs(diff) >= 4 * 2.0 ** -52 * max(lik_ab, lik_a):
+                            assert np.sign(post - p) == mp.sign(diff), (params, p)
+                        prior = mp.mpf(float(p))
+                        exact = prior * lik_ab / (prior * lik_ab + (1 - prior) * lik_a)
+                        if abs(exact - p) <= NEAR_PRIOR * p / 2:
+                            assert abs(post - exact) <= 1.5 * math.ulp(post), (params, p)
+    assert crossings
 
 
 def test_li2_matches_exh_lu_at_high_rationality():
