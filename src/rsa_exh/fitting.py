@@ -6,6 +6,15 @@ scales for the bare-message and conjunction conditions; production
 categories are scored with an error-smoothed categorical likelihood.  The
 total log-likelihood is maximized by multi-start Nelder-Mead on a
 box-transformed parameter space, and models are compared by AIC.
+
+The restarts of a fit run in lockstep.  Each restart's simplex search is a
+coroutine (:func:`_nelder_mead`) that yields the points it needs and is sent
+their values.  Every step stacks the pending points of all unfinished
+restarts and scores them together: one parameter-batched ``predict_table``
+call and one batched tobit and production scoring
+(:func:`_packed_logliks`).  Each restart still walks its own simplex, and a
+batched score is bit-identical to a single one, so the optima are those of
+running the restarts one after another.
 """
 
 from __future__ import annotations
@@ -15,12 +24,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, log_ndtr, logit
 
 from .data import (Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, Survey, preprocess,
                    smoothed_production_probs)  # noqa: F401 (re-exported)
-from .models import ModelId, ModelParams, XI_MODELS, predict_table
+from .models import MissingParameter, ModelId, ModelParams, XI_MODELS, _each, predict_table
+from .scenario import somewhere
 
 
 class NonfiniteLikelihood(ValueError):
@@ -33,16 +42,17 @@ class NoConvergence(UserWarning):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Observation-noise parameters fitted alongside the model parameters."""
+    """Observation-noise parameters fitted alongside the model parameters:
+    floats, or (K, 1) columns of K parameter sets as in ``ModelParams``."""
 
-    sigma_a: float
-    sigma_ab: float
-    epsilon: float
+    sigma_a: float | np.ndarray
+    sigma_ab: float | np.ndarray
+    epsilon: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sigma_a <= 0 or self.sigma_ab <= 0:
+        if somewhere(self.sigma_a <= 0) or somewhere(self.sigma_ab <= 0):
             raise ValueError("comprehension noise scales must be positive")
-        if self.epsilon < 0:
+        if somewhere(self.epsilon < 0):
             raise ValueError("production error rate must be nonnegative")
 
 
@@ -57,7 +67,12 @@ class Constraints:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Restart count, RNG seed, and simplex convergence tolerances."""
+    """Restart count, RNG seed, and simplex convergence tolerances.
+
+    All ``restarts`` run together, in lockstep (see the module docstring);
+    ``maxiter`` (default 600 per free parameter) caps both the iterations and
+    the objective evaluations of each restart.
+    """
 
     restarts: int = 32
     seed: int = 0
@@ -114,8 +129,8 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    responses = _SliderResponses.split(np.array([observed]))
-    return float(responses.loglik(np.array([pred]), sigma)[0])
+    responses = _SliderResponses.split(np.array([observed]), np.array([0]), np.array([True]))
+    return float(responses.loglik(np.array([pred]), sigma, sigma)[0])
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -123,29 +138,53 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class _SliderResponses:
-    """Slider responses split by censoring: the positions of the responses at
-    or below 0, at or above 1 and strictly inside, and the inside values."""
+    """Slider responses, reordered by censoring for scoring.
 
-    low: np.ndarray
-    high: np.ndarray
-    inside: np.ndarray
+    The order puts the responses at or below 0 and at or above 1 first
+    (``n_tails`` of them; ``bound`` is 0 or 1 and ``sign`` +1 or -1, for the
+    lower or upper tail), then those strictly inside, whose values are
+    ``interior``.  In that order, ``picks`` locates each prediction and
+    ``first`` tells which responses take the first of two noise scales;
+    ``unorder`` restores the response order.
+    """
+
+    picks: np.ndarray
+    unorder: np.ndarray
+    first: np.ndarray
+    n_tails: int
+    bound: np.ndarray
+    sign: np.ndarray
     interior: np.ndarray
 
     @classmethod
-    def split(cls, observed: np.ndarray) -> "_SliderResponses":
+    def split(cls, observed: np.ndarray, picks: np.ndarray, first: np.ndarray):
+        """``observed`` responses whose predictions sit at ``picks`` and
+        whose noise scale is the first one where ``first``."""
         low, high = observed <= 0.0, observed >= 1.0
         inside = np.flatnonzero(~(low | high))
-        return cls(np.flatnonzero(low), np.flatnonzero(high), inside, observed[inside])
+        order = np.concatenate([np.flatnonzero(low), np.flatnonzero(high), inside])
+        n_tails = order.size - inside.size
+        upper = high[order[:n_tails]]
+        return cls(picks[order], np.argsort(order), first[order], n_tails,
+                   np.where(upper, 1.0, 0.0), np.where(upper, -1.0, 1.0), observed[inside])
 
-    def loglik(self, pred: np.ndarray, sigma: float) -> np.ndarray:
-        """Per-response tobit log-likelihoods, in response order: each tail
-        mass and density is evaluated only where it is the score."""
-        out = np.empty(pred.shape)
-        out[self.low] = log_ndtr((0.0 - pred[self.low]) / sigma)
-        out[self.high] = log_ndtr(-(1.0 - pred[self.high]) / sigma)  # upper tail
-        z = (self.interior - pred[self.inside]) / sigma
-        out[self.inside] = -0.5 * z * z - _HALF_LOG_2PI - math.log(sigma)
-        return out
+    def loglik(self, pred: np.ndarray, sigma_first, sigma_second) -> np.ndarray:
+        """Per-response tobit log-likelihoods, in response order, from the
+        predictions ``pred`` (along the last axis; one row per parameter set
+        for a (K, n) array); each tail mass and density is evaluated only
+        where it is the score.  The noise scales are floats or (K, 1)
+        columns."""
+        x = np.take(pred, self.picks, axis=-1)
+        scale = np.where(self.first, sigma_first, sigma_second)
+        t = self.n_tails
+        out = np.empty(x.shape)
+        # (0 - x) / sigma below, -(1 - x) / sigma above: the tail masses
+        out[..., :t] = log_ndtr((self.bound - x[..., :t]) * self.sign / scale[..., :t])
+        z = (self.interior - x[..., t:]) / scale[..., t:]
+        log_scale = np.where(self.first[t:], _each(math.log, sigma_first),
+                             _each(math.log, sigma_second))
+        out[..., t:] = -0.5 * z * z - _HALF_LOG_2PI - log_scale
+        return np.take(out, self.unorder, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -154,69 +193,103 @@ class _PackedData:
 
     ``priors`` holds the raw priors of all rows, grouped by condition in the
     order UTT_A, UTT_AB, WORLD_A, WORLD_AB, so that one ``predict_table``
-    call serves every condition.  ``comprehension`` has one entry
-    ``(condition, rows, responses)`` per nonempty slider condition: the slice
-    of ``priors`` it occupies and its :class:`_SliderResponses`.
-    ``production`` has one entry ``(condition, rows, messages, labels)`` per
-    nonempty production condition: its positions in ``priors``, the indices
-    of the produced messages and the participant label of each row.
+    call serves every condition.  ``sliders`` holds the slider responses of
+    both comprehension conditions, whose predictions it picks from
+    ``post_a`` followed by ``post_ab``; ``choices`` holds the position of
+    each produced message in the flattened ``prod_wa`` followed by the
+    flattened ``prod_wab``, and ``labels`` the participant label of each
+    production row.  ``slider_rows`` and ``choice_rows`` slice out the rows
+    of each nonempty condition.
     """
 
     priors: np.ndarray
-    comprehension: tuple
-    production: tuple
+    sliders: _SliderResponses
+    slider_rows: tuple
+    choices: np.ndarray
+    choice_rows: tuple
+    labels: list
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "_PackedData":
         dataset = preprocess(dataset)
-        priors: list[float] = []
-        comp, prod = [], []
-        for cond in (Condition.UTT_A, Condition.UTT_AB, Condition.WORLD_A, Condition.WORLD_AB):
-            rows = [r for r in dataset.rows if r.condition is cond]
-            if not rows:
+        conds = (Condition.UTT_A, Condition.UTT_AB, Condition.WORLD_A, Condition.WORLD_AB)
+        rows = {c: [r for r in dataset.rows if r.condition is c] for c in conds}
+        priors = np.array([r.raw_prior for c in conds for r in rows[c]])
+        n, start = priors.size, 0
+        responses, picks, first, choices, labels = [], [], [], [], []
+        slider_rows, choice_rows = [], []
+        for cond in conds:
+            at = np.arange(start, start + len(rows[cond]))
+            start += len(rows[cond])
+            if not rows[cond]:
                 continue
-            start = len(priors)
-            priors.extend(r.raw_prior for r in rows)
             if cond in (Condition.UTT_A, Condition.UTT_AB):
-                responses = np.array([r.response_posterior for r in rows])
-                comp.append(
-                    (cond, slice(start, len(priors)), _SliderResponses.split(responses))
-                )
+                responses.extend(r.response_posterior for r in rows[cond])
+                picks.append(at if cond is Condition.UTT_A else n + at)
+                first.extend([cond is Condition.UTT_A] * at.size)
+                slider_rows.append(slice(len(responses) - at.size, len(responses)))
             else:
-                messages = [MODEL_MESSAGES.index(r.response_message) for r in rows]
-                prod.append((
-                    cond,
-                    np.arange(start, len(priors)),
-                    np.array(messages, dtype=int),
-                    [r.participant_id for r in rows],
-                ))
-        return cls(np.array(priors), tuple(comp), tuple(prod))
+                messages = np.array([MODEL_MESSAGES.index(r.response_message) for r in rows[cond]])
+                offset = 0 if cond is Condition.WORLD_A else 3 * n
+                choices.append(offset + 3 * at + messages)
+                labels.extend(r.participant_id for r in rows[cond])
+                choice_rows.append(slice(len(labels) - at.size, len(labels)))
+        sliders = _SliderResponses.split(np.array(responses, dtype=float),
+                                         np.concatenate(picks or [np.zeros(0, int)]),
+                                         np.array(first, dtype=bool))
+        choices = np.concatenate(choices or [np.zeros(0, int)])
+        return cls(priors, sliders, tuple(slider_rows), choices, tuple(choice_rows), labels)
+
+
+def _packed_logliks(
+    model: ModelId, params: ModelParams, noise: NoiseParams, packed: _PackedData
+) -> tuple[np.ndarray, list]:
+    """Joint log-likelihoods of K parameter sets, scored together.
+
+    ``params`` and ``noise`` hold floats (K = 1) or (K, 1) columns.  Returns
+    the K log-likelihoods and, for each set, the label of the first
+    production row it gives probability 0, or None; such a set scores -inf.
+    Set k's score is bit-identical to that of a K = 1 call with its floats:
+    the picks are contiguous, each condition's rows are summed alone and in
+    row order, and per-set scalars are taken as a single call takes them.
+    """
+    table = predict_table(model, params, packed.priors)
+    k = np.size(params.lam)
+    totals = np.zeros(k)
+    # float parameters give 1-d posteriors, K parameter sets (K, N) ones
+    posts = np.concatenate((table.post_a, table.post_ab), axis=-1)
+    scores = packed.sliders.loglik(posts, noise.sigma_a, noise.sigma_ab)
+    for rows in packed.slider_rows:
+        totals += scores[..., rows].sum(axis=-1)
+    flat = table.prod_wa.shape[:-2] + (-1,)
+    probs = np.concatenate((table.prod_wa.reshape(flat), table.prod_wab.reshape(flat)), axis=-1)
+    picked = np.take(probs, packed.choices, axis=-1) + noise.epsilon
+    zero = picked <= 0.0
+    culprits: list = [None] * k
+    if zero.any():
+        zero = zero.reshape(k, -1)
+        for j in np.flatnonzero(zero.any(axis=1)):
+            culprits[j] = packed.labels[int(np.argmax(zero[j]))]
+        picked[zero.reshape(picked.shape)] = 1.0  # the set scores -inf below
+    logs = np.log(picked)
+    smoothing = np.log1p(N_CANDIDATE_MESSAGES * noise.epsilon).reshape(-1)
+    for rows in packed.choice_rows:
+        totals += logs[..., rows].sum(axis=-1) - (rows.stop - rows.start) * smoothing
+    if culprits.count(None) < k:
+        totals[[c is not None for c in culprits]] = -np.inf
+    return totals, culprits
 
 
 def _packed_loglik(
     model: ModelId, params: ModelParams, noise: NoiseParams, packed: _PackedData
 ) -> float:
-    table = predict_table(model, params, packed.priors)
-    total = 0.0
-    for cond, rows, responses in packed.comprehension:
-        if cond is Condition.UTT_A:
-            pred, sigma = table.post_a[rows], noise.sigma_a
-        else:
-            pred, sigma = table.post_ab[rows], noise.sigma_ab
-        total += float(responses.loglik(pred, sigma).sum())
-    for cond, rows, messages, labels in packed.production:
-        probs = table.prod_wa if cond is Condition.WORLD_A else table.prod_wab
-        picked = probs[rows, messages] + noise.epsilon
-        if np.any(picked <= 0.0):
-            bad = labels[int(np.argmax(picked <= 0.0))]
-            raise NonfiniteLikelihood(
-                f"row {bad!r}: observed message has probability 0 and epsilon is 0"
-            )
-        total += float(
-            np.log(picked).sum()
-            - rows.size * np.log1p(N_CANDIDATE_MESSAGES * noise.epsilon)
+    """Joint log-likelihood of one parameter set (float fields)."""
+    (total,), (culprit,) = _packed_logliks(model, params, noise, packed)
+    if culprit is not None:
+        raise NonfiniteLikelihood(
+            f"row {culprit!r}: observed message has probability 0 and epsilon is 0"
         )
-    return total
+    return float(total)
 
 
 def dataset_loglik(
@@ -277,8 +350,12 @@ class _ParamSpec:
             tuple(names), np.array(highs), np.array(lo), np.array(hi), np.array(log)
         )
 
-    def decode(self, t: np.ndarray) -> dict[str, float]:
+    def decode(self, t: np.ndarray) -> dict:
+        """Parameter values at a point ``t``, or (K, 1) columns of them at
+        each row of a (K, d) stack of points."""
         values = self.highs * expit(t)
+        if values.ndim == 2:
+            values = np.ascontiguousarray(values.T)[:, :, None]
         return dict(zip(self.names, values))
 
     def encode(self, values: np.ndarray) -> np.ndarray:
@@ -310,7 +387,9 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - samples) / n
 
 
-def _split(values: dict[str, float], model: ModelId, equal_costs: bool):
+def _split(values: dict, model: ModelId, equal_costs: bool):
+    """Model and noise parameters from decoded values (floats or columns);
+    raises ValueError where an entry is out of range."""
     if equal_costs:
         dab = danb = values["delta"]
     else:
@@ -325,6 +404,177 @@ def _split(values: dict[str, float], model: ModelId, equal_costs: bool):
     return params, noise
 
 
+def _objective(points: np.ndarray, model: ModelId, spec: _ParamSpec, equal_costs: bool,
+               packed: _PackedData) -> np.ndarray:
+    """Negated log-likelihoods at a (K, d) stack of unconstrained points, all
+    scored in one batched call: inf where lambda or a noise scale decodes to
+    0, or where an observation gets probability 0.  A lone point is scored
+    with float parameters, which gives the same bits as a batch of one at
+    less cost."""
+    one = len(points) == 1
+    values = spec.decode(points[0] if one else points)
+    try:
+        params, noise = _split(values, model, equal_costs)
+    except ValueError:  # lambda or a noise scale decoded to 0 somewhere
+        scores = np.full(len(points), np.inf)
+        ok = np.array([not one and _valid(spec.decode(t), model, equal_costs) for t in points])
+        if ok.any():
+            scores[ok] = _objective(points[ok], model, spec, equal_costs, packed)
+        return scores
+    return -_packed_logliks(model, params, noise, packed)[0]
+
+
+def _valid(values: dict, model: ModelId, equal_costs: bool) -> bool:
+    try:
+        _split(values, model, equal_costs)
+    except ValueError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead simplex search as a coroutine
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _SimplexResult:
+    """Best vertex, its value, iterations, evaluations and status (0 met the
+    tolerances, 1 ran out of evaluations, 2 of iterations)."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    status: int
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+class _OutOfEvaluations(Exception):
+    """The evaluation budget ended before the last point of a request; the
+    values obtained are the argument."""
+
+
+def _nelder_mead(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
+    """Nelder-Mead simplex search (Nelder & Mead 1965) from ``x0``.
+
+    A generator: it yields each (m, d) stack of points it needs evaluated and
+    is sent their m values; it returns a :class:`_SimplexResult`.  The initial
+    simplex and each shrink are asked for as one stack, every other step as a
+    single point.  A transcription of scipy 1.17's ``minimize(method=
+    "Nelder-Mead")`` (standard coefficients, no bounds): the same initial
+    simplex, steps, sorts and ``maxiter``/``maxfev`` cut-offs, including a
+    budget that ends inside the initial simplex or a shrink, so the same
+    iterates and result for the same values.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def evaluate(points):
+        nonlocal nfev
+        m = min(len(points), maxfev - nfev)
+        values = (yield points[:m]) if m > 0 else np.empty(0)
+        nfev += m
+        if m < len(points):
+            raise _OutOfEvaluations(values)
+        return values
+
+    def sort(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        fsim[:] = yield from evaluate(sim)
+    except _OutOfEvaluations as out:
+        fsim[:len(out.args[0])] = out.args[0]
+    sim, fsim = sort(sim, fsim)
+    sim, fsim = sort(sim, fsim)
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            (fxr,) = yield from evaluate(xr[None])
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                (fxe,) = yield from evaluate(xe[None])
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:  # contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                (fxc,) = yield from evaluate(xc[None])
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                (fxcc,) = yield from evaluate(xcc[None])
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                try:
+                    fsim[1:] = yield from evaluate(shrunk)
+                except _OutOfEvaluations as out:
+                    # vertices move up to the first one the budget refused
+                    done = len(out.args[0])
+                    sim[1:done + 2] = shrunk[:done + 1]
+                    fsim[1:done + 1] = out.args[0]
+                    raise
+                sim[1:] = shrunk
+            iterations += 1
+        except _OutOfEvaluations:
+            pass
+        sim, fsim = sort(sim, fsim)
+    status = 1 if nfev >= maxfev else 2 if iterations >= maxiter else 0
+    return _SimplexResult(sim[0], np.min(fsim), iterations, nfev, status)
+
+
+def _lockstep(objective, starts, xatol: float, fatol: float, budget: int) -> list:
+    """Nelder-Mead from every start, the searches run together: each step
+    stacks the points that all unfinished searches ask for and evaluates them
+    with one call of ``objective``.  ``budget`` caps both the iterations and
+    the evaluations of each search.  Returns their results in start order."""
+    searches = [_nelder_mead(x0, xatol, fatol, budget, budget) for x0 in starts]
+    results: list = [None] * len(searches)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, values) -> None:
+        try:
+            pending[i] = searches[i].send(values)
+        except StopIteration as done:
+            results[i] = done.value
+            pending.pop(i, None)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        asked = list(pending.items())
+        values = objective(asked[0][1] if len(asked) == 1 else
+                           np.concatenate([points for _, points in asked]))
+        start = 0
+        for i, points in asked:
+            advance(i, values[start:start + len(points)])
+            start += len(points)
+    return results
+
+
 def fit(
     model: ModelId,
     dataset: Dataset,
@@ -336,42 +586,29 @@ def fit(
 
     Starts are a Latin-hypercube over sensible parameter ranges, mapped to an
     unconstrained space by scaled-logit transforms; the best restart wins.
-    Results whose rationality or costs land on the box bound are flagged in
-    ``at_bounds``.  Free-parameter count: model parameters (rationality, one
-    or two costs, the extra prior where the model has one) plus the three
-    noise parameters.
+    The restarts run in lockstep: each step scores the points that all
+    unfinished restarts ask for with one batched likelihood call, and each
+    restart walks its own simplex, so the result is that of running them one
+    by one.  Results whose rationality or costs land on the box bound are
+    flagged in ``at_bounds``.  Free-parameter count: model parameters
+    (rationality, one or two costs, the extra prior where the model has one)
+    plus the three noise parameters.
     """
     constraints = constraints or Constraints()
     options = options or FitOptions()
     spec = _ParamSpec.build(model, equal_costs, constraints)
     packed = _PackedData.from_dataset(dataset)
-
-    def objective(t: np.ndarray) -> float:
-        try:
-            params, noise = _split(spec.decode(t), model, equal_costs)
-        except ValueError:  # lambda or a noise scale decoded to 0
-            return np.inf
-        try:
-            return -_packed_loglik(model, params, noise, packed)
-        except NonfiniteLikelihood:
-            return np.inf
+    budget = options.maxiter or 600 * len(spec.names)
+    results = _lockstep(
+        lambda points: _objective(points, model, spec, equal_costs, packed),
+        spec.initial_points(options.restarts, options.seed),
+        options.xatol, options.fatol, budget,
+    )
 
     best = None
     any_success = False
-    budget = options.maxiter or 600 * len(spec.names)
-    for t0 in spec.initial_points(options.restarts, options.seed):
-        res = minimize(
-            objective,
-            t0,
-            method="Nelder-Mead",
-            options={
-                "xatol": options.xatol,
-                "fatol": options.fatol,
-                "maxiter": budget,
-                "maxfev": budget,
-            },
-        )
-        any_success = any_success or bool(res.success)
+    for res in results:
+        any_success = any_success or res.success
         if best is None or res.fun < best.fun:
             best = res
     assert best is not None
@@ -411,7 +648,10 @@ def compare(
     options: FitOptions | None = None,
     equal_costs: bool = False,
 ) -> list[FitResult]:
-    """Fit each model and rank ascending by AIC; failures become inf-AIC rows."""
+    """Fit each model and rank ascending by AIC; failures become inf-AIC rows.
+
+    A missing model parameter is a fault of the call, not of the fit, and
+    propagates as it does from ``fit``."""
     models = list(models)
     if not models:
         raise ValueError("need at least one model to compare")
@@ -419,6 +659,8 @@ def compare(
     for model in models:
         try:
             results.append(fit(model, dataset, constraints, options, equal_costs))
+        except MissingParameter:
+            raise
         except ValueError as exc:  # per-model failure: record, keep comparing
             warnings.warn(NoConvergence(f"{model.value}: fit failed: {exc}"))
             results.append(

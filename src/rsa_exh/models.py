@@ -45,8 +45,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .engine import _safe_log, log_softmax
-from .scenario import ModelParams
+from .engine import NEG_INF, _safe_log, log_softmax
+from .scenario import ModelParams, everywhere, somewhere
 
 LOG2 = np.log(2.0)
 
@@ -125,13 +125,18 @@ class Predictions:
 
 @dataclass(frozen=True)
 class PredictionTable:
-    """Vectorized predictions over a grid of priors (arrays share length N)."""
+    """Vectorized predictions over a grid of N priors.
+
+    The posteriors have shape (N,) and the production rows (N, 3); for a
+    batch of K parameter sets (see :class:`ModelParams`) they have shape
+    (K, N) and (K, N, 3).  ``p`` is the grid, shape (N,).
+    """
 
     p: np.ndarray
-    post_a: np.ndarray
-    post_ab: np.ndarray
-    prod_wa: np.ndarray  # (N, 3)
-    prod_wab: np.ndarray  # (N, 3)
+    post_a: np.ndarray  # (N,) or (K, N)
+    post_ab: np.ndarray  # (N,) or (K, N)
+    prod_wa: np.ndarray  # (N, 3) or (K, N, 3)
+    prod_wab: np.ndarray  # (N, 3) or (K, N, 3)
 
     def at(self, i: int) -> Predictions:
         return Predictions(
@@ -159,15 +164,40 @@ def _clip_prior(p) -> np.ndarray:
 NEAR_PRIOR = 2.0 ** -20
 
 
-def _log_mixture(w: float, z: np.ndarray, k: float) -> np.ndarray:
-    """``log(w sigma(z) + k)`` for scalars ``w, k >= 0``.
+def _each(fn, x):
+    """``fn``, a function of one float, applied to every entry of ``x`` (a
+    float or an array).  Takes the per-parameter-set scalars of a batched call
+    with the same ``math`` function as a single call does: numpy's vector
+    loops may round them differently in the last bit."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.array([fn(v) for v in x.ravel()]).reshape(x.shape)
 
-    A constant below TINY is dropped; the log-sigmoid then keeps the value
-    finite where ``sigma(z)`` underflows."""
-    if k >= TINY:
+
+def _log_weight(w: float) -> float:
+    return math.log(w) if w > 0 else -math.inf
+
+
+def _pick(x, where: np.ndarray) -> np.ndarray:
+    """The entries of ``x``, broadcast to the shape of the mask ``where``,
+    that it selects (a 1-d copy)."""
+    return np.broadcast_to(x, where.shape)[where]
+
+
+def _log_mixture(w, z: np.ndarray, k) -> np.ndarray:
+    """``log(w sigma(z) + k)`` for weights ``w, k >= 0``, floats or arrays that
+    broadcast against ``z``.
+
+    Where a constant is below TINY it is dropped; the log-sigmoid then keeps
+    the value finite where ``sigma(z)`` underflows."""
+    keep = k >= TINY
+    if everywhere(keep):
         return np.log(w * expit(z) + k)
-    log_w = math.log(w) if w > 0 else -np.inf
-    return (log_w + np.minimum(z, 0.0)) - np.log1p(np.exp(-np.abs(z)))
+    out = (_each(_log_weight, w) + np.minimum(z, 0.0)) - np.log1p(np.exp(-np.abs(z)))
+    if somewhere(keep):
+        with np.errstate(divide="ignore"):
+            out = np.where(keep, np.log(w * expit(z) + k), out)
+    return out
 
 
 def _logistic_split(z):
@@ -191,8 +221,11 @@ def _logistic_gap(a, b):
     return np.sign(a - b) * expit(hi) * expit(-lo) * -np.expm1(lo - hi)
 
 
-def _mixture_gap(rho, z_ab, z_a, c_ab, c_a):
-    """``A - B`` of a mixture (see _bayes_listener) and its sign.
+def _mixture_gap(rho, z_ab, z_a, c_ab, c_a, where):
+    """``A - B`` of a mixture (see _bayes_listener) and its sign, as 1-d
+    arrays over the entries that the mask ``where`` selects.  The weights of
+    ``rho`` and the constant scores ``c_ab``, ``c_a`` are floats or (K, 1)
+    columns; their terms are formed once per parameter set.
 
     Every logistic is split into a step and a tail (see _logistic_split):
     the steps cancel exactly, and the tails keep their relative accuracy
@@ -204,21 +237,21 @@ def _mixture_gap(rho, z_ab, z_a, c_ab, c_a):
     space, where ``log sigma(-|z|) = -softplus(|z|)`` is still representable.
     """
     rho_lit, rho_exh, rho_anti = rho
+    z_ab, z_a, w_lit = _pick(z_ab, where), _pick(z_a, where), _pick(rho_lit, where)
     (s_ab, s_a), (t_ab, t_a) = _logistic_split(np.stack([z_ab, z_a]))
-    (s_anti, s_exh), (t_anti, t_exh) = _logistic_split([c_ab, c_a])
+    (s_anti, s_exh), (t_anti, t_exh) = _logistic_split(np.stack(np.broadcast_arrays(c_ab, c_a)))
     lit = np.where(s_ab == s_a, _logistic_gap(z_ab, z_a), t_ab - t_a)
-    if rho_anti == rho_exh and s_anti == s_exh:
-        const = rho_anti * _logistic_gap(c_ab, c_a)
-    else:
-        const = rho_anti * t_anti - rho_exh * t_exh
-    steps = rho_lit * (s_ab - s_a) + (rho_anti * s_anti - rho_exh * s_exh)
-    diff = steps + (rho_lit * lit + const)
+    const = np.where((rho_anti == rho_exh) & (s_anti == s_exh),
+                     rho_anti * _logistic_gap(c_ab, c_a), rho_anti * t_anti - rho_exh * t_exh)
+    steps = w_lit * (s_ab - s_a) + _pick(rho_anti * s_anti - rho_exh * s_exh, where)
+    diff = steps + (w_lit * lit + _pick(const, where))
     side = np.sign(diff)
     tie = np.abs(diff) < 1e-290
     if tie.any():
         # the steps cancel: weigh the positive against the negative tails
-        z = np.stack(np.broadcast_arrays(z_ab[tie], z_a[tie], c_ab, c_a))
-        rho_signed = np.array([rho_lit, -rho_lit, rho_anti, -rho_exh])[:, None]
+        z = np.stack([z_ab[tie], z_a[tie], _pick(c_ab, where)[tie], _pick(c_a, where)[tie]])
+        rho_signed = np.stack([w_lit[tie], -w_lit[tie], _pick(rho_anti, where)[tie],
+                               -_pick(rho_exh, where)[tie]])
         weight = rho_signed * np.where(z > 0, -1.0, 1.0)
         with np.errstate(divide="ignore"):
             log_tail = np.log(np.abs(weight)) - np.logaddexp(0.0, np.abs(z))
@@ -235,11 +268,12 @@ def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0
     ``pc`` is the clamped prior, ``log_pc = log(pc)``, ``log_qc =
     log1p(-pc)``.  The likelihoods of ``A`` are ``A = rho_lit sigma(z_ab) +
     rho_anti sigma(c_ab)`` and ``B = rho_lit sigma(z_a) + rho_exh sigma(c_a)``
-    with ``rho = (rho_lit, rho_exh, rho_anti)``.  Where ``|log post - log pc|
-    <= NEAR_PRIOR`` the posterior is ``pc + pc (1 - pc) (A - B) / (pc A +
-    (1 - pc) B)``, the difference taken without cancellation; where that sum
-    rounds onto ``pc`` although ``A != B`` it is the neighbour of ``pc`` on
-    the side of ``A - B``.
+    with ``rho = (rho_lit, rho_exh, rho_anti)``; the weights and ``c_ab``,
+    ``c_a`` are floats or (K, 1) columns, one entry per parameter set.  Where
+    ``|log post - log pc| <= NEAR_PRIOR`` the posterior is ``pc + pc (1 - pc)
+    (A - B) / (pc A + (1 - pc) B)``, the difference taken without
+    cancellation; where that sum rounds onto ``pc`` although ``A != B`` it is
+    the neighbour of ``pc`` on the side of ``A - B``.
     """
     rho_lit, rho_exh, rho_anti = rho
     log_wab = log_pc + _log_mixture(rho_lit, z_ab, rho_anti * expit(c_ab))
@@ -251,29 +285,38 @@ def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0
     near = np.abs(log_ab - log_pc) <= NEAR_PRIOR
     if not near.any():
         return post, log_ab, log_a
-    i = slice(None) if near.all() else np.flatnonzero(near)
-    q, a, b = pc[i], z_ab[i], z_a[i]
-    if rho_exh == rho_anti == 0:
+    one = near & (rho_exh == 0) & (rho_anti == 0)
+    if one.any():
         # one pair: (A - B) / max(A, B) = +-sigma(-lo) (1 - exp(lo - hi)), and
         # post - p = (1 - p) post (A - B) / A above the prior and
         # p (1 - post) (A - B) / B below it: every factor stays bounded
+        q, a, b = _pick(pc, one), _pick(z_ab, one), _pick(z_a, one)
         gap = a - b
         side = np.sign(gap)
         up = gap > 0
-        delta = np.exp(np.where(up, log_ab[i], log_a[i]))
+        delta = np.exp(np.where(up, log_ab[one], log_a[one]))
         delta *= q - up
         delta *= expit(-np.minimum(a, b))
         delta *= np.expm1(-np.abs(gap))
-    else:
-        diff, side = _mixture_gap(rho, a, b, c_ab, c_a)
+        post[one] = _off_prior(q, delta, side)
+    mix = near & ~one
+    if mix.any():
+        q = _pick(pc, mix)
+        diff, side = _mixture_gap(rho, z_ab, z_a, c_ab, c_a, mix)
         # the floor keeps a total that has underflowed from dividing by zero
-        delta = q * (1 - q) * diff / np.maximum(np.exp(denom[i]), 5e-324)
+        delta = q * (1 - q) * diff / np.maximum(np.exp(denom[mix]), 5e-324)
+        post[mix] = _off_prior(q, delta, side)
+    return post, log_ab, log_a
+
+
+def _off_prior(q, delta, side):
+    """``q + delta``, and where that rounds onto ``q`` the neighbour of ``q``
+    on the side of ``side``."""
     fine = q + delta
     stuck = fine == q
     if stuck.any():
         fine[stuck] = np.nextafter(q[stuck], q[stuck] + side[stuck])
-    post[i] = fine
-    return post, log_ab, log_a
+    return fine
 
 
 def _two_way_rows(x_wa, x_wab):
@@ -323,8 +366,8 @@ def base_rsa_l1(params: ModelParams, p):
 
 def _base_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     table = _lu_table(params, p, (1.0, 0.0, 0.0))
-    table.post_a[p <= 0.0] = 0.0
-    table.post_a[p >= 1.0] = 1.0
+    table.post_a[..., p <= 0.0] = 0.0
+    table.post_a[..., p >= 1.0] = 1.0
     return table
 
 
@@ -379,8 +422,8 @@ def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     # weights (1 - xi, xi, xi) and constant scores lam (delta - log 2).
     omega = params.require_xi()
     table = _lu_table(params, p, (1 - omega, omega, omega), shift=LOG2)
-    table.post_a[p <= 0.0] = 0.0
-    table.post_a[p >= 1.0] = 1.0
+    table.post_a[..., p <= 0.0] = 0.0
+    table.post_a[..., p >= 1.0] = 1.0
     return table
 
 
@@ -392,7 +435,25 @@ def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
+def _softmax_last(weights: np.ndarray) -> np.ndarray:
+    """``exp(log_softmax(weights))`` over a short last axis, with its max and
+    sum taken one column at a time: the same bits, since numpy reduces a
+    short last axis in column order, at a fraction of the cost of its
+    reductions over one."""
+    top = weights[..., 0]
+    for j in range(1, weights.shape[-1]):
+        top = np.maximum(top, weights[..., j])
+    shifted = weights - top[..., None]
+    shifted = np.where(np.isnan(shifted), NEG_INF, shifted)
+    exps = np.exp(shifted)
+    total = exps[..., 0]
+    for j in range(1, exps.shape[-1]):
+        total = total + exps[..., j]
+    norm = _safe_log(total)[..., None]
+    return np.exp(np.where(np.isneginf(norm), NEG_INF, shifted - norm))
+
+
+def _svrsa_components(params: ModelParams, pc: np.ndarray, qc):
     """Level-1 speakers and the level-2 speakers built on the joint level-1
     listener.
 
@@ -400,11 +461,11 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
     ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
     """
     lam, dab, danb, chi = params.lam, params.delta_ab, params.delta_anb, params.chi
-    n = pc.shape[0]
-    costs = np.array([0.0, dab, danb])
+    costs = np.zeros(np.broadcast_shapes(np.shape(dab), np.shape(danb)) + (3,))
+    costs[..., 1], costs[..., 2] = dab, danb
 
     # Level-1 speaker under the partial QUD: world-independent, cost-driven.
-    log_s1_part = log_softmax(-lam * costs)
+    log_s1_part = log_softmax(-np.asarray(lam)[..., None] * costs)
     s1_part = np.exp(log_s1_part)
     # Level-1 speaker under the total QUD in w_a: the bare message scores
     # only through the literal interpretation's share of the cell posterior.
@@ -414,60 +475,60 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc: float):
     # In w_ab under the total QUD the bare message is false under the
     # exhaustive interpretation, hence unusable: the conjunction is certain.
 
-    zeros = np.zeros(n)
-    weights = {
-        "A": np.stack(
-            [(1 - pc) * (1 - qc) * s1_part[0], pc * (1 - qc) * s1_part[0],
-             (1 - pc) * qc * s1_tot_wa_a, zeros], axis=-1),
-        "AB": np.stack(
-            [(1 - pc) * (1 - qc) * s1_part[1], pc * (1 - qc) * s1_part[1],
-             zeros, pc * qc * np.ones(n)], axis=-1),
-        "AnB": np.stack(
-            [(1 - pc) * (1 - qc) * s1_part[2], pc * (1 - qc) * s1_part[2],
-             (1 - pc) * qc * s1_tot_wa_anb, zeros], axis=-1),
-    }
+    # The joint listener's weights on the four cells, per message: u s and
+    # v s on the partial-QUD cells, r sigma(+-x) on (w_a, total) and p q on
+    # (w_ab, total), zero where the message is false.  Each total adds them
+    # in cell order, as a sum over the last axis of the four does.
+    u, v, r = (1 - pc) * (1 - qc), pc * (1 - qc), (1 - pc) * qc
+    a0, a1, a2 = u * s1_part[..., 0], v * s1_part[..., 0], r * s1_tot_wa_a
+    b0, b1, b3 = u * s1_part[..., 1], v * s1_part[..., 1], pc * qc
+    n0, n1, n2 = u * s1_part[..., 2], v * s1_part[..., 2], r * s1_tot_wa_anb
+    total_a, total_ab, total_anb = a0 + a1 + a2, b0 + b1 + b3, n0 + n1 + n2
     # With the priors clamped away from the endpoints the totals of A and
     # A_AND_B stay positive, so their joint posteriors are plain
     # normalizations.  Every weight of A_AND_NOT_B carries a factor of about
     # exp(-lam * delta_anb) or below, and its total underflows once that
     # exponent passes about 745.  Its first two weights add up to
-    # (1 - qc) * s1_part[2], so a total can fall below TINY only where that
-    # scalar is below 2 * TINY.  Such rows get placeholder weights here, and
-    # the terms built on them are redone in log space below.
-    tiny = ()
-    if (1 - qc) * s1_part[2] < 2 * TINY:
-        tiny = np.flatnonzero(weights["AnB"].sum(axis=-1) < TINY)
-        weights["AnB"][tiny] = 1.0
-    joint = {key: w / w.sum(axis=-1, keepdims=True) for key, w in weights.items()}
+    # (1 - qc) * s1_part[2], so a total can fall below TINY only for the
+    # parameter sets where that is below 2 * TINY.  Such rows get placeholder
+    # weights of 1 here, and the terms built on them are redone in log space
+    # below.
+    tiny = None
+    if somewhere((1 - qc) * s1_part[..., 2] < 2 * TINY):
+        tiny = total_anb < TINY
+        n0, n1, n2 = (np.where(tiny, 1.0, w) for w in (n0, n1, n2))
+        total_anb = np.where(tiny, 4.0, total_anb)
 
     # Level-2 speaker addressing the partial QUD: scored by each message's
     # joint (cell, QUD) posterior; world-independent.
-    log_m = np.stack(
-        [_safe_log(joint[k][:, 0] + joint[k][:, 1]) for k in ("A", "AB", "AnB")],
-        axis=-1,
-    )
-    if len(tiny):
-        log_wa, log_wab = np.log1p(-pc[tiny]), np.log(pc[tiny])
+    log_m = np.stack([_safe_log(a0 / total_a + a1 / total_a),
+                      _safe_log(b0 / total_ab + b1 / total_ab),
+                      _safe_log(n0 / total_anb + n1 / total_anb)], axis=-1)
+    if tiny is not None:
+        log_wa, log_wab = np.log1p(-_pick(pc, tiny)), np.log(_pick(pc, tiny))
+        log_s1_anb, log_partial = _pick(log_s1_part[..., 2], tiny), _pick(np.log1p(-qc), tiny)
         log_joint_anb = log_softmax(np.stack(
-            [log_wa + np.log1p(-qc) + log_s1_part[2],
-             log_wab + np.log1p(-qc) + log_s1_part[2],
-             log_wa + np.log(qc) - np.logaddexp(0.0, x[tiny])], axis=-1))
-        log_m[tiny, 2] = np.logaddexp(log_joint_anb[:, 0], log_joint_anb[:, 1])
-    s2_part = np.exp(log_softmax(lam * (log_m - costs)))
+            [log_wa + log_partial + log_s1_anb,
+             log_wab + log_partial + log_s1_anb,
+             log_wa + _pick(np.log(qc), tiny) - np.logaddexp(0.0, x[tiny])], axis=-1))
+        log_m[..., 2][tiny] = np.logaddexp(log_joint_anb[:, 0], log_joint_anb[:, 1])
+    s2_part = _softmax_last(np.asarray(lam)[..., None] * (log_m - costs))
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way.
-    y = lam * (_safe_log(joint["A"][:, 2]) - _safe_log(joint["AnB"][:, 2]) + danb)
-    if len(tiny):
-        y[tiny] = lam * (_safe_log(joint["A"][tiny, 2]) - log_joint_anb[:, 2] + danb)
+    y = lam * (_safe_log(a2 / total_a) - _safe_log(n2 / total_anb) + danb)
+    if tiny is not None:
+        y[tiny] = _pick(lam, tiny) * (_safe_log(a2[tiny] / total_a[tiny]) - log_joint_anb[:, 2]
+                                      + _pick(danb, tiny))
+    zeros = np.zeros(x.shape)
     s2_tot_wa = np.stack([expit(y), zeros, expit(-y)], axis=-1)
-    s2_tot_wab = np.stack([zeros, np.ones(n), zeros], axis=-1)
+    s2_tot_wab = np.stack([zeros, np.ones(x.shape), zeros], axis=-1)
     return s1_part, s1_tot_wa_a, s2_part, s2_tot_wa, s2_tot_wab
 
 
 def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
     # The QUD prior gets the same interior clamp as the world prior; the
     # endpoint values q in {0, 1} are thereby the continuity limits.
-    qc = float(np.clip(params.require_xi(), P_EPS, 1.0 - P_EPS))
+    qc = np.clip(params.require_xi(), P_EPS, 1.0 - P_EPS)
     pc = _clip_prior(p)
     s1_part, s1_tot_wa_a, s2_part, s2_tot_wa, s2_tot_wab = _svrsa_components(
         params, pc, qc
@@ -475,16 +536,17 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
 
     # Comprehension marginals.  The multiplication order p * fraction keeps
     # post_a <= p exactly in floating point (the fraction never exceeds 1).
-    denom_a = (1 - qc) * s1_part[0] + (1 - pc) * qc * s1_tot_wa_a
-    post_a = pc * ((1 - qc) * s1_part[0] / denom_a)
+    denom_a = (1 - qc) * s1_part[..., 0] + (1 - pc) * qc * s1_tot_wa_a
+    post_a = pc * ((1 - qc) * s1_part[..., 0] / denom_a)
     # At high rationality the product can round to 1 + 2^-52 (exact: <= 1).
     # A complement form would lose post_ab's relative accuracy at small p.
-    denom_ab = (1 - qc) * s1_part[1] + pc * qc
-    post_ab = np.minimum(pc * (((1 - qc) * s1_part[1] + qc) / denom_ab), 1.0)
+    denom_ab = (1 - qc) * s1_part[..., 1] + pc * qc
+    post_ab = np.minimum(pc * (((1 - qc) * s1_part[..., 1] + qc) / denom_ab), 1.0)
 
     if variant == 1:
-        prod_wa = (1 - qc) * s2_part + qc * s2_tot_wa
-        prod_wab = (1 - qc) * s2_part + qc * s2_tot_wab
+        q = np.asarray(qc)[..., None]  # against the message axis
+        prod_wa = (1 - q) * s2_part + q * s2_tot_wa
+        prod_wab = (1 - q) * s2_part + q * s2_tot_wab
     else:
         prod_wa, prod_wab = s2_tot_wa, s2_tot_wab
     return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
@@ -555,7 +617,13 @@ def _li_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTab
 
 
 def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
-    """Vectorized predictions over an array of priors."""
+    """Vectorized predictions over an array of N priors.
+
+    With float parameters the table's posteriors have shape (N,) and its
+    production rows (N, 3).  Parameters that are (K, 1) columns (see
+    :class:`ModelParams`) give (K, N) and (K, N, 3) arrays whose row k is,
+    bit for bit, the table of a call with the floats of parameter set k.
+    """
     if model in XI_MODELS and params.xi is None:
         raise MissingParameter(f"{model.value} requires the extra prior xi")
     p = np.atleast_1d(np.asarray(p, dtype=float))

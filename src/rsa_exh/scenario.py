@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class World(Enum):
     """The two world states: A-only, or A-and-B."""
@@ -94,19 +96,36 @@ def truth_value(message: Message, world: World, interpretation: Interpretation) 
     return world in _A_TRUE_IN[interpretation]
 
 
+def everywhere(check) -> bool:
+    """Whether a comparison holds, of floats or at every entry of arrays."""
+    return bool(check.all()) if isinstance(check, np.ndarray) else bool(check)
+
+
+def somewhere(check) -> bool:
+    """Whether a comparison holds, of floats or at some entry of arrays."""
+    return bool(check.any()) if isinstance(check, np.ndarray) else bool(check)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Fit-free knobs shared by every model variant.
 
+    Each of ``lam``, ``delta_ab``, ``delta_anb`` and ``xi`` is a float or an
+    array of shape (K, 1): a column of K parameter sets, one per row.  A
+    batch broadcasts against the priors, so that ``predict_table`` returns
+    tables of shape (K, N) and (K, N, 3) for N priors, row k being the table
+    of parameter set k (see :func:`rsa_exh.models.predict_table`).
+    Validation holds for every entry.
+
     Attributes
     ----------
-    lam : float
+    lam : float or (K, 1) array
         Rationality (inverse softmax temperature); must be positive.
-    delta_ab : float
+    delta_ab : float or (K, 1) array
         Cost of ``A_AND_B`` relative to the bare ``A`` (whose cost is 0).
-    delta_anb : float
+    delta_anb : float or (K, 1) array
         Cost of ``A_AND_NOT_B`` relative to ``A``.
-    xi : float or None
+    xi : float, (K, 1) array or None
         Extra prior in [0, 1] used by some models: the wonkiness prior of the
         wonky-prior variants, or the total-QUD prior of the supervaluationist
         variants.  ``None`` for models without it.
@@ -115,23 +134,23 @@ class ModelParams:
         only); fixed at 0.5.
     """
 
-    lam: float
-    delta_ab: float = 0.0
-    delta_anb: float = 0.0
-    xi: float | None = None
+    lam: float | np.ndarray
+    delta_ab: float | np.ndarray = 0.0
+    delta_anb: float | np.ndarray = 0.0
+    xi: float | np.ndarray | None = None
     chi: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
+        if not everywhere(self.lam > 0):
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.delta_ab < 0 or self.delta_anb < 0:
+        if somewhere(self.delta_ab < 0) or somewhere(self.delta_anb < 0):
             raise ValueError("costs must be nonnegative")
-        if self.xi is not None and not (0.0 <= self.xi <= 1.0):
+        if self.xi is not None and not everywhere((0.0 <= self.xi) & (self.xi <= 1.0)):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
         if not (0.0 <= self.chi <= 1.0):
             raise ValueError(f"chi must be in [0, 1], got {self.chi}")
 
-    def require_xi(self) -> float:
+    def require_xi(self) -> float | np.ndarray:
         from .models import MissingParameter  # local import to avoid a cycle
 
         if self.xi is None:

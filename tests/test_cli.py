@@ -236,14 +236,25 @@ def test_invalid_prior_value_is_usage_error():
 # ---------------------------------------------------------------------------
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the import time; nothing in the CLI needs it
+def _loaded_by_cli_import(prefix):
+    """The modules named ``prefix...`` that a fresh ``import rsa_exh.cli`` loads."""
     src = str(Path(rsa_exh.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, rsa_exh.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     )
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the import time; nothing in the CLI needs it
+    assert _loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the fits run their own Nelder-Mead; scipy.optimize would load some 250
+    # more modules
+    assert _loaded_by_cli_import("scipy.optimize") == "[]"

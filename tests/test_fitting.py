@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from rsa_exh.fitting import (
     NoConvergence,
     NoiseParams,
     NonfiniteLikelihood,
+    _PackedData,
     _ParamSpec,
+    _objective,
     compare,
     comprehension_loglik,
     dataset_loglik,
@@ -337,6 +340,15 @@ def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch):
     assert result.aic == math.inf and result.params is None and not result.converged
 
 
+def test_compare_propagates_a_missing_parameter(monkeypatch):
+    # a missing parameter is a fault of the call: compare must not turn it
+    # into an inf-AIC row, although MissingParameter is a ValueError
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
+    monkeypatch.setattr(fitting, "predict_table", _raise(MissingParameter("xi")))
+    with pytest.raises(MissingParameter, match="xi"):
+        compare([ModelId.BASE_RSA], ds, options=FitOptions(restarts=1, seed=0))
+
+
 def test_compare_requires_models():
     with pytest.raises(ValueError):
         compare([], Dataset(()))
@@ -357,3 +369,110 @@ def test_noise_params_validation():
         NoiseParams(sigma_a=0.0, sigma_ab=0.2, epsilon=0.0)
     with pytest.raises(ValueError):
         NoiseParams(sigma_a=0.2, sigma_ab=0.2, epsilon=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# the simplex search and the lockstep restarts
+# ---------------------------------------------------------------------------
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _walled(x):
+    # inf beyond a wall that the initial simplex already crosses
+    return _rosenbrock(x) if x[0] < 1.35 else math.inf
+
+
+def _terraced(x):
+    # plateaus make contractions fail, so the search shrinks
+    return _rosenbrock(np.round(8.0 * x) / 8.0)
+
+
+X0 = np.array([1.3, 0.7, 0.8, 1.9, 1.2, 0.5, 1.1])
+
+
+def _simplex_search(fn, x0, maxiter, maxfev):
+    """The in-house Nelder-Mead on ``fn``; also returns the size of each request."""
+    search = fitting._nelder_mead(x0, 1e-6, 1e-9, maxiter, maxfev)
+    values, asked = None, []
+    while True:
+        try:
+            points = search.send(values)
+        except StopIteration as done:
+            return done.value, asked
+        asked.append(len(points))
+        values = np.array([fn(x) for x in points])
+
+
+@pytest.mark.parametrize("fn, maxiter, maxfev", [
+    (_rosenbrock, 4200, 4200),
+    (_walled, 4200, 4200),
+    (_terraced, 4200, 4200),
+    (_terraced, 4200, 59),  # ends inside the first shrink
+    (_terraced, 4200, 5),  # ends inside the initial simplex
+    (_rosenbrock, 50, 4200),  # runs out of iterations
+])
+def test_nelder_mead_matches_scipy(fn, maxiter, maxfev):
+    optimize = pytest.importorskip("scipy.optimize")
+    ours, asked = _simplex_search(fn, X0, maxiter, maxfev)
+    ref = optimize.minimize(fn, X0, method="Nelder-Mead", options={
+        "xatol": 1e-6, "fatol": 1e-9, "maxiter": maxiter, "maxfev": maxfev})
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert ours.fun == ref.fun
+    assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, ref.success)
+    assert sum(asked) == ours.nfev
+    if fn is _terraced and maxfev == 4200:
+        assert X0.size in asked[1:]  # the search did shrink
+    if maxfev == 59:
+        assert asked[-2:] == [1, 3] and ours.status == 1
+
+
+def test_objective_scores_a_stack_as_its_points_one_by_one():
+    # lambda decodes to 0 at the second point (its logistic underflows)
+    ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NOISE, SMALL_DESIGN, seed=8)
+    packed = _PackedData.from_dataset(ds)
+    spec = _ParamSpec.build(ModelId.WRSA, False, Constraints())
+    points = spec.initial_points(4, 3)
+    points[1, 0] = -800.0
+    stack = _objective(points, ModelId.WRSA, spec, False, packed)
+    one_by_one = [_objective(t[None], ModelId.WRSA, spec, False, packed)[0] for t in points]
+    assert stack[1] == math.inf and np.isfinite(stack[[0, 2, 3]]).all()
+    assert stack.tobytes() == np.array(one_by_one).tobytes()
+
+
+@pytest.mark.parametrize("model", [ModelId.BASE_RSA, ModelId.SVRSA1])
+def test_lockstep_restarts_match_sequential_scipy_searches(model):
+    # each restart of a fit, run alone through scipy's Nelder-Mead with the
+    # one-point likelihood, finds the same optimum; the fit keeps the best
+    optimize = pytest.importorskip("scipy.optimize")
+    ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NOISE, SMALL_DESIGN, seed=9)
+    options = FitOptions(restarts=3, seed=2)
+    spec = _ParamSpec.build(model, False, Constraints())
+    packed = _PackedData.from_dataset(ds)
+
+    def one_point(t):
+        try:
+            params, noise = fitting._split(spec.decode(t), model, False)
+        except ValueError:
+            return math.inf
+        try:
+            return -fitting._packed_loglik(model, params, noise, packed)
+        except NonfiniteLikelihood:
+            return math.inf
+
+    budget = 600 * len(spec.names)
+    runs = [optimize.minimize(one_point, t0, method="Nelder-Mead", options={
+        "xatol": options.xatol, "fatol": options.fatol, "maxiter": budget, "maxfev": budget})
+        for t0 in spec.initial_points(options.restarts, options.seed)]
+    best = min(runs, key=lambda r: r.fun)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoConvergence)
+        result = fit(model, ds, options=options)
+    assert result.loglik == -best.fun
+    assert result.params.lam == spec.decode(best.x)["lambda"]
+    assert result.noise.epsilon == spec.decode(best.x)["epsilon"]
+    assert result.converged == bool(best.success)

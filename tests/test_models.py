@@ -203,6 +203,24 @@ def test_svrsa_matches_oracle_where_conjunction_weights_underflow(model, params)
         np.testing.assert_allclose(getattr(ours, name), getattr(ref, name), rtol=0, atol=1e-9)
 
 
+def test_softmax_by_columns_matches_log_softmax_over_a_short_last_axis():
+    # the SVRSA speakers take the max and the sum of three or four columns
+    # one at a time; numpy reduces a short last axis in the same order, so
+    # the bits agree, -inf entries included
+    from rsa_exh.engine import log_softmax
+    from rsa_exh.models import _softmax_last
+
+    rng = np.random.default_rng(5)
+    for n in (3, 4):
+        weights = rng.standard_normal((2, 250, n)) * np.exp(rng.uniform(-20, 20, (2, 250, n)))
+        weights[:, ::7, 1] = -np.inf
+        total = weights[..., 0]
+        for j in range(1, n):
+            total = total + weights[..., j]
+        assert total.tobytes() == weights.sum(axis=-1).tobytes()
+        assert _softmax_last(weights).tobytes() == np.exp(log_softmax(weights)).tobytes()
+
+
 def test_svrsa_production_rows_normalized_on_stress_grid():
     lams = (0.2, 1.0, 10.0, 50.0, 200.0, 1e3)
     costs = (0.0, 0.01, 1.0, 4.0, 20.0, 200.0)
@@ -438,6 +456,47 @@ def test_li2_exh_lu_residual_gap_at_fit_bound_rationality():
 # ---------------------------------------------------------------------------
 # dispatch-level contracts
 # ---------------------------------------------------------------------------
+
+
+def _batch_rows():
+    """(lam, delta_ab, delta_anb, xi) rows: draws over the fitting box, then the
+    band around the prior (lam = 100), the mixtures' tie rows (lam = 1e3,
+    where every logistic tail underflows), SVRSA's underflow rows (lam *
+    delta_anb beyond 745) and xi at its ends."""
+    rng = np.random.default_rng(7)
+    rows = [
+        (float(np.exp(rng.uniform(np.log(0.1), np.log(1e3)))),
+         float(rng.choice([0.0, rng.uniform(0, 5), rng.uniform(0, 200)])),
+         float(rng.choice([0.0, rng.uniform(0, 5), rng.uniform(0, 200)])),
+         float(rng.uniform(0, 1)))
+        for _ in range(24)
+    ]
+    return rows + [
+        (100.0, 3.0, 3.1, 0.5), (100.0, 3.1, 3.0, 0.5),
+        (1e3, 2.0, 2.1, 0.5), (1e3, 2.1, 2.0, 0.5),
+        (200.0, 4.0, 4.0, 0.5), (10.0, 0.0, 200.0, 0.5),
+        (3.9, 0.0, 0.37, 0.0), (3.9, 0.0, 0.37, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_predict_table_batched_over_params_matches_single_calls(model):
+    # one call on (K, 1) columns of parameter sets gives, row for row, the
+    # bits of a loop of single calls with float parameters
+    priors = np.concatenate([[0.0, 1e-12, 1e-9], GRID_199, [1 - 1e-9, 1.0]])
+    rows = [(lam, dab, danb, xi if model in XI_MODELS else None)
+            for lam, dab, danb, xi in _batch_rows()]
+    columns = [None if r[0] is None else np.array(r, dtype=float)[:, None]
+               for r in zip(*rows)]
+    batched = predict_table(model, ModelParams(*columns), priors)
+    assert batched.post_a.shape == (len(rows), priors.size)
+    assert batched.prod_wa.shape == (len(rows), priors.size, 3)
+    for k, params in enumerate(rows):
+        single = predict_table(model, ModelParams(*params), priors)
+        for name in ("post_a", "post_ab", "prod_wa", "prod_wab"):
+            one = getattr(single, name)
+            assert getattr(batched, name)[k].shape == one.shape
+            assert getattr(batched, name)[k].tobytes() == one.tobytes(), (name, params)
 
 
 def test_predict_requires_xi_where_applicable():
