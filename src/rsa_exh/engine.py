@@ -158,11 +158,24 @@ def log_literal_listener_table(truth: np.ndarray, world_prior: np.ndarray) -> np
     return np.where(totals > 0, out, NEG_INF)
 
 
-def log_softmax(weights: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Log-softmax with max-subtraction; all-(-inf) slices stay all ``-inf``."""
-    shifted = weights - np.max(weights, axis=axis, keepdims=True)
+def log_softmax(weights: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis with max-subtraction; all-(-inf) slices
+    stay all ``-inf``.
+
+    Every caller's last axis is short (two to six entries), so the max and
+    the sum are taken one column at a time: the same bits as numpy's
+    reductions over that axis, which add in column order too, at a fraction
+    of their cost."""
+    top = weights[..., 0]
+    for j in range(1, weights.shape[-1]):
+        top = np.maximum(top, weights[..., j])
+    shifted = weights - top[..., None]
     shifted = np.where(np.isnan(shifted), NEG_INF, shifted)  # (-inf) - (-inf)
-    norm = _safe_log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    exps = np.exp(shifted)
+    total = exps[..., 0]
+    for j in range(1, exps.shape[-1]):
+        total = total + exps[..., j]
+    norm = _safe_log(total)[..., None]
     return np.where(np.isneginf(norm), NEG_INF, shifted - norm)
 
 
@@ -174,7 +187,7 @@ def log_speaker_table(log_listener: np.ndarray, costs: np.ndarray, lam: float) -
     exp(lam * (log listener posterior - cost)).
     """
     utilities = np.swapaxes(log_listener, -1, -2) - costs
-    return log_softmax(lam * utilities, axis=-1)
+    return log_softmax(lam * utilities)
 
 
 def log_joint_listener_table(
@@ -320,11 +333,11 @@ def iterate(
     if speaker_mode == "joint":
         # normalize over (context, message) pairs for each world
         moved = np.moveaxis(utilities, -3, -2)  # (..., worlds, contexts, messages)
-        flat = log_softmax(moved.reshape(moved.shape[:-2] + (-1,)), axis=-1)
+        flat = log_softmax(moved.reshape(moved.shape[:-2] + (-1,)))
         log_s1 = np.moveaxis(flat.reshape(moved.shape), -2, -3)
         log_s1_marginal = logsumexp(log_s1, axis=-3)
     elif speaker_mode == "per_context":
-        log_s1 = log_softmax(utilities, axis=-1)
+        log_s1 = log_softmax(utilities)
         log_s1_marginal = log_s1[..., 0, :, :] if scenario.n_contexts == 1 else None
     else:
         raise ValueError(f"unknown speaker_mode {speaker_mode!r}")

@@ -15,11 +15,20 @@ call and one batched tobit and production scoring
 (:func:`_packed_logliks`).  Each restart still walks its own simplex, and a
 batched score is bit-identical to a single one, so the optima are those of
 running the restarts one after another.
+
+:func:`compare` fits its models in parallel, one fit per task, in a pool of
+worker processes forked for the call (at most one per model and per usable
+CPU), and collects the results, exceptions and warnings in model order.  It
+fits them in the calling process, in turn, where only one worker is
+possible, where that process is a daemon, or where the platform cannot fork.
+Each fit is the same in either case, so the results are too, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -650,32 +659,92 @@ def compare(
 ) -> list[FitResult]:
     """Fit each model and rank ascending by AIC; failures become inf-AIC rows.
 
-    A missing model parameter is a fault of the call, not of the fit, and
-    propagates as it does from ``fit``."""
+    The models are fitted in parallel, each in a worker process of a pool of
+    ``min(len(models), usable CPUs)`` forked from this one, which is shut
+    down and joined before ``compare`` returns or raises.  It runs the same
+    fits in this process, one after another, where only one worker is
+    possible, where this process is a daemon (which may not have children),
+    or where the platform cannot fork.  Either way the results are the same
+    bit for bit, and so are the warnings, re-issued here in model order.
+
+    A fit that fails with a ``ValueError`` becomes an inf-AIC row with a
+    ``NoConvergence`` warning.  A missing model parameter is a fault of the
+    call, not of the fit, and propagates as it does from ``fit``; so does
+    every other exception, the first in model order.  One raised in a worker
+    arrives with its type and message but without the worker's traceback.
+    """
+    import multiprocessing
+
     models = list(models)
     if not models:
         raise ValueError("need at least one model to compare")
-    results = []
-    for model in models:
+    row = functools.partial(_compare_row, dataset, constraints, options, equal_costs)
+    workers = min(len(models), _usable_cpus())
+    if (workers == 1 or multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return _ranked(models, map(row, models))
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: the workers inherit the loaded modules, which a fresh interpreter
+    # would take 0.5-0.8 s each to import
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return _ranked(models, pool.map(row, models))
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the running fits; joins the workers
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform
+    has one, or else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _compare_row(dataset, constraints, options, equal_costs, model):
+    """One model's outcome in a compare, and the warnings raised on the way.
+
+    The outcome is the model's fit, an inf-AIC row where the fit fails with
+    a ``ValueError`` other than ``MissingParameter``, or else the exception
+    the fit raised.  The warnings are those the filters in force let
+    through, recorded rather than shown, so that ``compare`` can re-issue
+    them, in model order, in the caller's process."""
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            results.append(fit(model, dataset, constraints, options, equal_costs))
-        except MissingParameter:
-            raise
+            outcome = fit(model, dataset, constraints, options, equal_costs)
+        except MissingParameter as exc:
+            outcome = exc
         except ValueError as exc:  # per-model failure: record, keep comparing
             warnings.warn(NoConvergence(f"{model.value}: fit failed: {exc}"))
-            results.append(
-                FitResult(
-                    model=model,
-                    params=None,
-                    noise=None,
-                    loglik=-np.inf,
-                    n_params=0,
-                    aic=np.inf,
-                    converged=False,
-                    n_restarts_used=0,
-                    equal_costs=equal_costs,
-                )
+            outcome = FitResult(
+                model=model,
+                params=None,
+                noise=None,
+                loglik=-np.inf,
+                n_params=0,
+                aic=np.inf,
+                converged=False,
+                n_restarts_used=0,
+                equal_costs=equal_costs,
             )
+        except Exception as exc:  # raised by compare, after the models before it
+            outcome = exc
+    return outcome, [w.message for w in caught]
+
+
+def _ranked(models: list, outcomes) -> list[FitResult]:
+    """The fits of ``models`` from their outcomes (see :func:`_compare_row`),
+    taken in model order: each model's warnings are re-issued, and the first
+    exception is raised.  Ranked by AIC, ties in model order."""
+    results = []
+    for outcome, messages in outcomes:
+        for message in messages:
+            warnings.warn(message)
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
     return sorted(results, key=lambda r: (r.aic, models.index(r.model)))
 
 

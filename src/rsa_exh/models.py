@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .engine import NEG_INF, _safe_log, log_softmax
+from .engine import _safe_log, log_softmax
 from .scenario import ModelParams, everywhere, somewhere
 
 LOG2 = np.log(2.0)
@@ -435,24 +435,6 @@ def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_last(weights: np.ndarray) -> np.ndarray:
-    """``exp(log_softmax(weights))`` over a short last axis, with its max and
-    sum taken one column at a time: the same bits, since numpy reduces a
-    short last axis in column order, at a fraction of the cost of its
-    reductions over one."""
-    top = weights[..., 0]
-    for j in range(1, weights.shape[-1]):
-        top = np.maximum(top, weights[..., j])
-    shifted = weights - top[..., None]
-    shifted = np.where(np.isnan(shifted), NEG_INF, shifted)
-    exps = np.exp(shifted)
-    total = exps[..., 0]
-    for j in range(1, exps.shape[-1]):
-        total = total + exps[..., j]
-    norm = _safe_log(total)[..., None]
-    return np.exp(np.where(np.isneginf(norm), NEG_INF, shifted - norm))
-
-
 def _svrsa_components(params: ModelParams, pc: np.ndarray, qc):
     """Level-1 speakers and the level-2 speakers built on the joint level-1
     listener.
@@ -512,7 +494,7 @@ def _svrsa_components(params: ModelParams, pc: np.ndarray, qc):
              log_wab + log_partial + log_s1_anb,
              log_wa + _pick(np.log(qc), tiny) - np.logaddexp(0.0, x[tiny])], axis=-1))
         log_m[..., 2][tiny] = np.logaddexp(log_joint_anb[:, 0], log_joint_anb[:, 1])
-    s2_part = _softmax_last(np.asarray(lam)[..., None] * (log_m - costs))
+    s2_part = np.exp(log_softmax(np.asarray(lam)[..., None] * (log_m - costs)))
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way.
     y = lam * (_safe_log(a2 / total_a) - _safe_log(n2 / total_anb) + danb)

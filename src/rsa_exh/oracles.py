@@ -63,7 +63,7 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     weighted = np.where(rho[None, :, None, None, None] > 0,
                         rho[None, :, None, None, None] * log_cp, 0.0)
     eu = weighted.sum(axis=1) - costs[None, :, None, None]  # (n, m, k, t)
-    log_s1 = log_softmax(lam * np.moveaxis(eu, 1, -1), axis=-1)  # (n, k, t, m)
+    log_s1 = log_softmax(lam * np.moveaxis(eu, 1, -1))  # (n, k, t, m)
 
     joint_prior = qud_prior[None, :, None] * wp[:, None, :]  # (n, k, w)
     log_weights = _safe_log(joint_prior)[:, None] + np.moveaxis(log_s1, -1, 1)
@@ -72,7 +72,7 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
 
     cell_l1 = np.einsum("nmkw,ktw->nmkt", np.exp(log_l1), cmask)
     u2 = _safe_log(cell_l1) - costs[None, :, None, None]
-    log_s2 = log_softmax(lam * np.moveaxis(u2, 1, -1), axis=-1)  # (n, k, t, m)
+    log_s2 = log_softmax(lam * np.moveaxis(u2, 1, -1))  # (n, k, t, m)
     s2 = np.exp(log_s2)
 
     post_a = np.exp(logsumexp(log_l1[:, _IM_A, :, _IW_AB], axis=-1))

@@ -97,13 +97,21 @@ def truth_value(message: Message, world: World, interpretation: Interpretation) 
 
 
 def everywhere(check) -> bool:
-    """Whether a comparison holds, of floats or at every entry of arrays."""
-    return bool(check.all()) if isinstance(check, np.ndarray) else bool(check)
+    """Whether a comparison holds, of floats or at every entry of arrays.
+
+    Counts the true entries: for the few entries of a parameter column that
+    costs a third of ``check.all()``, whose Python-level wrapper dominates."""
+    if isinstance(check, np.ndarray):
+        return np.count_nonzero(check) == check.size
+    return bool(check)
 
 
 def somewhere(check) -> bool:
-    """Whether a comparison holds, of floats or at some entry of arrays."""
-    return bool(check.any()) if isinstance(check, np.ndarray) else bool(check)
+    """Whether a comparison holds, of floats or at some entry of arrays
+    (counted as in :func:`everywhere`)."""
+    if isinstance(check, np.ndarray):
+        return np.count_nonzero(check) > 0
+    return bool(check)
 
 
 @dataclass(frozen=True)

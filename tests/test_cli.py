@@ -258,3 +258,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # the fits run their own Nelder-Mead; scipy.optimize would load some 250
     # more modules
     assert _loaded_by_cli_import("scipy.optimize") == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # compare imports it when it runs: the other subcommands never need it
+    assert _loaded_by_cli_import("multiprocessing") == "[]"

@@ -1,4 +1,8 @@
+import dataclasses
+import functools
 import math
+import multiprocessing
+import time
 import warnings
 
 import numpy as np
@@ -326,27 +330,141 @@ def test_fit_propagates_errors_raised_while_scoring(monkeypatch, error):
         fit(ModelId.BASE_RSA, ds, options=FitOptions(restarts=1, seed=0))
 
 
-def test_compare_propagates_errors_other_than_value_errors(monkeypatch):
+# A one-model compare runs in the caller's process; two or more models go
+# through the worker pool, which ``pool_of_two`` forces whatever the CPU count.
+one_or_two_models = pytest.mark.parametrize(
+    "models", [[ModelId.BASE_RSA], [ModelId.BASE_RSA, ModelId.WRSA]], ids=["serial", "pooled"])
+
+
+@pytest.fixture
+def pool_of_two(monkeypatch):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("compare runs serially where the platform cannot fork")
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: 2)
+
+
+def _serial_compare(monkeypatch, *args, **kwargs):
+    """``compare`` with its pool sized to one worker: the fits run in turn,
+    in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(fitting, "_usable_cpus", lambda: 1)
+        return compare(*args, **kwargs)
+
+
+def _bits(value):
+    """Every field of ``value``, a fit result or a list of them, with each
+    float as its type and its bytes (results from a worker are unpickled
+    copies, so the objects' identities differ)."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, (float, np.floating)):
+        return type(value).__name__, np.float64(value).tobytes()
+    return value
+
+
+@one_or_two_models
+def test_compare_propagates_errors_other_than_value_errors(monkeypatch, pool_of_two, models):
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
     monkeypatch.setattr(fitting, "predict_table", _raise(TypeError("fault")))
-    with pytest.raises(TypeError):
-        compare([ModelId.BASE_RSA], ds, options=FitOptions(restarts=1, seed=0))
+    with pytest.raises(TypeError, match="fault"):
+        compare(models, ds, options=FitOptions(restarts=1, seed=0))
+    assert multiprocessing.active_children() == []
 
 
-def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch):
+@one_or_two_models
+def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch, pool_of_two, models):
     monkeypatch.setattr(fitting, "fit", _raise(NonfiniteLikelihood("row 's0001'")))
-    with pytest.warns(NoConvergence, match="s0001"):
-        (result,) = compare([ModelId.BASE_RSA], Dataset(()))
-    assert result.aic == math.inf and result.params is None and not result.converged
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = compare(models, Dataset(()))
+    assert [str(w.message) for w in caught] == [
+        f"{m.value}: fit failed: row 's0001'" for m in models]
+    assert all(w.category is NoConvergence for w in caught)
+    assert [r.model for r in results] == models
+    for result in results:
+        assert result.aic == math.inf and result.params is None and not result.converged
 
 
-def test_compare_propagates_a_missing_parameter(monkeypatch):
+@one_or_two_models
+def test_compare_propagates_a_missing_parameter(monkeypatch, pool_of_two, models):
     # a missing parameter is a fault of the call: compare must not turn it
     # into an inf-AIC row, although MissingParameter is a ValueError
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
     monkeypatch.setattr(fitting, "predict_table", _raise(MissingParameter("xi")))
     with pytest.raises(MissingParameter, match="xi"):
-        compare([ModelId.BASE_RSA], ds, options=FitOptions(restarts=1, seed=0))
+        compare(models, ds, options=FitOptions(restarts=1, seed=0))
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_raises_the_first_fault_in_model_order(monkeypatch, pool_of_two):
+    # the later model's fault is found first (its fit fails at once), and
+    # the earlier model's warning comes before the fault, as in a serial loop
+    def faulty(model, *args):
+        if model is ModelId.WRSA:
+            raise TypeError("wrsa fault")
+        warnings.warn(NoConvergence("base warned"))
+        time.sleep(0.5)
+        raise KeyError("base fault")
+
+    monkeypatch.setattr(fitting, "fit", faulty)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(KeyError, match="base fault"):
+            compare([ModelId.BASE_RSA, ModelId.WRSA], Dataset(()))
+    assert [str(w.message) for w in caught] == ["base warned"]
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_compare_is_the_serial_compare_bit_for_bit(monkeypatch, pool_of_two):
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
+    options = FitOptions(restarts=2, seed=0, maxiter=600)
+    with warnings.catch_warnings(record=True) as pooled_warnings:
+        warnings.simplefilter("always")
+        pooled = compare(list(ModelId), ds, options=options)
+    assert multiprocessing.active_children() == []
+    with warnings.catch_warnings(record=True) as serial_warnings:
+        warnings.simplefilter("always")
+        serial = _serial_compare(monkeypatch, list(ModelId), ds, options=options)
+    assert _bits(pooled) == _bits(serial)
+    assert [str(w.message) for w in pooled_warnings] == [str(w.message) for w in serial_warnings]
+
+
+def test_pooled_compare_issues_the_serial_warnings_in_model_order(monkeypatch, pool_of_two):
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
+    starved = FitOptions(restarts=2, seed=0, maxiter=20)
+    models = [ModelId.WRSA, ModelId.BASE_RSA]
+    runs = []
+    for run in (compare, functools.partial(_serial_compare, monkeypatch)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(models, ds, options=starved)
+        runs.append([(w.category, str(w.message)) for w in caught])
+    assert runs[0] == runs[1] == [(NoConvergence, "wrsa: no restart met the tolerances"),
+                                  (NoConvergence, "base: no restart met the tolerances")]
+
+
+def _compare_to_queue(queue, *args, **kwargs):
+    try:
+        queue.put(_bits(compare(*args, **kwargs)))
+    except Exception as exc:  # reported to the test process
+        queue.put(repr(exc))
+
+
+def test_compare_in_a_daemonic_process_runs_serially(monkeypatch, pool_of_two):
+    # a daemon may not start children: its compare fits the models in turn
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
+    models, options = [ModelId.BASE_RSA, ModelId.WRSA], FitOptions(restarts=1, seed=0)
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_compare_to_queue, args=(queue, models, ds),
+                            kwargs={"options": options}, daemon=True)
+    child.start()
+    got = queue.get(timeout=120)
+    child.join(timeout=30)
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == _bits(_serial_compare(monkeypatch, models, ds, options=options))
 
 
 def test_compare_requires_models():

@@ -204,21 +204,27 @@ def test_svrsa_matches_oracle_where_conjunction_weights_underflow(model, params)
 
 
 def test_softmax_by_columns_matches_log_softmax_over_a_short_last_axis():
-    # the SVRSA speakers take the max and the sum of three or four columns
-    # one at a time; numpy reduces a short last axis in the same order, so
-    # the bits agree, -inf entries included
-    from rsa_exh.engine import log_softmax
-    from rsa_exh.models import _softmax_last
+    # log_softmax takes the max and the sum of its two to six columns one at
+    # a time; numpy reduces a short last axis in the same order, so the bits
+    # agree with its reductions, -inf entries and single rows included
+    from rsa_exh.engine import NEG_INF, _safe_log, log_softmax
+
+    def by_reductions(weights):
+        shifted = weights - np.max(weights, axis=-1, keepdims=True)
+        shifted = np.where(np.isnan(shifted), NEG_INF, shifted)
+        norm = _safe_log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return np.where(np.isneginf(norm), NEG_INF, shifted - norm)
 
     rng = np.random.default_rng(5)
-    for n in (3, 4):
-        weights = rng.standard_normal((2, 250, n)) * np.exp(rng.uniform(-20, 20, (2, 250, n)))
-        weights[:, ::7, 1] = -np.inf
-        total = weights[..., 0]
-        for j in range(1, n):
-            total = total + weights[..., j]
-        assert total.tobytes() == weights.sum(axis=-1).tobytes()
-        assert _softmax_last(weights).tobytes() == np.exp(log_softmax(weights)).tobytes()
+    for n in (2, 3, 4, 6):
+        for shape in ((2, 250, n), (n,)):
+            weights = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+            weights.reshape(-1, n)[::7, 1] = -np.inf
+            total = weights[..., 0]
+            for j in range(1, n):
+                total = total + weights[..., j]
+            assert total.tobytes() == weights.sum(axis=-1).tobytes()
+            assert log_softmax(weights).tobytes() == by_reductions(weights).tobytes()
 
 
 def test_svrsa_production_rows_normalized_on_stress_grid():
