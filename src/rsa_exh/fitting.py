@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import traceback
 import warnings
 from dataclasses import dataclass
 
@@ -671,7 +672,7 @@ def compare(
     ``NoConvergence`` warning.  A missing model parameter is a fault of the
     call, not of the fit, and propagates as it does from ``fit``; so does
     every other exception, the first in model order.  One raised in a worker
-    arrives with its type and message but without the worker's traceback.
+    has the worker's traceback chained as its cause.
     """
     import multiprocessing
 
@@ -703,8 +704,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker process,
+    which pickling drops; chained as that exception's cause."""
+
+
 def _compare_row(dataset, constraints, options, equal_costs, model):
-    """One model's outcome in a compare, and the warnings raised on the way.
+    """One model's outcome in a compare, the warnings raised on the way, and
+    the formatted traceback of an exception outcome (else ``None``).
 
     The outcome is the model's fit, an inf-AIC row where the fit fails with
     a ``ValueError`` other than ``MissingParameter``, or else the exception
@@ -731,18 +738,25 @@ def _compare_row(dataset, constraints, options, equal_costs, model):
             )
         except Exception as exc:  # raised by compare, after the models before it
             outcome = exc
-    return outcome, [w.message for w in caught]
+    messages = [w.message for w in caught]
+    if isinstance(outcome, Exception):
+        return outcome, messages, "".join(traceback.format_exception(outcome))
+    return outcome, messages, None
 
 
 def _ranked(models: list, outcomes) -> list[FitResult]:
     """The fits of ``models`` from their outcomes (see :func:`_compare_row`),
     taken in model order: each model's warnings are re-issued, and the first
-    exception is raised.  Ranked by AIC, ties in model order."""
+    exception is raised.  One that has lost its frames on the way back from
+    a worker is raised from its formatted traceback.  Ranked by AIC, ties in
+    model order."""
     results = []
-    for outcome, messages in outcomes:
+    for outcome, messages, trace in outcomes:
         for message in messages:
             warnings.warn(message)
         if isinstance(outcome, Exception):
+            if outcome.__traceback__ is None:
+                raise outcome from _RemoteTraceback(trace)
             raise outcome
         results.append(outcome)
     return sorted(results, key=lambda r: (r.aic, models.index(r.model)))

@@ -57,6 +57,9 @@ P_EPS = 1e-12
 #: Smallest normal float64; sums below it have lost precision or underflowed.
 TINY = np.finfo(float).tiny
 
+#: Prior on the exhaustive interpretation in the supervaluationist variants.
+CHI = 0.5
+
 
 class MissingParameter(ValueError):
     """A model requires a parameter that was not supplied."""
@@ -435,103 +438,78 @@ def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-def _svrsa_components(params: ModelParams, pc: np.ndarray, qc):
-    """Level-1 speakers and the level-2 speakers built on the joint level-1
-    listener.
-
-    The joint listener rows run over the four (world, QUD) cells
-    ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
-    """
-    lam, dab, danb, chi = params.lam, params.delta_ab, params.delta_anb, params.chi
-    costs = np.zeros(np.broadcast_shapes(np.shape(dab), np.shape(danb)) + (3,))
-    costs[..., 1], costs[..., 2] = dab, danb
-
-    # Level-1 speaker under the partial QUD: world-independent, cost-driven.
-    log_s1_part = log_softmax(-np.asarray(lam)[..., None] * costs)
-    s1_part = np.exp(log_s1_part)
-    # Level-1 speaker under the total QUD in w_a: the bare message scores
-    # only through the literal interpretation's share of the cell posterior.
-    x = lam * ((1 - chi) * np.log1p(-pc) + danb)
-    s1_tot_wa_a = expit(x)
-    s1_tot_wa_anb = expit(-x)
-    # In w_ab under the total QUD the bare message is false under the
-    # exhaustive interpretation, hence unusable: the conjunction is certain.
-
-    # The joint listener's weights on the four cells, per message: u s and
-    # v s on the partial-QUD cells, r sigma(+-x) on (w_a, total) and p q on
-    # (w_ab, total), zero where the message is false.  Each total adds them
-    # in cell order, as a sum over the last axis of the four does.
-    u, v, r = (1 - pc) * (1 - qc), pc * (1 - qc), (1 - pc) * qc
-    a0, a1, a2 = u * s1_part[..., 0], v * s1_part[..., 0], r * s1_tot_wa_a
-    b0, b1, b3 = u * s1_part[..., 1], v * s1_part[..., 1], pc * qc
-    n0, n1, n2 = u * s1_part[..., 2], v * s1_part[..., 2], r * s1_tot_wa_anb
-    total_a, total_ab, total_anb = a0 + a1 + a2, b0 + b1 + b3, n0 + n1 + n2
-    # With the priors clamped away from the endpoints the totals of A and
-    # A_AND_B stay positive, so their joint posteriors are plain
-    # normalizations.  Every weight of A_AND_NOT_B carries a factor of about
-    # exp(-lam * delta_anb) or below, and its total underflows once that
-    # exponent passes about 745.  Its first two weights add up to
-    # (1 - qc) * s1_part[2], so a total can fall below TINY only for the
-    # parameter sets where that is below 2 * TINY.  Such rows get placeholder
-    # weights of 1 here, and the terms built on them are redone in log space
-    # below.
-    tiny = None
-    if somewhere((1 - qc) * s1_part[..., 2] < 2 * TINY):
-        tiny = total_anb < TINY
-        n0, n1, n2 = (np.where(tiny, 1.0, w) for w in (n0, n1, n2))
-        total_anb = np.where(tiny, 4.0, total_anb)
-
-    # Level-2 speaker addressing the partial QUD: scored by each message's
-    # joint (cell, QUD) posterior; world-independent.
-    log_m = np.stack([_safe_log(a0 / total_a + a1 / total_a),
-                      _safe_log(b0 / total_ab + b1 / total_ab),
-                      _safe_log(n0 / total_anb + n1 / total_anb)], axis=-1)
-    if tiny is not None:
-        log_wa, log_wab = np.log1p(-_pick(pc, tiny)), np.log(_pick(pc, tiny))
-        log_s1_anb, log_partial = _pick(log_s1_part[..., 2], tiny), _pick(np.log1p(-qc), tiny)
-        log_joint_anb = log_softmax(np.stack(
-            [log_wa + log_partial + log_s1_anb,
-             log_wab + log_partial + log_s1_anb,
-             log_wa + _pick(np.log(qc), tiny) - np.logaddexp(0.0, x[tiny])], axis=-1))
-        log_m[..., 2][tiny] = np.logaddexp(log_joint_anb[:, 0], log_joint_anb[:, 1])
-    s2_part = np.exp(log_softmax(np.asarray(lam)[..., None] * (log_m - costs)))
-    # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
-    # that cell, so the choice is two-way.
-    y = lam * (_safe_log(a2 / total_a) - _safe_log(n2 / total_anb) + danb)
-    if tiny is not None:
-        y[tiny] = _pick(lam, tiny) * (_safe_log(a2[tiny] / total_a[tiny]) - log_joint_anb[:, 2]
-                                      + _pick(danb, tiny))
-    zeros = np.zeros(x.shape)
-    s2_tot_wa = np.stack([expit(y), zeros, expit(-y)], axis=-1)
-    s2_tot_wab = np.stack([zeros, np.ones(x.shape), zeros], axis=-1)
-    return s1_part, s1_tot_wa_a, s2_part, s2_tot_wa, s2_tot_wab
+def _softplus(z):
+    """``log(1 + exp(z))``: ``np.logaddexp(0, z)`` spelled out, which takes
+    half the time."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
+    """Level-1 listener and level-2 speakers over the four (world, QUD) cells
+    ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
+
+    The level-1 speaker under the partial QUD is world-independent and
+    cost-driven: it says message k with probability ``s[k]``.  Under the
+    total QUD it says ``A`` in w_a with probability sigma(x) and
+    ``A_AND_NOT_B`` otherwise; in w_ab the bare message is false under the
+    exhaustive interpretation, hence unusable, and the conjunction is
+    certain.  So the joint listener's total for each message is its partial
+    mass ``(1 - q) s[k]`` plus one total-QUD term: ``T_A = (1 - q) s[0] +
+    (1 - p) q sigma(x)``, ``T_AB = (1 - q) s[1] + p q`` and ``T_AnB = (1 - q)
+    s[2] + (1 - p) q sigma(-x)``.  Each is formed once and shared by
+    comprehension and production.
+    """
     # The QUD prior gets the same interior clamp as the world prior; the
     # endpoint values q in {0, 1} are thereby the continuity limits.
-    qc = np.clip(params.require_xi(), P_EPS, 1.0 - P_EPS)
-    pc = _clip_prior(p)
-    s1_part, s1_tot_wa_a, s2_part, s2_tot_wa, s2_tot_wab = _svrsa_components(
-        params, pc, qc
-    )
+    # The QUD prior gets the world prior's interior clamp; the endpoint values
+    # q in {0, 1} are thereby the continuity limits.
+    qc, pc = _clip_prior(params.require_xi()), _clip_prior(p)
+    lam, danb = params.lam, params.delta_anb
+    costs = np.zeros(np.broadcast_shapes(np.shape(params.delta_ab), np.shape(danb)) + (3,))
+    costs[..., 1], costs[..., 2] = params.delta_ab, danb
+    log_s = log_softmax(-np.asarray(lam)[..., None] * costs)
+    s = np.exp(log_s)
+    log_wa = np.log1p(-pc)
+    x = lam * ((1 - CHI) * log_wa + danb)
 
-    # Comprehension marginals.  The multiplication order p * fraction keeps
-    # post_a <= p exactly in floating point (the fraction never exceeds 1).
-    denom_a = (1 - qc) * s1_part[..., 0] + (1 - pc) * qc * s1_tot_wa_a
-    post_a = pc * ((1 - qc) * s1_part[..., 0] / denom_a)
-    # At high rationality the product can round to 1 + 2^-52 (exact: <= 1).
-    # A complement form would lose post_ab's relative accuracy at small p.
-    denom_ab = (1 - qc) * s1_part[..., 1] + pc * qc
-    post_ab = np.minimum(pc * (((1 - qc) * s1_part[..., 1] + qc) / denom_ab), 1.0)
+    # The totals of A and A_AND_B are at least (1 - q) / 3 and p q, so they
+    # neither underflow nor lose precision.  The multiplication order
+    # p * fraction keeps post_a <= p exactly in floating point (the fraction
+    # never exceeds 1).  At high rationality post_ab can round to 1 + 2^-52
+    # (exact: <= 1); a complement form would lose its relative accuracy at
+    # small p.
+    total_a = (1 - qc) * s[..., 0] + (1 - pc) * qc * expit(x)
+    total_ab = (1 - qc) * s[..., 1] + pc * qc
+    post_a = pc * ((1 - qc) * s[..., 0] / total_a)
+    post_ab = np.minimum(pc * (((1 - qc) * s[..., 1] + qc) / total_ab), 1.0)
 
-    if variant == 1:
-        q = np.asarray(qc)[..., None]  # against the message axis
-        prod_wa = (1 - q) * s2_part + q * s2_tot_wa
-        prod_wab = (1 - q) * s2_part + q * s2_tot_wab
-    else:
-        prod_wa, prod_wab = s2_tot_wa, s2_tot_wab
-    return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
+    # Every term of A_AND_NOT_B carries a factor of about exp(-lam delta_anb)
+    # or below, and its total underflows once that exponent passes about
+    # 745; so it enters through the log-ratio d of its partial mass to its
+    # total-QUD mass (1 - p) q sigma(-x).
+    log_part, log_wa_total, log_total_a = np.log1p(-qc), log_wa + np.log(qc), np.log(total_a)
+    d = (log_part + log_s[..., 2]) - (log_wa_total - _softplus(x))
+    # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
+    # that cell, so the choice is two-way, scored by the log posteriors
+    # log((1 - p) q sigma(x) / T_A) and -softplus(d) of that cell.
+    y = lam * (danb + ((log_wa_total - _softplus(-x)) - log_total_a) + _softplus(d))
+    # In w_ab the total-QUD speaker says the conjunction.
+    prod_wa, prod_wab = np.zeros((2,) + y.shape + (3,))
+    prod_wa[..., 0], prod_wa[..., 2], prod_wab[..., 1] = expit(y), expit(-y), 1.0
+    if variant == 2:
+        return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
+
+    # Level-2 speaker addressing the partial QUD: world-independent, scored
+    # by each message's log joint posterior on the partial-QUD cell, all
+    # finite: the softmax of u below, weighted 1 - q in the mixture.
+    u = (lam * ((log_part + log_s[..., 0]) - log_total_a),
+         lam * ((log_part + log_s[..., 1] - params.delta_ab) - np.log(total_ab)),
+         -lam * (_softplus(-d) + danb))
+    top = np.maximum(np.maximum(u[0], u[1]), u[2])
+    e = [np.exp(u_k - top) for u_k in u]
+    part = np.stack(e, axis=-1) * ((1 - qc) / (e[0] + e[1] + e[2]))[..., None]
+    q = np.asarray(qc)[..., None]  # against the message axis
+    return PredictionTable(p, post_a, post_ab, part + q * prod_wa, part + q * prod_wab)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .engine import GenericScenario, _safe_log, iterate, log_softmax
-from .models import FIXED_RHO, ModelId, ModelParams, P_EPS, PredictionTable
+from .models import CHI, FIXED_RHO, ModelId, ModelParams, P_EPS, PredictionTable
 from .scenario import INTERPRETATIONS, MESSAGES, WORLDS, Interpretation, truth_value
 
 _IW_A, _IW_AB = 0, 1
@@ -44,12 +44,11 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     are joint over (world, QUD); level-2 speakers communicate (cell, QUD).
     """
     qc = float(np.clip(params.require_xi(), P_EPS, 1 - P_EPS))
-    chi = params.chi
     pc = np.clip(p, P_EPS, 1 - P_EPS)
     truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])
     costs, lam = _costs(params), params.lam
     wp = np.stack([1.0 - pc, pc], axis=-1)  # (n, worlds)
-    rho = np.array([1.0 - chi, chi])
+    rho = np.array([1.0 - CHI, CHI])
     qud_prior = np.array([1.0 - qc, qc])
     # cell membership (qud, target world, member world): the partial QUD has
     # one two-world cell; the total QUD separates the worlds

@@ -137,16 +137,12 @@ class ModelParams:
         Extra prior in [0, 1] used by some models: the wonkiness prior of the
         wonky-prior variants, or the total-QUD prior of the supervaluationist
         variants.  ``None`` for models without it.
-    chi : float
-        Prior on the exhaustive interpretation (supervaluationist variants
-        only); fixed at 0.5.
     """
 
     lam: float | np.ndarray
     delta_ab: float | np.ndarray = 0.0
     delta_anb: float | np.ndarray = 0.0
     xi: float | np.ndarray | None = None
-    chi: float = 0.5
 
     def __post_init__(self) -> None:
         if not everywhere(self.lam > 0):
@@ -155,8 +151,6 @@ class ModelParams:
             raise ValueError("costs must be nonnegative")
         if self.xi is not None and not everywhere((0.0 <= self.xi) & (self.xi <= 1.0)):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
-        if not (0.0 <= self.chi <= 1.0):
-            raise ValueError(f"chi must be in [0, 1], got {self.chi}")
 
     def require_xi(self) -> float | np.ndarray:
         from .models import MissingParameter  # local import to avoid a cycle

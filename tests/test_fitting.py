@@ -3,6 +3,7 @@ import functools
 import math
 import multiprocessing
 import time
+import traceback
 import warnings
 
 import numpy as np
@@ -371,6 +372,20 @@ def test_compare_propagates_errors_other_than_value_errors(monkeypatch, pool_of_
     with pytest.raises(TypeError, match="fault"):
         compare(models, ds, options=FitOptions(restarts=1, seed=0))
     assert multiprocessing.active_children() == []
+
+
+@one_or_two_models
+def test_compare_keeps_the_traceback_of_a_fault(monkeypatch, pool_of_two, models):
+    # pickling drops the frames of an exception raised in a worker; compare
+    # chains the worker's formatted traceback as its cause
+    def faulty_predict_table(*args, **kwargs):
+        raise TypeError("fault")
+
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
+    monkeypatch.setattr(fitting, "predict_table", faulty_predict_table)
+    with pytest.raises(TypeError, match="fault") as raised:
+        compare(models, ds, options=FitOptions(restarts=1, seed=0))
+    assert "faulty_predict_table" in "".join(traceback.format_exception(raised.value))
 
 
 @one_or_two_models

@@ -196,11 +196,60 @@ def test_svrsa_zero_total_qud_prior_gives_uninformative_bare_message():
 )
 def test_svrsa_matches_oracle_where_conjunction_weights_underflow(model, params):
     # lam * delta_anb is beyond ~745: every level-1 weight of A_AND_NOT_B
-    # underflows, and its joint posterior needs log space
+    # underflows, and so would that message's linear total; the closed form
+    # scores it through logs only
     ours = predict_table(model, params, GRID)
     ref = oracle_predict_table(model, params, GRID)
     for name in ("post_a", "post_ab", "prod_wa", "prod_wab"):
         np.testing.assert_allclose(getattr(ours, name), getattr(ref, name), rtol=0, atol=1e-9)
+
+
+def _svrsa_rows(mp, lam, dab, danb, xi, p, variant):
+    """SVRSA production rows in mpmath, from the model's definition: the
+    joint listener over the four (world, QUD) cells, level-2 speakers scored
+    by log cell posteriors, and the (w_a, total) score from
+    log(a2 / T_A) - log(n2 / T_AnB)."""
+    lam, dab, danb, q, p = (mp.mpf(v) for v in (lam, dab, danb, xi, p))
+    costs = (mp.mpf(0), dab, danb)
+    weights = [mp.exp(-lam * c) for c in costs]
+    s = [w / mp.fsum(weights) for w in weights]
+    x = lam * (mp.log(1 - p) / 2 + danb)  # exhaustive interpretation prior 1/2
+    partial = [(1 - q) * sk for sk in s]
+    total_wa = [(1 - p) * q / (1 + mp.exp(-x)), 0, (1 - p) * q / (1 + mp.exp(x))]
+    totals = [partial[0] + total_wa[0], partial[1] + p * q, partial[2] + total_wa[2]]
+    utils = [lam * (mp.log(partial[k] / totals[k]) - costs[k]) for k in range(3)]
+    top = max(utils)
+    exps = [mp.exp(u - top) for u in utils]
+    s2_part = [e / mp.fsum(exps) for e in exps]
+    y = lam * (mp.log(total_wa[0] / totals[0]) - mp.log(total_wa[2] / totals[2]) + danb)
+    s2_wa, s2_wab = [1 / (1 + mp.exp(-y)), 0, 1 / (1 + mp.exp(y))], [0, 1, 0]
+    if variant == 2:
+        return s2_wa, s2_wab
+    return ([(1 - q) * a + q * b for a, b in zip(s2_part, s2_wa)],
+            [(1 - q) * a + q * b for a, b in zip(s2_part, s2_wab)])
+
+
+def test_svrsa_production_rows_relative_accuracy():
+    # every entry above 1e-300 within 1e-11 of a 60-digit evaluation; the
+    # (w_a, total) score multiplies the rounding of its log terms by lam, so
+    # a grouping through a large intermediate (log T_AnB ~ -2855 at lam = 1e3)
+    # shows up here as errors of order 1e-10
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 60
+    priors = np.array([1e-9, 0.1, 0.5, 0.9, 1 - 1e-9])
+    worst = 0.0
+    for variant, model in ((1, ModelId.SVRSA1), (2, ModelId.SVRSA2)):
+        for lam, dab, danb, xi in itertools.product(
+                (10.0, 200.0, 1e3), (0.0, 1.0, 4.0), (0.0, 1.0, 4.0), (0.1, 0.5)):
+            table = predict_table(model, ModelParams(lam, dab, danb, xi), priors)
+            for i, p in enumerate(priors):
+                exact = _svrsa_rows(mp, lam, dab, danb, xi, p, variant)
+                for ours, ref in zip((table.prod_wa[i], table.prod_wab[i]), exact):
+                    for value, e in zip(ours, ref):
+                        if e >= 1e-300:
+                            worst = max(worst, float(abs(mp.mpf(value) - e) / e))
+    assert worst <= 1e-11
 
 
 def test_softmax_by_columns_matches_log_softmax_over_a_short_last_axis():

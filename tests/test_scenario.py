@@ -55,7 +55,6 @@ def test_canonical_orderings():
         {"lam": -1.0},
         {"lam": 1.0, "delta_ab": -0.1},
         {"lam": 1.0, "xi": 1.5},
-        {"lam": 1.0, "chi": -0.2},
     ],
 )
 def test_model_params_validation(kwargs):
