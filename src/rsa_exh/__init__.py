@@ -46,7 +46,6 @@ from .engine import (
     utility,
 )
 from .fitting import (
-    Constraints,
     FitOptions,
     FitResult,
     NoiseParams,

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .models import LOG2, ModelId, ModelParams, P_EPS, predict_table
+from .models import LOG2, ModelId, ModelParams, PredictionTable, _clip_prior, predict_table
 
 #: Bisection tolerance on region endpoints.
 ENDPOINT_TOL = 1e-6
@@ -98,16 +98,14 @@ def bwrsa_antiexh_threshold(params: ModelParams) -> float:
     return f(dab) / (f(dab) - f(dab - LOG2) + f(danb - LOG2))
 
 
-def _predicate_values(
-    model: ModelId, params: ModelParams, predicate: Predicate, p: np.ndarray
-) -> np.ndarray:
-    """Evaluate the predicate at each prior.
+def _predicate_values(table: PredictionTable, predicate: Predicate) -> np.ndarray:
+    """Evaluate the predicate at each prior of ``table``.
 
-    Both the predictions and the comparand use the models' interior clamp, so
-    the exact endpoints p in {0, 1} are judged by their continuity limits
-    rather than by the degenerate prior itself.
+    The table is taken at priors under the models' interior clamp, which
+    are also the comparand, so the exact endpoints p in {0, 1} are judged by
+    their continuity limits rather than by the degenerate prior itself.
 
-    The listener comparison ``post_a > pc`` is exact for the variants that
+    The listener comparison ``post_a > p`` is exact for the variants that
     update the measured prior by Bayes' rule (baseline, Bayesian wonky,
     lexical uncertainty, lexical intentions): their posterior after ``A`` is
     order-exact against the clamped prior, i.e. above, on or below it
@@ -116,10 +114,8 @@ def _predicate_values(
     mixtures).  It is never rounded onto the prior when the exact posterior
     differs from it, so scans find no spurious sign changes.
     """
-    pc = np.clip(p, P_EPS, 1.0 - P_EPS)
-    table = predict_table(model, params, pc)
     if predicate is Predicate.LISTENER_ANTI_EXH:
-        return table.post_a > pc
+        return table.post_a > table.p
     if predicate is Predicate.SPEAKER_ANTI_EXH:
         return table.prod_wab[:, 0] > table.prod_wab[:, 1]
     return table.prod_wa[:, 2] > table.prod_wa[:, 0]
@@ -141,12 +137,13 @@ def scan_regions(
         raise ValueError("grid_step must be in (0, 0.01]")
     n = int(round(1.0 / grid_step))
     grid = np.linspace(0.0, 1.0, n + 1)
-    values = _predicate_values(model, params, predicate, grid)
+    values = _predicate_values(predict_table(model, params, _clip_prior(grid)), predicate)
 
     def refine(lo: float, hi: float, lo_value: bool) -> float:
         while hi - lo > ENDPOINT_TOL:
             mid = 0.5 * (lo + hi)
-            if bool(_predicate_values(model, params, predicate, np.array([mid]))[0]) == lo_value:
+            table = predict_table(model, params, _clip_prior(mid))
+            if bool(_predicate_values(table, predicate)[0]) == lo_value:
                 lo = mid
             else:
                 hi = mid
@@ -174,9 +171,8 @@ def sweep(model: ModelId, params: ModelParams, grid) -> list[dict]:
     if p.size == 0:
         raise ValueError("grid must be nonempty")
     table = predict_table(model, params, p)
-    flags = {
-        pred: _predicate_values(model, params, pred, p) for pred in Predicate
-    }
+    clamped = predict_table(model, params, _clip_prior(p))
+    flags = {pred: _predicate_values(clamped, pred) for pred in Predicate}
     rows = []
     for i, pi in enumerate(p):
         row = {

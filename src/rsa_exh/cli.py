@@ -295,10 +295,17 @@ def _simulate_svrsa_rows(model, params, p, depth, parser) -> list[dict]:
     return rows
 
 
+def _fit_options(args, parser) -> FitOptions:
+    try:
+        return FitOptions(restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _cmd_fit(args, parser) -> str:
-    model = ModelId.from_name(args.model)
+    model = _model(args, parser)
+    options = _fit_options(args, parser)
     dataset = _load_dataset(args)
-    options = FitOptions(restarts=args.restarts, seed=args.seed)
     result = fit(model, dataset, options=options, equal_costs=args.equal_costs)
     if result.at_bounds:
         print(f"note: {model.value} fit at bound for: "
@@ -307,12 +314,13 @@ def _cmd_fit(args, parser) -> str:
 
 
 def _cmd_compare(args, parser) -> str:
-    if args.models.strip() == "all":
-        models = list(ModelId)
-    else:
-        models = [ModelId.from_name(name.strip()) for name in args.models.split(",")]
+    try:
+        models = (list(ModelId) if args.models.strip() == "all" else
+                  [ModelId.from_name(name.strip()) for name in args.models.split(",")])
+    except ValueError as exc:
+        parser.error(str(exc))
+    options = _fit_options(args, parser)
     dataset = _load_dataset(args)
-    options = FitOptions(restarts=args.restarts, seed=args.seed)
     results = compare(models, dataset, options=options, equal_costs=args.equal_costs)
     return _write_rows([fit_result_row(r) for r in results], FIT_COLUMNS, args.format)
 

@@ -66,29 +66,35 @@ class NoiseParams:
             raise ValueError("production error rate must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Constraints:
-    """Box bounds of the search space."""
+#: Upper bounds of the search box; every lower bound is 0.
+LAM_MAX = 1000.0
+DELTA_MAX = 200.0
+SIGMA_MAX = 5.0
 
-    lam_max: float = 1000.0
-    delta_max: float = 200.0
-    sigma_max: float = 5.0
+#: Simplex convergence tolerances: on the spread of the vertices in the
+#: unconstrained coordinates, and on the spread of their objective values.
+XATOL = 1e-6
+FATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Restart count, RNG seed, and simplex convergence tolerances.
+    """Restart count, RNG seed and evaluation budget of a fit.
 
     All ``restarts`` run together, in lockstep (see the module docstring);
     ``maxiter`` (default 600 per free parameter) caps both the iterations and
-    the objective evaluations of each restart.
+    the objective evaluations of each restart.  Both must be at least 1.
     """
 
     restarts: int = 32
     seed: int = 0
     maxiter: int | None = None
-    xatol: float = 1e-6
-    fatol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
+        if self.maxiter is not None and self.maxiter < 1:
+            raise ValueError("maxiter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,6 @@ class FitResult:
     n_params: int
     aic: float
     converged: bool
-    n_restarts_used: int
     at_bounds: tuple[str, ...] = ()
     equal_costs: bool = False
 
@@ -320,8 +325,26 @@ def dataset_loglik(
 # ---------------------------------------------------------------------------
 
 
+#: The search space: name -> (upper bound, start range low, high, whether the
+#: starts are spaced logarithmically).  "delta" is the one cost of a fit with
+#: equal costs.
+_PARAMS = {
+    "lambda": (LAM_MAX, 0.2, 30.0, True),
+    "delta": (DELTA_MAX, 0.01, 5.0, True),
+    "delta_ab": (DELTA_MAX, 0.01, 5.0, True),
+    "delta_anb": (DELTA_MAX, 0.01, 5.0, True),
+    "xi": (1.0, 0.05, 0.95, False),
+    "sigma_a": (SIGMA_MAX, 0.05, 1.0, False),
+    "sigma_ab": (SIGMA_MAX, 0.05, 1.0, False),
+    "epsilon": (1.0, 0.002, 0.2, True),
+}
+
+
 @dataclass(frozen=True)
 class _ParamSpec:
+    """The free parameters of one fit, in order, with their rows of
+    ``_PARAMS``; the only code that knows the parameter layout."""
+
     names: tuple[str, ...]
     highs: np.ndarray
     init_lo: np.ndarray  # initialization ranges, in parameter space
@@ -329,36 +352,12 @@ class _ParamSpec:
     log_init: np.ndarray  # bool: space the initial grid logarithmically
 
     @classmethod
-    def build(cls, model: ModelId, equal_costs: bool, constraints: Constraints):
-        names: list[str] = ["lambda"]
-        highs, lo, hi, log = [constraints.lam_max], [0.2], [30.0], [True]
-        cost_names = ["delta"] if equal_costs else ["delta_ab", "delta_anb"]
-        for name in cost_names:
-            names.append(name)
-            highs.append(constraints.delta_max)
-            lo.append(0.01)
-            hi.append(5.0)
-            log.append(True)
-        if model in XI_MODELS:
-            names.append("xi")
-            highs.append(1.0)
-            lo.append(0.05)
-            hi.append(0.95)
-            log.append(False)
-        for name in ("sigma_a", "sigma_ab"):
-            names.append(name)
-            highs.append(constraints.sigma_max)
-            lo.append(0.05)
-            hi.append(1.0)
-            log.append(False)
-        names.append("epsilon")
-        highs.append(1.0)
-        lo.append(0.002)
-        hi.append(0.2)
-        log.append(True)
-        return cls(
-            tuple(names), np.array(highs), np.array(lo), np.array(hi), np.array(log)
-        )
+    def build(cls, model: ModelId, equal_costs: bool) -> "_ParamSpec":
+        costs = ("delta",) if equal_costs else ("delta_ab", "delta_anb")
+        extra = ("xi",) if model in XI_MODELS else ()
+        names = ("lambda", *costs, *extra, "sigma_a", "sigma_ab", "epsilon")
+        highs, lo, hi, log = map(np.array, zip(*(_PARAMS[name] for name in names)))
+        return cls(names, highs, lo, hi, log)
 
     def decode(self, t: np.ndarray) -> dict:
         """Parameter values at a point ``t``, or (K, 1) columns of them at
@@ -369,8 +368,29 @@ class _ParamSpec:
         return dict(zip(self.names, values))
 
     def encode(self, values: np.ndarray) -> np.ndarray:
+        """The points of parameter values, element by element: the inverse
+        of :meth:`decode` inside the box."""
         ratio = np.clip(values / self.highs, 1e-12, 1 - 1e-12)
         return logit(ratio)
+
+    def split(self, t: np.ndarray) -> tuple[ModelParams, NoiseParams]:
+        """Model and noise parameters at a point ``t`` (floats) or at each
+        row of a (K, d) stack of points ((K, 1) columns); raises ValueError
+        where an entry is out of range."""
+        values = self.decode(t)
+        if "delta" in values:
+            values["delta_ab"] = values["delta_anb"] = values["delta"]
+        params = ModelParams(lam=values["lambda"], delta_ab=values["delta_ab"],
+                             delta_anb=values["delta_anb"], xi=values.get("xi"))
+        return params, NoiseParams(values["sigma_a"], values["sigma_ab"], values["epsilon"])
+
+    def at_upper_bound(self, t: np.ndarray) -> tuple[str, ...]:
+        """The rationality and cost parameters within 0.1% of their upper
+        bound at a point ``t``."""
+        values = self.decode(t)
+        return tuple(name for name, high in zip(self.names, self.highs)
+                     if name in ("lambda", "delta", "delta_ab", "delta_anb")
+                     and values[name] >= 0.999 * high)
 
     def initial_points(self, n: int, seed: int) -> np.ndarray:
         cube = _latin_hypercube(n, len(self.names), seed)
@@ -378,9 +398,7 @@ class _ParamSpec:
         span_log = np.exp(
             np.log(self.init_lo) + cube * (np.log(self.init_hi) - np.log(self.init_lo))
         )
-        return np.apply_along_axis(
-            self.encode, 1, np.where(self.log_init, span_log, span_lin)
-        )
+        return self.encode(np.where(self.log_init, span_log, span_lin))
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -397,24 +415,7 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - samples) / n
 
 
-def _split(values: dict, model: ModelId, equal_costs: bool):
-    """Model and noise parameters from decoded values (floats or columns);
-    raises ValueError where an entry is out of range."""
-    if equal_costs:
-        dab = danb = values["delta"]
-    else:
-        dab, danb = values["delta_ab"], values["delta_anb"]
-    params = ModelParams(
-        lam=values["lambda"],
-        delta_ab=dab,
-        delta_anb=danb,
-        xi=values.get("xi"),
-    )
-    noise = NoiseParams(values["sigma_a"], values["sigma_ab"], values["epsilon"])
-    return params, noise
-
-
-def _objective(points: np.ndarray, model: ModelId, spec: _ParamSpec, equal_costs: bool,
+def _objective(points: np.ndarray, model: ModelId, spec: _ParamSpec,
                packed: _PackedData) -> np.ndarray:
     """Negated log-likelihoods at a (K, d) stack of unconstrained points, all
     scored in one batched call: inf where lambda or a noise scale decodes to
@@ -422,21 +423,20 @@ def _objective(points: np.ndarray, model: ModelId, spec: _ParamSpec, equal_costs
     with float parameters, which gives the same bits as a batch of one at
     less cost."""
     one = len(points) == 1
-    values = spec.decode(points[0] if one else points)
     try:
-        params, noise = _split(values, model, equal_costs)
+        params, noise = spec.split(points[0] if one else points)
     except ValueError:  # lambda or a noise scale decoded to 0 somewhere
         scores = np.full(len(points), np.inf)
-        ok = np.array([not one and _valid(spec.decode(t), model, equal_costs) for t in points])
+        ok = np.array([not one and _valid(spec, t) for t in points])
         if ok.any():
-            scores[ok] = _objective(points[ok], model, spec, equal_costs, packed)
+            scores[ok] = _objective(points[ok], model, spec, packed)
         return scores
     return -_packed_logliks(model, params, noise, packed)[0]
 
 
-def _valid(values: dict, model: ModelId, equal_costs: bool) -> bool:
+def _valid(spec: _ParamSpec, t: np.ndarray) -> bool:
     try:
-        _split(values, model, equal_costs)
+        spec.split(t)
     except ValueError:
         return False
     return True
@@ -588,53 +588,40 @@ def _lockstep(objective, starts, xatol: float, fatol: float, budget: int) -> lis
 def fit(
     model: ModelId,
     dataset: Dataset,
-    constraints: Constraints | None = None,
     options: FitOptions | None = None,
     equal_costs: bool = False,
 ) -> FitResult:
     """Maximize the joint likelihood by multi-start Nelder-Mead.
 
     Starts are a Latin-hypercube over sensible parameter ranges, mapped to an
-    unconstrained space by scaled-logit transforms; the best restart wins.
+    unconstrained space by scaled-logit transforms onto the box below
+    ``LAM_MAX``, ``DELTA_MAX``, ``SIGMA_MAX`` and 1 (xi and epsilon); the
+    best restart wins, the first of equals.  ``options`` sets the restart
+    count, the seed of the starts and the evaluation budget of a restart.
     The restarts run in lockstep: each step scores the points that all
     unfinished restarts ask for with one batched likelihood call, and each
-    restart walks its own simplex, so the result is that of running them one
-    by one.  Results whose rationality or costs land on the box bound are
-    flagged in ``at_bounds``.  Free-parameter count: model parameters
-    (rationality, one or two costs, the extra prior where the model has one)
-    plus the three noise parameters.
+    restart walks its own simplex down to the tolerances ``XATOL`` and
+    ``FATOL``, so the result is that of running them one by one.  Results
+    whose rationality or costs land on the box bound are flagged in
+    ``at_bounds``.  Free-parameter count: model parameters (rationality, one
+    or two costs, the extra prior where the model has one) plus the three
+    noise parameters.
     """
-    constraints = constraints or Constraints()
     options = options or FitOptions()
-    spec = _ParamSpec.build(model, equal_costs, constraints)
+    spec = _ParamSpec.build(model, equal_costs)
     packed = _PackedData.from_dataset(dataset)
     budget = options.maxiter or 600 * len(spec.names)
     results = _lockstep(
-        lambda points: _objective(points, model, spec, equal_costs, packed),
+        lambda points: _objective(points, model, spec, packed),
         spec.initial_points(options.restarts, options.seed),
-        options.xatol, options.fatol, budget,
+        XATOL, FATOL, budget,
     )
-
-    best = None
-    any_success = False
-    for res in results:
-        any_success = any_success or res.success
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
-
-    if not any_success:
+    best = min(results, key=lambda res: res.fun)
+    if not any(res.success for res in results):
         warnings.warn(
             NoConvergence(f"{model.value}: no restart met the tolerances")
         )
-    values = spec.decode(best.x)
-    params, noise = _split(values, model, equal_costs)
-    at_bounds = tuple(
-        name
-        for name, high in zip(spec.names, spec.highs)
-        if name in ("lambda", "delta", "delta_ab", "delta_anb")
-        and values[name] >= 0.999 * high
-    )
+    params, noise = spec.split(best.x)
     loglik = -float(best.fun)
     k = len(spec.names)
     return FitResult(
@@ -645,8 +632,7 @@ def fit(
         n_params=k,
         aic=2.0 * k - 2.0 * loglik,
         converged=bool(best.success and np.isfinite(loglik)),
-        n_restarts_used=options.restarts,
-        at_bounds=at_bounds,
+        at_bounds=spec.at_upper_bound(best.x),
         equal_costs=equal_costs,
     )
 
@@ -654,15 +640,15 @@ def fit(
 def compare(
     models,
     dataset: Dataset,
-    constraints: Constraints | None = None,
     options: FitOptions | None = None,
     equal_costs: bool = False,
 ) -> list[FitResult]:
     """Fit each model and rank ascending by AIC; failures become inf-AIC rows.
 
-    The models are fitted in parallel, each in a worker process of a pool of
-    ``min(len(models), usable CPUs)`` forked from this one, which is shut
-    down and joined before ``compare`` returns or raises.  It runs the same
+    Each model is fitted by :func:`fit` with the same ``options`` and
+    ``equal_costs``.  The models are fitted in parallel, each in a worker
+    process of a pool of ``min(len(models), usable CPUs)`` forked from this
+    one, which is shut down and joined before ``compare`` returns or raises.  It runs the same
     fits in this process, one after another, where only one worker is
     possible, where this process is a daemon (which may not have children),
     or where the platform cannot fork.  Either way the results are the same
@@ -679,7 +665,7 @@ def compare(
     models = list(models)
     if not models:
         raise ValueError("need at least one model to compare")
-    row = functools.partial(_compare_row, dataset, constraints, options, equal_costs)
+    row = functools.partial(_compare_row, dataset, options, equal_costs)
     workers = min(len(models), _usable_cpus())
     if (workers == 1 or multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
@@ -709,7 +695,7 @@ class _RemoteTraceback(Exception):
     which pickling drops; chained as that exception's cause."""
 
 
-def _compare_row(dataset, constraints, options, equal_costs, model):
+def _compare_row(dataset, options, equal_costs, model):
     """One model's outcome in a compare, the warnings raised on the way, and
     the formatted traceback of an exception outcome (else ``None``).
 
@@ -720,7 +706,7 @@ def _compare_row(dataset, constraints, options, equal_costs, model):
     them, in model order, in the caller's process."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = fit(model, dataset, constraints, options, equal_costs)
+            outcome = fit(model, dataset, options, equal_costs)
         except MissingParameter as exc:
             outcome = exc
         except ValueError as exc:  # per-model failure: record, keep comparing
@@ -733,7 +719,6 @@ def _compare_row(dataset, constraints, options, equal_costs, model):
                 n_params=0,
                 aic=np.inf,
                 converged=False,
-                n_restarts_used=0,
                 equal_costs=equal_costs,
             )
         except Exception as exc:  # raised by compare, after the models before it

@@ -459,8 +459,6 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     s[2] + (1 - p) q sigma(-x)``.  Each is formed once and shared by
     comprehension and production.
     """
-    # The QUD prior gets the same interior clamp as the world prior; the
-    # endpoint values q in {0, 1} are thereby the continuity limits.
     # The QUD prior gets the world prior's interior clamp; the endpoint values
     # q in {0, 1} are thereby the continuity limits.
     qc, pc = _clip_prior(params.require_xi()), _clip_prior(p)

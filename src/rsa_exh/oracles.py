@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .engine import GenericScenario, _safe_log, iterate, log_softmax
-from .models import CHI, FIXED_RHO, ModelId, ModelParams, P_EPS, PredictionTable
+from .models import CHI, FIXED_RHO, ModelId, ModelParams, PredictionTable, _clip_prior
 from .scenario import INTERPRETATIONS, MESSAGES, WORLDS, Interpretation, truth_value
 
 _IW_A, _IW_AB = 0, 1
@@ -43,8 +43,7 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     :func:`rsa_exh.engine.expected_utility_over_interpretations`); listeners
     are joint over (world, QUD); level-2 speakers communicate (cell, QUD).
     """
-    qc = float(np.clip(params.require_xi(), P_EPS, 1 - P_EPS))
-    pc = np.clip(p, P_EPS, 1 - P_EPS)
+    qc, pc = float(_clip_prior(params.require_xi())), _clip_prior(p)
     truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])
     costs, lam = _costs(params), params.lam
     wp = np.stack([1.0 - pc, pc], axis=-1)  # (n, worlds)
@@ -93,7 +92,7 @@ def canonical_scenario(model: ModelId, params: ModelParams, p):
     QUD through every level and do not reduce to ``iterate``; use
     :func:`svrsa_oracle` for those.
     """
-    pc = np.clip(np.asarray(p, dtype=float), P_EPS, 1 - P_EPS)
+    pc = _clip_prior(p)
     measured = np.stack([1.0 - pc, pc], axis=-1)  # (..., worlds)
 
     def scenario(interps, world_prior, context_prior, contexts):

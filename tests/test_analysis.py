@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rsa_exh import analysis
 from rsa_exh.analysis import (
     ENDPOINT_TOL,
     Predicate,
@@ -16,7 +17,7 @@ from rsa_exh.analysis import (
     sweep,
 )
 from rsa_exh.engine import DegenerateMessage, literal_listener, softmax_speaker, utility
-from rsa_exh.models import ModelId, base_rsa_l1
+from rsa_exh.models import ModelId, base_rsa_l1, predict_table
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import ModelParams
 
@@ -263,6 +264,20 @@ def test_sweep_rows_and_reference_curve():
         expected = row["p"] > math.exp(0.5) / (1 + math.exp(0.5))
         assert row["listener_anti_exh"] == expected
         assert (row["post_A"] > row["p"]) == expected
+
+
+def test_sweep_reads_its_predicates_off_one_table(monkeypatch):
+    # one table for the rows, one at the clamped grid for all three predicates
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predict_table(*args)
+
+    monkeypatch.setattr(analysis, "predict_table", counted)
+    params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0, xi=0.3)
+    rows = sweep(ModelId.WRSA, params, [0.0, 0.25, 1.0])
+    assert len(rows) == 3 and len(calls) == 2
 
 
 def test_sweep_symmetric_point():

@@ -197,10 +197,24 @@ def test_out_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_model_exits_2():
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "nope", "--lambda", "1"],
+    ["fit", "--model", "nope", "--data", "data.csv"],
+    ["compare", "--models", "base,nope", "--data", "data.csv"],
+])
+def test_unknown_model_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
-        run(["sweep", "--model", "nope", "--lambda", "1"])
+        run(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["fit", "--model", "base"], ["compare"]])
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_fewer_than_one_restart_exits_2(capsys, synth_file, command, restarts):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--data", str(synth_file), "--restarts", restarts])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_missing_lambda_exits_2():

@@ -24,7 +24,6 @@ from rsa_exh.data import (
 from rsa_exh import fitting
 from rsa_exh.fitting import (
     FIT_COLUMNS,
-    Constraints,
     FitOptions,
     NoConvergence,
     NoiseParams,
@@ -254,7 +253,7 @@ def test_true_params_beat_perturbed_in_expectation():
 @pytest.mark.parametrize("equal_costs", [False, True])
 def test_initial_points_match_scipy_latin_hypercube(model, equal_costs):
     qmc = pytest.importorskip("scipy.stats.qmc")
-    spec = _ParamSpec.build(model, equal_costs, Constraints())
+    spec = _ParamSpec.build(model, equal_costs)
     for n in (1, 2, 10, 32):
         for seed in range(10):
             cube = qmc.LatinHypercube(d=len(spec.names), seed=seed).random(n)
@@ -293,14 +292,17 @@ def test_equal_costs_fit_is_nested():
     assert tied.equal_costs
 
 
-def test_fit_flags_rationality_at_bound():
+def test_fit_flags_rationality_at_bound(monkeypatch):
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=3)
-    res = fit(
-        ModelId.BASE_RSA, ds,
-        constraints=Constraints(lam_max=0.3),
-        options=FAST_OPTIONS,
-    )
+    monkeypatch.setitem(fitting._PARAMS, "lambda", (0.3, *fitting._PARAMS["lambda"][1:]))
+    res = fit(ModelId.BASE_RSA, ds, options=FAST_OPTIONS)
     assert "lambda" in res.at_bounds
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"maxiter": 0}])
+def test_fit_options_reject_fewer_than_one_restart_or_iteration(kwargs):
+    with pytest.raises(ValueError, match="at least 1"):
+        FitOptions(**kwargs)
 
 
 def test_compare_single_and_duplicate_models():
@@ -567,11 +569,11 @@ def test_objective_scores_a_stack_as_its_points_one_by_one():
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
-    spec = _ParamSpec.build(ModelId.WRSA, False, Constraints())
+    spec = _ParamSpec.build(ModelId.WRSA, False)
     points = spec.initial_points(4, 3)
     points[1, 0] = -800.0
-    stack = _objective(points, ModelId.WRSA, spec, False, packed)
-    one_by_one = [_objective(t[None], ModelId.WRSA, spec, False, packed)[0] for t in points]
+    stack = _objective(points, ModelId.WRSA, spec, packed)
+    one_by_one = [_objective(t[None], ModelId.WRSA, spec, packed)[0] for t in points]
     assert stack[1] == math.inf and np.isfinite(stack[[0, 2, 3]]).all()
     assert stack.tobytes() == np.array(one_by_one).tobytes()
 
@@ -584,12 +586,12 @@ def test_lockstep_restarts_match_sequential_scipy_searches(model):
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=9)
     options = FitOptions(restarts=3, seed=2)
-    spec = _ParamSpec.build(model, False, Constraints())
+    spec = _ParamSpec.build(model, False)
     packed = _PackedData.from_dataset(ds)
 
     def one_point(t):
         try:
-            params, noise = fitting._split(spec.decode(t), model, False)
+            params, noise = spec.split(t)
         except ValueError:
             return math.inf
         try:
@@ -599,7 +601,7 @@ def test_lockstep_restarts_match_sequential_scipy_searches(model):
 
     budget = 600 * len(spec.names)
     runs = [optimize.minimize(one_point, t0, method="Nelder-Mead", options={
-        "xatol": options.xatol, "fatol": options.fatol, "maxiter": budget, "maxfev": budget})
+        "xatol": fitting.XATOL, "fatol": fitting.FATOL, "maxiter": budget, "maxfev": budget})
         for t0 in spec.initial_points(options.restarts, options.seed)]
     best = min(runs, key=lambda r: r.fun)
     with warnings.catch_warnings():
