@@ -59,13 +59,8 @@ from .fitting import (
 from .models import (
     MissingParameter,
     ModelId,
-    Predictions,
-    base_rsa_l1,
-    bwrsa_l1,
     lu_predict,
-    predict,
     predict_table,
-    wrsa_l1,
 )
 from .scenario import (
     Interpretation,

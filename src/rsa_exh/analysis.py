@@ -165,32 +165,6 @@ def scan_regions(
     return RegionReport(model, params, predicate, tuple(intervals))
 
 
-def sweep(model: ModelId, params: ModelParams, grid) -> list[dict]:
-    """Predictions plus predicate values over a grid of priors, as rows."""
-    p = np.asarray(list(grid), dtype=float)
-    if p.size == 0:
-        raise ValueError("grid must be nonempty")
-    table = predict_table(model, params, p)
-    clamped = predict_table(model, params, _clip_prior(p))
-    flags = {pred: _predicate_values(clamped, pred) for pred in Predicate}
-    rows = []
-    for i, pi in enumerate(p):
-        row = {
-            "model": model.value,
-            "p": float(pi),
-            "listener_anti_exh": bool(flags[Predicate.LISTENER_ANTI_EXH][i]),
-            "speaker_anti_exh": bool(flags[Predicate.SPEAKER_ANTI_EXH][i]),
-            "explicit_preferred": bool(
-                flags[Predicate.PRODUCTION_EXPLICIT_PREFERRED][i]
-            ),
-        }
-        pred_row = table.at(i).as_row(model, float(pi))
-        del pred_row["model"], pred_row["p"]
-        row.update(pred_row)
-        rows.append(row)
-    return rows
-
-
 #: Column order for sweep rows (CSV header).
 SWEEP_COLUMNS = (
     "model", "p",
@@ -199,3 +173,17 @@ SWEEP_COLUMNS = (
     "prod_wa_A", "prod_wa_AB", "prod_wa_AnB",
     "prod_wab_A", "prod_wab_AB", "prod_wab_AnB",
 )
+
+
+def sweep(model: ModelId, params: ModelParams, grid) -> list[dict]:
+    """Predictions plus predicate values over a grid of priors, as rows keyed
+    in ``SWEEP_COLUMNS`` order."""
+    p = np.asarray(list(grid), dtype=float)
+    if p.size == 0:
+        raise ValueError("grid must be nonempty")
+    table = predict_table(model, params, p)
+    clamped = predict_table(model, params, _clip_prior(p))
+    columns = (p, *(_predicate_values(clamped, pred) for pred in Predicate),
+               table.post_a, table.post_ab, *table.prod_wa.T, *table.prod_wab.T)
+    return [dict(zip(SWEEP_COLUMNS, (model.value, *row)))
+            for row in zip(*(column.tolist() for column in columns))]

@@ -116,12 +116,6 @@ def _load_dataset(args):
     return dataset
 
 
-def _grid(n: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("--grid must be a positive point count")
-    return np.arange(1, n + 1) / (n + 1)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsa-exh",
@@ -197,7 +191,9 @@ def _add_fit_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_sweep(args, parser) -> str:
     model = _model(args, parser)
     params = _build_params(args, parser)
-    rows = sweep(model, params, _grid(args.grid))
+    if args.grid < 1:
+        parser.error("--grid must be a positive point count")
+    rows = sweep(model, params, np.arange(1, args.grid + 1) / (args.grid + 1))
     return _write_rows(rows, SWEEP_COLUMNS, args.format)
 
 
@@ -208,6 +204,8 @@ def _cmd_check(args, parser) -> str:
         predicate = Predicate.from_name(args.predicate)
     except ValueError as exc:
         parser.error(str(exc))
+    if not 0.0 < args.grid_step <= 0.01:
+        parser.error("--grid-step must be in (0, 0.01]")
     report = scan_regions(model, params, predicate, args.grid_step)
     threshold = (
         bwrsa_antiexh_threshold(params) if model is ModelId.BWRSA else None
@@ -279,16 +277,15 @@ def _simulate_svrsa_rows(model, params, p, depth, parser) -> list[dict]:
     if depth > 2:
         parser.error("supervaluationist variants define levels 1 and 2 only")
     table = oracle_predict_table(model, params, p)
-    pred = table.at(0)
     rows = [
         {"level": 1, "role": "listener", "given": "A", "outcome": "w_ab",
-         "probability": pred.post_a},
+         "probability": float(table.post_a[0])},
         {"level": 1, "role": "listener", "given": "A_AND_B", "outcome": "w_ab",
-         "probability": pred.post_ab},
+         "probability": float(table.post_ab[0])},
     ]
     if depth >= 2:
         messages = ("A", "A_AND_B", "A_AND_NOT_B")
-        for world, dist in (("w_a", pred.prod_wa), ("w_ab", pred.prod_wab)):
+        for world, dist in (("w_a", table.prod_wa[0]), ("w_ab", table.prod_wab[0])):
             for m, msg in enumerate(messages):
                 rows.append({"level": 2, "role": "speaker", "given": world,
                              "outcome": msg, "probability": float(dist[m])})

@@ -306,11 +306,19 @@ class SynthDesign:
     prior_mean: float = 0.70
     prior_sd: float = 0.27
 
+    def __post_init__(self) -> None:
+        counts = (self.comprehension_a, self.comprehension_ab,
+                  self.production_a, self.production_ab)
+        if not self.levels >= 1:
+            raise ValueError(f"levels must be at least 1, got {self.levels}")
+        if not (all(n >= 0 for n in counts) and any(n > 0 for n in counts)):
+            raise ValueError("condition counts must be nonnegative, at least one positive")
+        if not 0 < self.prior_sd**2 < self.prior_mean * (1 - self.prior_mean):
+            raise ValueError("prior_sd incompatible with a Beta distribution")
+
     def beta_shape(self) -> tuple[float, float]:
         """Moment-matched Beta parameters for the prior distribution."""
         m, v = self.prior_mean, self.prior_sd**2
-        if not 0 < v < m * (1 - m):
-            raise ValueError("prior_sd incompatible with a Beta distribution")
         nu = m * (1 - m) / v - 1.0
         return m * nu, (1 - m) * nu
 

@@ -39,7 +39,7 @@ from scipy.special import expit, log_ndtr, logit
 from .data import (Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, Survey, preprocess,
                    smoothed_production_probs)  # noqa: F401 (re-exported)
 from .models import MissingParameter, ModelId, ModelParams, XI_MODELS, _each, predict_table
-from .scenario import somewhere
+from .scenario import everywhere
 
 
 class NonfiniteLikelihood(ValueError):
@@ -60,9 +60,9 @@ class NoiseParams:
     epsilon: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if somewhere(self.sigma_a <= 0) or somewhere(self.sigma_ab <= 0):
+        if not (everywhere(self.sigma_a > 0) and everywhere(self.sigma_ab > 0)):
             raise ValueError("comprehension noise scales must be positive")
-        if somewhere(self.epsilon < 0):
+        if not everywhere(self.epsilon >= 0):
             raise ValueError("production error rate must be nonnegative")
 
 

@@ -10,10 +10,10 @@ lexical-intentions variant which uses its marginal level-1 speaker.
 The expressions here are direct transcriptions of each variant's algebra,
 evaluated through logistic/log-sum-exp primitives so that rationality values
 up to the fitting bound (1e3) neither overflow nor underflow destructively.
-:func:`predict_table` is the one prediction surface; the public per-variant
-functions are the implementations holding an endpoint or ``rho`` contract.
-Each form is pinned against the brute-force references of
-:mod:`rsa_exh.oracles` (the recursion of :func:`rsa_exh.engine.iterate`).
+:func:`predict_table` is the one prediction surface, and :func:`lu_predict`
+reaches the lexical-uncertainty form under any interpretation prior.  Each
+form is pinned against the brute-force references of :mod:`rsa_exh.oracles`
+(the recursion of :func:`rsa_exh.engine.iterate`).
 
 Six variants update the measured prior by Bayes' rule (baseline, Bayesian
 wonky, both lexical-uncertainty and both lexical-intentions variants), and
@@ -98,41 +98,13 @@ FIXED_RHO = {
 
 
 @dataclass(frozen=True)
-class Predictions:
-    """Unified per-prior output of every model variant.
-
-    ``prod_wa`` / ``prod_wab`` are length-3 vectors over
-    ``(A, A_AND_B, A_AND_NOT_B)``.
-    """
-
-    post_a: float
-    post_ab: float
-    prod_wa: np.ndarray
-    prod_wab: np.ndarray
-
-    def as_row(self, model: ModelId, p: float) -> dict:
-        """Flatten to the canonical CSV row schema."""
-        return {
-            "model": model.value,
-            "p": p,
-            "post_A": self.post_a,
-            "post_AB": self.post_ab,
-            "prod_wa_A": float(self.prod_wa[0]),
-            "prod_wa_AB": float(self.prod_wa[1]),
-            "prod_wa_AnB": float(self.prod_wa[2]),
-            "prod_wab_A": float(self.prod_wab[0]),
-            "prod_wab_AB": float(self.prod_wab[1]),
-            "prod_wab_AnB": float(self.prod_wab[2]),
-        }
-
-
-@dataclass(frozen=True)
 class PredictionTable:
     """Vectorized predictions over a grid of N priors.
 
     The posteriors have shape (N,) and the production rows (N, 3); for a
     batch of K parameter sets (see :class:`ModelParams`) they have shape
-    (K, N) and (K, N, 3).  ``p`` is the grid, shape (N,).
+    (K, N) and (K, N, 3).  ``p`` is the grid, shape (N,).  The production
+    rows are distributions over ``(A, A_AND_B, A_AND_NOT_B)``.
     """
 
     p: np.ndarray
@@ -141,17 +113,17 @@ class PredictionTable:
     prod_wa: np.ndarray  # (N, 3) or (K, N, 3)
     prod_wab: np.ndarray  # (N, 3) or (K, N, 3)
 
-    def at(self, i: int) -> Predictions:
-        return Predictions(
-            float(self.post_a[i]),
-            float(self.post_ab[i]),
-            self.prod_wa[i].copy(),
-            self.prod_wab[i].copy(),
-        )
-
 
 def _clip_prior(p) -> np.ndarray:
     return np.clip(np.asarray(p, dtype=float), P_EPS, 1.0 - P_EPS)
+
+
+def _keep_prior_ends(table: PredictionTable, p: np.ndarray) -> PredictionTable:
+    """``table`` with its posterior after ``A`` set to the prior where that is
+    exactly 0 or 1 (see :func:`predict_table`)."""
+    table.post_a[..., p <= 0.0] = 0.0
+    table.post_a[..., p >= 1.0] = 1.0
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -344,44 +316,13 @@ def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a):
 
 
 # ---------------------------------------------------------------------------
-# Baseline model: the literal interpretation only
-# ---------------------------------------------------------------------------
-
-
-def base_rsa_l1(params: ModelParams, p):
-    """Baseline posterior of ``World.AB`` after the bare message.
-
-    The result is order-exact: it is above, equal to or below the clamped
-    prior exactly when the exact posterior ``p A / (p A + (1 - p) B)`` is,
-    which happens exactly when the prior log-odds are above, equal to or below
-    ``delta_anb - delta_ab``.  Within a relative distance ``NEAR_PRIOR`` of
-    the prior it is ``p + (post - p)`` rounded once, and it is never rounded
-    onto the prior when the exact posterior differs from it (see the module
-    docstring).
-
-    At the exact endpoints p in {0, 1} the prior is returned unchanged
-    (continuity limit).
-    """
-    p_arr = np.asarray(p, dtype=float)
-    out = _base_table(params, p_arr.reshape(-1)).post_a.reshape(p_arr.shape)
-    return out if out.ndim else float(out)
-
-
-def _base_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
-    table = _lu_table(params, p, (1.0, 0.0, 0.0))
-    table.post_a[..., p <= 0.0] = 0.0
-    table.post_a[..., p >= 1.0] = 1.0
-    return table
-
-
-# ---------------------------------------------------------------------------
 # Wonky-prior models: the listener is uncertain whether the speaker assumed
 # the measured prior or a backed-off uniform prior over the two worlds.
 # ---------------------------------------------------------------------------
 
 
-def wrsa_l1(params: ModelParams, p):
-    """Wonky-prior posterior: joint inference over world and background.
+def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
+    """Wonky-prior listener: joint inference over world and background.
 
     The prior over (world, background) couples them: under the wonky
     background both worlds weigh 1/2 (hence the log-2 terms).  Not Bayesian
@@ -395,12 +336,7 @@ def wrsa_l1(params: ModelParams, p):
                 + 0.5 * omega * expit(lam * (dab - LOG2)))
     wa_mass = ((1 - pc) * (1 - omega) * expit(lam * (np.log1p(-pc) + danb))
                + 0.5 * omega * expit(lam * (danb - LOG2)))
-    out = wab_mass / (wab_mass + wa_mass)
-    return out if out.ndim else float(out)
-
-
-def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
-    post_a = np.atleast_1d(wrsa_l1(params, p))
+    post_a = wab_mass / (wab_mass + wa_mass)
     log_ab = _safe_log(post_a)
     with np.errstate(divide="ignore"):
         log_a = np.log1p(-post_a)
@@ -408,26 +344,12 @@ def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
 
 
-def bwrsa_l1(params: ModelParams, p):
-    """Bayesian wonky variant: own world prior, mixture over backgrounds.
-
-    Order-exact against the clamped prior (see the module docstring), and
-    respects prior zeros exactly: returns p unchanged at p in {0, 1}.
-    """
-    p_arr = np.asarray(p, dtype=float)
-    out = _bwrsa_table(params, p_arr.reshape(-1)).post_a.reshape(p_arr.shape)
-    return out if out.ndim else float(out)
-
-
 def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     # The likelihoods of "A" mix the usual level-1 speaker (measured prior)
     # with the wonky one (uniform prior): the lexical-uncertainty form with
     # weights (1 - xi, xi, xi) and constant scores lam (delta - log 2).
     omega = params.require_xi()
-    table = _lu_table(params, p, (1 - omega, omega, omega), shift=LOG2)
-    table.post_a[..., p <= 0.0] = 0.0
-    table.post_a[..., p >= 1.0] = 1.0
-    return table
+    return _keep_prior_ends(_lu_table(params, p, (1 - omega, omega, omega), shift=LOG2), p)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +454,17 @@ def _lu_table(params: ModelParams, p: np.ndarray, rho, shift=0.0) -> PredictionT
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
 
 
-def lu_predict(params: ModelParams, p, rho) -> Predictions:
-    """Lexical-uncertainty predictions under interpretation priors ``rho``.
+def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
+    """Lexical-uncertainty predictions over the priors ``p`` under the
+    interpretation priors ``rho``, shaped as by :func:`predict_table`.
 
     ``rho`` weighs (literal, exhaustive, anti-exhaustive).  The named
     variants fix rho: the free variant uses the uniform simplex point, the
     grammatical one excludes anti-exhaustive strengthening.
     """
-    if len(rho) != 3 or min(rho) < 0 or abs(sum(rho) - 1.0) > 1e-9:
+    if len(rho) != 3 or not (all(r >= 0 for r in rho) and abs(sum(rho) - 1.0) <= 1e-9):
         raise ValueError("rho must be three nonnegative weights summing to 1")
-    table = _lu_table(params, np.atleast_1d(np.asarray(p, dtype=float)), tuple(rho))
-    return table.at(0)
+    return _lu_table(params, np.atleast_1d(np.asarray(p, dtype=float)), tuple(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +503,18 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     production rows (N, 3).  Parameters that are (K, 1) columns (see
     :class:`ModelParams`) give (K, N) and (K, N, 3) arrays whose row k is,
     bit for bit, the table of a call with the floats of parameter set k.
+
+    Every form is evaluated at the prior clamped to ``[P_EPS, 1 - P_EPS]``,
+    so at the exact endpoints p in {0, 1} it gives its continuity limit.  The
+    one exception is the posterior after ``A`` of the baseline and of the
+    Bayesian wonky variant, which keep a prior zero as Bayes' rule does:
+    there the posterior is the prior itself, 0 or 1.
     """
     if model in XI_MODELS and params.xi is None:
         raise MissingParameter(f"{model.value} requires the extra prior xi")
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if model is ModelId.BASE_RSA:
-        return _base_table(params, p)
+        return _keep_prior_ends(_lu_table(params, p, (1.0, 0.0, 0.0)), p)
     if model is ModelId.WRSA:
         return _wrsa_table(params, p)
     if model is ModelId.BWRSA:
@@ -602,8 +530,3 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     if model is ModelId.RSA_LI2:
         return _li_table(params, p, variant=2)
     raise ValueError(f"unknown model {model!r}")
-
-
-def predict(model: ModelId, params: ModelParams, p: float) -> Predictions:
-    """Predictions of ``model`` at conditional prior ``p``."""
-    return predict_table(model, params, float(p)).at(0)

@@ -147,7 +147,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not everywhere(self.lam > 0):
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if somewhere(self.delta_ab < 0) or somewhere(self.delta_anb < 0):
+        if not (everywhere(self.delta_ab >= 0) and everywhere(self.delta_anb >= 0)):
             raise ValueError("costs must be nonnegative")
         if self.xi is not None and not everywhere((0.0 <= self.xi) & (self.xi <= 1.0)):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")

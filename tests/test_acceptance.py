@@ -33,9 +33,7 @@ from rsa_exh.fitting import (
 from rsa_exh.models import (
     ModelId,
     XI_MODELS,
-    base_rsa_l1,
     lu_predict,
-    predict,
     predict_table,
 )
 from rsa_exh.oracles import canonical_scenario, oracle_predict_table
@@ -143,7 +141,7 @@ def test_checkers_match_direct_evaluation():
             check_speaker_antiexh_base(params, p) == (s1[1, 0] > s1[1, 1])
             and check_explicit_preferred(params, p) == (s1[0, 2] > s1[0, 0])
             and check_listener_antiexh_base(params, p)
-            == (base_rsa_l1(params, p) > p)
+            == (predict_table(ModelId.BASE_RSA, params, p).post_a[0] > p)
         )
         disagreements += not ok
     assert disagreements == 0, f"{disagreements}/{n} draws disagreed"
@@ -196,8 +194,8 @@ def test_svrsa_posterior_below_prior():
         )
         p = float(rng.uniform(0.01, 0.99))
         variant = 1 if rng.random() < 0.5 else 2
-        pred = predict(ModelId.SVRSA1 if variant == 1 else ModelId.SVRSA2, params, p)
-        violations += not (pred.post_a < p)
+        table = predict_table(ModelId.SVRSA1 if variant == 1 else ModelId.SVRSA2, params, p)
+        violations += not (table.post_a[0] < p)
     assert violations == 0, f"{violations}/{n} draws violated strict inequality"
 
 
@@ -272,16 +270,7 @@ def test_degenerate_model_identities():
     gap = _table_gap(predict_table(ModelId.WRSA, wonky_off, P_GRID), base_table)
     assert gap <= 1e-12, f"zero-wonkiness gap {gap:.3e}"
 
-    worst = 0.0
-    for i, p in enumerate(P_GRID):
-        pred = lu_predict(base, float(p), (1.0, 0.0, 0.0))
-        worst = max(
-            worst,
-            abs(pred.post_a - base_table.post_a[i]),
-            abs(pred.post_ab - base_table.post_ab[i]),
-            np.abs(pred.prod_wa - base_table.prod_wa[i]).max(),
-            np.abs(pred.prod_wab - base_table.prod_wab[i]).max(),
-        )
+    worst = _table_gap(lu_predict(base, P_GRID, (1.0, 0.0, 0.0)), base_table)
     assert worst <= 1e-12, f"literal-only LU gap {worst:.3e}"
 
 

@@ -17,7 +17,7 @@ from rsa_exh.analysis import (
     sweep,
 )
 from rsa_exh.engine import DegenerateMessage, literal_listener, softmax_speaker, utility
-from rsa_exh.models import ModelId, base_rsa_l1, predict_table
+from rsa_exh.models import P_EPS, XI_MODELS, ModelId, predict_table
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import ModelParams
 
@@ -94,7 +94,7 @@ def test_checkers_agree_with_direct_evaluation_on_grid():
         assert check_speaker_antiexh_base(params, p) == (s1[1, 0] > s1[1, 1])
         assert check_explicit_preferred(params, p) == (s1[0, 2] > s1[0, 0])
         assert check_listener_antiexh_base(params, p) == (
-            base_rsa_l1(params, p) > p
+            predict_table(ModelId.BASE_RSA, params, p).post_a[0] > p
         )
 
 
@@ -109,7 +109,8 @@ def test_listener_and_speaker_conditions_equivalent():
         )
         p = float(rng.uniform(0.01, 0.99))
         s1 = base_s1_rows(params, p)
-        assert (base_rsa_l1(params, p) > p) == (s1[1, 0] > s1[0, 0])
+        post_a = predict_table(ModelId.BASE_RSA, params, p).post_a[0]
+        assert (post_a > p) == (s1[1, 0] > s1[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +279,26 @@ def test_sweep_reads_its_predicates_off_one_table(monkeypatch):
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0, xi=0.3)
     rows = sweep(ModelId.WRSA, params, [0.0, 0.25, 1.0])
     assert len(rows) == 3 and len(calls) == 2
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_sweep_rows_are_the_table_columns(model):
+    # rows keyed in SWEEP_COLUMNS order, holding the table at the grid and
+    # the predicates at the clamped grid, as str, float and bool
+    params = ModelParams(lam=3.9, delta_ab=0.37, delta_anb=2.0,
+                         xi=0.35 if model in XI_MODELS else None)
+    grid = np.linspace(0.0, 1.0, 41)
+    rows = sweep(model, params, grid)
+    table = predict_table(model, params, grid)
+    clamped = predict_table(model, params, np.clip(grid, P_EPS, 1 - P_EPS))
+    flags = [analysis._predicate_values(clamped, pred) for pred in Predicate]
+    assert len(rows) == grid.size
+    for i, row in enumerate(rows):
+        assert tuple(row) == SWEEP_COLUMNS
+        expected = (model.value, grid[i], *(f[i] for f in flags), table.post_a[i],
+                    table.post_ab[i], *table.prod_wa[i], *table.prod_wab[i])
+        assert [type(v) for v in row.values()] == [str, float] + [bool] * 3 + [float] * 8
+        assert list(row.values()) == list(expected)
 
 
 def test_sweep_symmetric_point():

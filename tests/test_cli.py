@@ -197,15 +197,26 @@ def test_out_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+SYNTH = ["synth", "--model", "base", "--lambda", "1", "--sigma-a", "0.3",
+         "--sigma-ab", "0.3", "--epsilon", "0.02"]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--model", "nope", "--lambda", "1"],
     ["fit", "--model", "nope", "--data", "data.csv"],
     ["compare", "--models", "base,nope", "--data", "data.csv"],
+    ["sweep", "--grid", "0", "--model", "base", "--lambda", "1"],
+    ["check", "--model", "base", "--lambda", "1", "--grid-step", "0.5"],
+    ["sweep", "--model", "base", "--lambda", "1", "--cost-ab", "nan"],
+    [*SYNTH, "--levels", "0"],
+    [*SYNTH, "--n-utt-a", "-1"],
+    [*SYNTH, "--prior-sd", "0.9"],
 ])
-def test_unknown_model_exits_2(argv):
+def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command", [["fit", "--model", "base"], ["compare"]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,5 +205,34 @@ def test_design_beta_moments():
     var = alpha * beta / ((alpha + beta) ** 2 * (alpha + beta + 1))
     assert mean == pytest.approx(0.70, abs=1e-12)
     assert np.sqrt(var) == pytest.approx(0.27, abs=1e-12)
-    with pytest.raises(ValueError):
-        SynthDesign(prior_sd=0.6).beta_shape()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"prior_sd": 0.6},
+    {"prior_sd": 0.0},
+    {"prior_mean": 1.2},
+    {"prior_sd": math.nan},
+])
+def test_design_rejects_moments_without_a_beta(kwargs):
+    with pytest.raises(ValueError, match="Beta"):
+        SynthDesign(**kwargs)
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_design_rejects_fewer_than_one_level(levels):
+    with pytest.raises(ValueError, match="levels"):
+        SynthDesign(levels=levels)
+
+
+def test_design_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="counts"):
+        SynthDesign(comprehension_a=-1)
+
+
+def test_design_rejects_all_counts_zero():
+    with pytest.raises(ValueError, match="counts"):
+        SynthDesign(comprehension_a=0, comprehension_ab=0, production_a=0, production_ab=0)
+    one = SynthDesign(levels=2, comprehension_a=0, comprehension_ab=0, production_a=0,
+                      production_ab=3)
+    rows = synth_generate(ModelId.WRSA, WRSA_PARAMS, NOISE, one, seed=5).rows
+    assert [r.condition for r in rows] == [Condition.WORLD_AB] * 6

@@ -20,7 +20,7 @@ from rsa_exh.engine import (
     softmax_speaker,
     utility,
 )
-from rsa_exh.models import ModelId, base_rsa_l1
+from rsa_exh.models import ModelId, predict_table
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import Interpretation, Message, ModelParams, Qud, World
 
@@ -214,12 +214,12 @@ def test_iterate_high_rationality_picks_most_informative_true_message():
 
 def test_iterate_matches_closed_form_listener():
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
-    for p in np.arange(0.01, 1.0, 0.01):
+    priors = np.arange(0.01, 1.0, 0.01)
+    closed = predict_table(ModelId.BASE_RSA, params, priors).post_a
+    for p, post_a in zip(priors, closed):
         sc, kwargs = canonical_scenario(ModelId.BASE_RSA, params, float(p))
         result = iterate(sc, params.lam, depth=1, **kwargs)
-        assert result.listener(1)[0, 1] == pytest.approx(
-            base_rsa_l1(params, float(p)), abs=1e-9
-        )
+        assert result.listener(1)[0, 1] == pytest.approx(post_a, abs=1e-9)
 
 
 def test_iterate_distributions_normalized():

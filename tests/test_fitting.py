@@ -39,7 +39,7 @@ from rsa_exh.fitting import (
     production_loglik,
     smoothed_production_probs,
 )
-from rsa_exh.models import MissingParameter, ModelId, XI_MODELS, predict
+from rsa_exh.models import MissingParameter, ModelId, XI_MODELS, predict_table
 from rsa_exh.scenario import ModelParams
 
 BASE_PARAMS = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
@@ -117,10 +117,8 @@ def test_dataset_loglik_single_comprehension_row():
         "c1", Survey.COMPREHENSION, 0.6, Condition.UTT_A, response_posterior=0.4
     )
     ds = Dataset((row,), priors_compressed=True, messages_merged=True)
-    from rsa_exh.models import base_rsa_l1
-
     expected = comprehension_loglik(
-        base_rsa_l1(BASE_PARAMS, 0.6), 0.4, NOISE.sigma_a
+        predict_table(ModelId.BASE_RSA, BASE_PARAMS, 0.6).post_a[0], 0.4, NOISE.sigma_a
     )
     assert dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, NOISE, ds) == pytest.approx(
         expected, abs=1e-12
@@ -184,14 +182,14 @@ def _row_by_row_loglik(model, params, noise, dataset):
     """The joint loglik as the exact sum of the per-observation scores."""
     scores = []
     for row in preprocess(dataset).rows:
-        pred = predict(model, params, row.raw_prior)
+        table = predict_table(model, params, row.raw_prior)
         observed = row.response_posterior
         if row.condition is Condition.UTT_A:
-            scores.append(comprehension_loglik(pred.post_a, observed, noise.sigma_a))
+            scores.append(comprehension_loglik(table.post_a[0], observed, noise.sigma_a))
         elif row.condition is Condition.UTT_AB:
-            scores.append(comprehension_loglik(pred.post_ab, observed, noise.sigma_ab))
+            scores.append(comprehension_loglik(table.post_ab[0], observed, noise.sigma_ab))
         else:
-            probs = pred.prod_wa if row.condition is Condition.WORLD_A else pred.prod_wab
+            probs = (table.prod_wa if row.condition is Condition.WORLD_A else table.prod_wab)[0]
             scores.append(production_loglik(probs, row.response_message, noise.epsilon))
     return math.fsum(scores)
 
@@ -504,6 +502,11 @@ def test_noise_params_validation():
         NoiseParams(sigma_a=0.0, sigma_ab=0.2, epsilon=0.0)
     with pytest.raises(ValueError):
         NoiseParams(sigma_a=0.2, sigma_ab=0.2, epsilon=-0.1)
+    for sigma_a, sigma_ab, epsilon in [(math.nan, 0.2, 0.0), (0.2, math.nan, 0.0),
+                                       (0.2, 0.2, math.nan),
+                                       (0.2, np.array([[0.2], [math.nan]]), 0.0)]:
+        with pytest.raises(ValueError):
+            NoiseParams(sigma_a, sigma_ab, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,8 @@ from rsa_exh.models import (
     MissingParameter,
     NEAR_PRIOR,
     ModelId,
-    base_rsa_l1,
-    bwrsa_l1,
     lu_predict,
-    predict,
     predict_table,
-    wrsa_l1,
     XI_MODELS,
 )
 from rsa_exh.oracles import oracle_predict_table
@@ -39,16 +35,20 @@ def random_params(rng, xi=False, lam_hi=10.0):
 # ---------------------------------------------------------------------------
 
 
+def base_post_a(params, p):
+    return predict_table(ModelId.BASE_RSA, params, p).post_a
+
+
 def test_base_l1_symmetric_point():
     params = ModelParams(lam=7.3, delta_ab=0.8, delta_anb=0.8)
-    assert base_rsa_l1(params, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert base_post_a(params, 0.5)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_base_l1_sign_flips_at_logodds_threshold():
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
     threshold = math.exp(0.5) / (1 + math.exp(0.5))
     p = np.linspace(1e-4, 1 - 1e-4, 20001)
-    diff = base_rsa_l1(params, p) - p
+    diff = base_post_a(params, p) - p
     crossings = np.where(np.diff(np.sign(diff)) != 0)[0]
     assert len(crossings) == 1
     assert p[crossings[0]] == pytest.approx(threshold, abs=1e-4)
@@ -56,15 +56,15 @@ def test_base_l1_sign_flips_at_logodds_threshold():
 
 def test_base_l1_endpoints_exact():
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
-    assert base_rsa_l1(params, 0.0) == 0.0
-    assert base_rsa_l1(params, 1.0) == 1.0
+    assert base_post_a(params, [0.0, 1.0]).tolist() == [0.0, 1.0]
 
 
 def test_base_s2_worked_example():
     # parameters that put the level-1 posterior at exactly 1/2
     params = ModelParams(lam=1.0)
-    assert base_rsa_l1(params, 0.5) == pytest.approx(0.5, abs=1e-15)
-    row_wa = predict(ModelId.BASE_RSA, params, 0.5).prod_wa
+    table = predict_table(ModelId.BASE_RSA, params, 0.5)
+    assert table.post_a[0] == pytest.approx(0.5, abs=1e-15)
+    row_wa = table.prod_wa[0]
     assert row_wa[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert row_wa[1] == 0.0
     assert row_wa[2] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -74,7 +74,7 @@ def test_base_s2_false_message_excluded():
     rng = np.random.default_rng(0)
     for _ in range(20):
         params = random_params(rng)
-        row = predict(ModelId.BASE_RSA, params, float(rng.uniform(0.01, 0.99))).prod_wab
+        row = predict_table(ModelId.BASE_RSA, params, rng.uniform(0.01, 0.99)).prod_wab[0]
         assert row[2] == 0.0
         assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -83,7 +83,7 @@ def test_base_s2_high_rationality_limit():
     # the bare message wins in w_a when its cost advantage beats the
     # (vanishing) informativity penalty
     params = ModelParams(lam=200.0, delta_ab=0.0, delta_anb=1.0)
-    row = predict(ModelId.BASE_RSA, params, 0.5).prod_wa
+    row = predict_table(ModelId.BASE_RSA, params, 0.5).prod_wa[0]
     assert row[0] > 1 - 1e-9
 
 
@@ -96,24 +96,23 @@ def test_wrsa_collapses_to_base_at_zero_wonkiness():
     params = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2, xi=0.0)
     base = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2)
     np.testing.assert_allclose(
-        wrsa_l1(params, GRID), base_rsa_l1(base, GRID), atol=1e-12
+        predict_table(ModelId.WRSA, params, GRID).post_a, base_post_a(base, GRID), atol=1e-12
     )
 
 
 def test_wrsa_fully_wonky_ignores_prior():
     params = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2, xi=1.0)
-    values = wrsa_l1(params, GRID)
+    values = predict_table(ModelId.WRSA, params, GRID).post_a
     np.testing.assert_allclose(values, values[0], atol=1e-14)
 
 
 def test_bwrsa_endpoints_and_collapse():
     params = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2, xi=0.35)
-    assert bwrsa_l1(params, 0.0) == 0.0
-    assert bwrsa_l1(params, 1.0) == 1.0
+    assert predict_table(ModelId.BWRSA, params, [0.0, 1.0]).post_a.tolist() == [0.0, 1.0]
     at_zero = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2, xi=0.0)
     base = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2)
     np.testing.assert_allclose(
-        bwrsa_l1(at_zero, GRID), base_rsa_l1(base, GRID), atol=1e-12
+        predict_table(ModelId.BWRSA, at_zero, GRID).post_a, base_post_a(base, GRID), atol=1e-12
     )
 
 
@@ -127,16 +126,15 @@ def test_svrsa_never_exceeds_prior():
     for _ in range(300):
         params = random_params(rng, xi=True)
         p = float(rng.uniform(0.01, 0.99))
-        pred = predict(ModelId.SVRSA1, params, p)
-        assert pred.post_a < p
+        assert predict_table(ModelId.SVRSA1, params, p).post_a[0] < p
 
 
 def test_svrsa_total_qud_speaker_is_categorical_in_wab():
     rng = np.random.default_rng(2)
     for _ in range(20):
         params = random_params(rng, xi=True)
-        pred = predict(ModelId.SVRSA2, params, float(rng.uniform(0.05, 0.95)))
-        np.testing.assert_allclose(pred.prod_wab, [0.0, 1.0, 0.0], atol=0)
+        table = predict_table(ModelId.SVRSA2, params, rng.uniform(0.05, 0.95))
+        np.testing.assert_allclose(table.prod_wab[0], [0.0, 1.0, 0.0], atol=0)
 
 
 def test_svrsa_partial_qud_speaker_world_independent():
@@ -175,15 +173,15 @@ def test_svrsa_conjunction_compatible_with_wa_at_low_prior():
     # the conjunction can signal the partial QUD, so its posterior on w_ab
     # dips below 1 when the prior is low
     params = ModelParams(lam=1.0, delta_ab=0.1, delta_anb=0.5, xi=0.5)
-    pred = predict(ModelId.SVRSA1, params, 0.1)
-    assert pred.post_ab < 1.0
+    assert predict_table(ModelId.SVRSA1, params, 0.1).post_ab[0] < 1.0
 
 
 def test_svrsa_zero_total_qud_prior_gives_uninformative_bare_message():
     params = ModelParams(lam=2.0, delta_ab=0.4, delta_anb=0.8, xi=0.0)
-    for p in (0.2, 0.5, 0.9):
-        pred = predict(ModelId.SVRSA1, params, p)
-        assert pred.post_a == pytest.approx(p, abs=1e-9)
+    priors = [0.2, 0.5, 0.9]
+    np.testing.assert_allclose(
+        predict_table(ModelId.SVRSA1, params, priors).post_a, priors, rtol=0, atol=1e-9
+    )
 
 
 @pytest.mark.parametrize("model", [ModelId.SVRSA1, ModelId.SVRSA2])
@@ -297,11 +295,9 @@ def test_svrsa_production_rows_normalized_on_stress_grid():
 def test_lu_literal_only_is_base():
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
     base_table = predict_table(ModelId.BASE_RSA, params, GRID)
-    for i, p in enumerate(GRID):
-        pred = lu_predict(params, float(p), (1.0, 0.0, 0.0))
-        assert pred.post_a == pytest.approx(base_table.post_a[i], abs=1e-12)
-        np.testing.assert_allclose(pred.prod_wa, base_table.prod_wa[i], atol=1e-12)
-        np.testing.assert_allclose(pred.prod_wab, base_table.prod_wab[i], atol=1e-12)
+    table = lu_predict(params, GRID, (1.0, 0.0, 0.0))
+    for name in ("p", "post_a", "post_ab", "prod_wa", "prod_wab"):
+        np.testing.assert_allclose(getattr(table, name), getattr(base_table, name), atol=1e-12)
 
 
 def test_exh_lu_blocks_listener_anti_exhaustivity():
@@ -314,19 +310,27 @@ def test_exh_lu_blocks_listener_anti_exhaustivity():
             delta_anb=dab + float(rng.uniform(0, 1.5)),
         )
         p = float(rng.uniform(0.01, 0.99))
-        pred = predict(ModelId.EXH_LU, params, p)
-        assert pred.post_a <= p + 1e-12
+        assert predict_table(ModelId.EXH_LU, params, p).post_a[0] <= p + 1e-12
 
 
 def test_free_lu_allows_listener_anti_exhaustivity():
     params = ModelParams(lam=3.0)
-    pred = predict(ModelId.FREE_LU, params, 0.9)
-    assert pred.post_a > 0.9
+    assert predict_table(ModelId.FREE_LU, params, 0.9).post_a[0] > 0.9
 
 
 def test_lu_rejects_bad_rho():
-    with pytest.raises(ValueError):
-        lu_predict(ModelParams(lam=1.0), 0.5, (0.5, 0.5, 0.5))
+    for rho in [(0.5, 0.5, 0.5), (1.5, -0.5, 0.0), (0.5, 0.5),
+                (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5)]:
+        with pytest.raises(ValueError):
+            lu_predict(ModelParams(lam=1.0), 0.5, rho)
+
+
+def test_lu_predict_named_rho_is_the_named_variant():
+    params = ModelParams(lam=3.9, delta_ab=0.37, delta_anb=2.0)
+    for model, rho in FIXED_RHO.items():
+        ours, named = lu_predict(params, GRID, rho), predict_table(model, params, GRID)
+        for name in ("p", "post_a", "post_ab", "prod_wa", "prod_wab"):
+            assert getattr(ours, name).tobytes() == getattr(named, name).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +347,15 @@ def test_li_bare_message_no_more_likely_in_wab():
             delta_ab=dab,
             delta_anb=dab + float(rng.uniform(0, 1.5)),
         )
-        pred = predict(ModelId.RSA_LI1, params, float(rng.uniform(0.01, 0.99)))
-        assert pred.prod_wab[0] <= pred.prod_wa[0] + 1e-12
+        table = predict_table(ModelId.RSA_LI1, params, rng.uniform(0.01, 0.99))
+        assert table.prod_wab[0, 0] <= table.prod_wa[0, 0] + 1e-12
 
 
 def test_li_s1_limit_at_certain_prior():
     params = ModelParams(lam=4.0, delta_ab=0.3, delta_anb=0.7)
-    pred = predict(ModelId.RSA_LI1, params, 1.0)
+    table = predict_table(ModelId.RSA_LI1, params, 1.0)
     expected = 1.0 / (1.0 + 2.0 * math.exp(-params.lam * params.delta_anb))
-    assert pred.prod_wa[0] == pytest.approx(expected, rel=1e-9)
+    assert table.prod_wa[0, 0] == pytest.approx(expected, rel=1e-9)
 
 
 def _bayes_likelihoods(model: ModelId, params: ModelParams, p, mp):
@@ -481,9 +485,9 @@ def test_bayes_listener_near_crossings_at_moderate_rationality(model):
 
 def test_li2_matches_exh_lu_at_high_rationality():
     params = ModelParams(lam=1e3)
-    a = predict(ModelId.EXH_LU, params, 0.3)
-    b = predict(ModelId.RSA_LI2, params, 0.3)
-    assert a.post_a == pytest.approx(b.post_a, abs=1e-9)
+    a = predict_table(ModelId.EXH_LU, params, 0.3)
+    b = predict_table(ModelId.RSA_LI2, params, 0.3)
+    np.testing.assert_allclose(a.post_a, b.post_a, rtol=0, atol=1e-9)
     np.testing.assert_allclose(a.prod_wa, b.prod_wa, atol=1e-9)
     np.testing.assert_allclose(a.prod_wab, b.prod_wab, atol=1e-9)
 
@@ -492,9 +496,9 @@ def test_li2_differs_from_exh_lu_at_moderate_rationality():
     # the joint-normalization of the intentions speaker is a real difference:
     # the two variants only converge in the high-rationality limit
     params = ModelParams(lam=1.0)
-    a = predict(ModelId.EXH_LU, params, 0.3)
-    b = predict(ModelId.RSA_LI2, params, 0.3)
-    assert abs(a.post_a - b.post_a) > 1e-3
+    a = predict_table(ModelId.EXH_LU, params, 0.3)
+    b = predict_table(ModelId.RSA_LI2, params, 0.3)
+    assert abs(a.post_a[0] - b.post_a[0]) > 1e-3
 
 
 def test_li2_exh_lu_residual_gap_at_fit_bound_rationality():
@@ -502,8 +506,8 @@ def test_li2_exh_lu_residual_gap_at_fit_bound_rationality():
     # priors so extreme that lam*|log p| stays small; pin that tail behaviour
     params = ModelParams(lam=1e3)
     gap = abs(
-        predict(ModelId.EXH_LU, params, 0.99).post_a
-        - predict(ModelId.RSA_LI2, params, 0.99).post_a
+        predict_table(ModelId.EXH_LU, params, 0.99).post_a[0]
+        - predict_table(ModelId.RSA_LI2, params, 0.99).post_a[0]
     )
     assert 1e-4 < gap < 5e-3
 
@@ -557,25 +561,27 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
 def test_predict_requires_xi_where_applicable():
     for model in XI_MODELS:
         with pytest.raises(MissingParameter):
-            predict(model, ModelParams(lam=1.0), 0.5)
+            predict_table(model, ModelParams(lam=1.0), 0.5)
 
 
 def test_base_prediction_shape_example():
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
-    pred = predict(ModelId.BASE_RSA, params, 0.5)
-    assert pred.post_a < 0.5
-    assert pred.post_ab == 1.0
+    table = predict_table(ModelId.BASE_RSA, params, 0.5)
+    assert table.post_a.shape == table.post_ab.shape == (1,)
+    assert table.prod_wa.shape == table.prod_wab.shape == (1, 3)
+    assert table.post_a[0] < 0.5
+    assert table.post_ab[0] == 1.0
 
 
 def test_posterior_after_conjunction_is_one_except_svrsa():
     rng = np.random.default_rng(5)
     for model in ModelId:
         params = random_params(rng, xi=model in XI_MODELS)
-        pred = predict(model, params, 0.4)
+        post_ab = predict_table(model, params, 0.4).post_ab[0]
         if model in (ModelId.SVRSA1, ModelId.SVRSA2):
-            assert pred.post_ab <= 1.0
+            assert post_ab <= 1.0
         else:
-            assert pred.post_ab == 1.0
+            assert post_ab == 1.0
 
 
 def test_predictions_finite_unit_interval_everywhere():
@@ -604,17 +610,6 @@ def test_closed_forms_match_oracles_spot_sample():
             np.testing.assert_allclose(ours.post_ab, ref.post_ab, atol=1e-10)
             np.testing.assert_allclose(ours.prod_wa, ref.prod_wa, atol=1e-10)
             np.testing.assert_allclose(ours.prod_wab, ref.prod_wab, atol=1e-10)
-
-
-def test_predictions_row_schema():
-    params = ModelParams(lam=2.0, delta_ab=0.1, delta_anb=0.2)
-    row = predict(ModelId.BASE_RSA, params, 0.25).as_row(ModelId.BASE_RSA, 0.25)
-    assert list(row) == [
-        "model", "p", "post_A", "post_AB",
-        "prod_wa_A", "prod_wa_AB", "prod_wa_AnB",
-        "prod_wab_A", "prod_wab_AB", "prod_wab_AnB",
-    ]
-    assert row["model"] == "base"
 
 
 def test_model_id_from_name():

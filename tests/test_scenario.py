@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from rsa_exh.scenario import (
@@ -55,6 +57,11 @@ def test_canonical_orderings():
         {"lam": -1.0},
         {"lam": 1.0, "delta_ab": -0.1},
         {"lam": 1.0, "xi": 1.5},
+        {"lam": math.nan},
+        {"lam": 1.0, "delta_ab": math.nan},
+        {"lam": 1.0, "delta_anb": math.nan},
+        {"lam": 1.0, "xi": math.nan},
+        {"lam": np.ones((2, 1)), "delta_anb": np.array([[0.5], [math.nan]])},
     ],
 )
 def test_model_params_validation(kwargs):
