@@ -8,6 +8,8 @@ prior sweeps, and a joint maximum-likelihood fitting/AIC-comparison pipeline
 for combined production and comprehension data.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     Predicate,
     RegionReport,
@@ -32,19 +34,7 @@ from .data import (
     synth_generate,
     write_dataset,
 )
-from .engine import (
-    AllMessagesUnusable,
-    DegenerateMessage,
-    Distribution,
-    GenericScenario,
-    UnreachableMessage,
-    expected_utility_over_interpretations,
-    iterate,
-    literal_listener,
-    pragmatic_listener,
-    softmax_speaker,
-    utility,
-)
+from .engine import GenericScenario, iterate
 from .fitting import (
     FitOptions,
     FitResult,
@@ -73,4 +63,6 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names bound above, without the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -8,8 +8,8 @@ exponentiates to exactly 0, so rationality values in the hundreds do not
 overflow.  :func:`iterate` is the one reference recursion, batched over
 priors: ``rsa-exh simulate`` prints its tables, and :mod:`rsa_exh.oracles`
 reads off it the references that pin seven closed forms of
-:mod:`rsa_exh.models`.  The scalar operations are the hand-checkable
-contracts that the batched tables are tested against.
+:mod:`rsa_exh.models`.  The tests check its table primitives entry by entry
+against plain-float arithmetic.
 
 Lifted variables (interpretations, background assumptions, QUDs) are encoded
 as a flat "context" axis.  Where a variant marginalizes the lifted variable is
@@ -21,51 +21,12 @@ out at the first pragmatic listener, while the supervaluationist construction
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
 NEG_INF = float("-inf")
 _SUM_TOL = 1e-12
-
-
-class DegenerateMessage(ValueError):
-    """A message is false in every world under the given context."""
-
-
-class AllMessagesUnusable(ValueError):
-    """Every candidate message has utility -inf for the target."""
-
-
-class UnreachableMessage(ValueError):
-    """No (world, context) pair gives the message positive speaker probability."""
-
-
-@dataclass(frozen=True)
-class Distribution:
-    """A probability distribution over a finite, labelled support."""
-
-    support: tuple
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (len(self.support),):
-            raise ValueError("probs must be a vector matching the support")
-        if np.any(probs < 0) or np.any(np.isnan(probs)):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-
-    def prob(self, item) -> float:
-        return float(self.probs[self.support.index(item)])
-
-
-def _normalized(support, weights: np.ndarray) -> Distribution:
-    total = weights.sum()
-    return Distribution(tuple(support), weights / total)
 
 
 @dataclass(frozen=True)
@@ -124,18 +85,13 @@ class GenericScenario:
     def n_contexts(self) -> int:
         return self.truth.shape[0]
 
-    def world_index(self, world) -> int:
-        return self.worlds.index(world)
-
-    def message_index(self, message) -> int:
-        return self.messages.index(message)
-
 
 # ---------------------------------------------------------------------------
 # Batched log-space table primitives.  These accept arbitrary leading batch
-# axes so sweeps over the prior can run in one shot; all-(-inf) rows are kept
-# (probability-zero rows), and the scalar operations below add the error
-# semantics of the public contracts.
+# axes so sweeps over the prior can run in one shot.  A row with no
+# probability mass (a message false in every world, a speaker with no usable
+# message, a message no speaker produces) comes back as all -inf, not as an
+# error.
 # ---------------------------------------------------------------------------
 
 
@@ -205,81 +161,6 @@ def log_joint_listener_table(
     denom = logsumexp(log_weights, axis=(-2, -1), keepdims=True)
     out = log_weights - denom
     return np.where(np.isneginf(denom), NEG_INF, out)
-
-
-# ---------------------------------------------------------------------------
-# Scalar operations (the public per-call contracts).
-# ---------------------------------------------------------------------------
-
-
-def literal_listener(scenario: GenericScenario, message, context_index: int = 0) -> Distribution:
-    """Posterior over worlds proportional to prior times truth indicator."""
-    m = scenario.message_index(message)
-    weights = np.where(
-        scenario.truth[context_index, m], scenario.world_prior[context_index], 0.0
-    )
-    if weights.sum() <= 0:
-        raise DegenerateMessage(
-            f"message {message!r} is false in every world under context {context_index}"
-        )
-    return _normalized(scenario.worlds, weights)
-
-
-def utility(listener_dist: Distribution, target_world, cost: float) -> float:
-    """log posterior of the target world minus the message cost (-inf allowed)."""
-    p = listener_dist.prob(target_world)
-    return (np.log(p) if p > 0 else NEG_INF) - cost
-
-
-def softmax_speaker(utilities: Sequence[float], lam: float, support=None) -> Distribution:
-    """Choice probabilities proportional to exp(lam * utility).
-
-    Entries with utility ``-inf`` get exactly zero probability; raises
-    :class:`AllMessagesUnusable` when every utility is ``-inf``.
-    """
-    u = np.asarray(utilities, dtype=float)
-    if np.all(np.isneginf(u)):
-        raise AllMessagesUnusable("every candidate message has utility -inf")
-    log_probs = log_softmax(lam * u)
-    return _normalized(support if support is not None else tuple(range(len(u))), np.exp(log_probs))
-
-
-def pragmatic_listener(
-    scenario: GenericScenario,
-    log_speaker: np.ndarray,
-    message,
-    listener_world_prior: np.ndarray | None = None,
-) -> Distribution:
-    """Joint posterior over (context, world) pairs after hearing ``message``.
-
-    ``log_speaker`` is a (contexts, worlds, messages) log-probability table,
-    typically from :func:`log_speaker_table`.  ``listener_world_prior``
-    replaces the per-context world priors on the listener side (the listener
-    keeps her own world prior while staying uncertain about the context), for
-    the Bayesian wonky-prior variant.
-    """
-    if listener_world_prior is None:
-        joint_prior = scenario.context_prior[:, None] * scenario.world_prior
-    else:
-        joint_prior = scenario.context_prior[:, None] * np.asarray(
-            listener_world_prior, dtype=float
-        )
-    m = scenario.message_index(message)
-    log_weights = _safe_log(joint_prior) + log_speaker[:, :, m]
-    denom = logsumexp(log_weights)
-    if np.isneginf(denom):
-        raise UnreachableMessage(f"no (world, context) pair produces {message!r}")
-    probs = np.exp(log_weights - denom)
-    support = tuple((c, w) for c in scenario.contexts for w in scenario.worlds)
-    return _normalized(support, probs.reshape(-1))
-
-
-def marginal_world(joint: Distribution, worlds: tuple) -> Distribution:
-    """Marginalize a (context, world) joint posterior onto worlds."""
-    probs = np.zeros(len(worlds))
-    for (_, w), p in zip(joint.support, joint.probs):
-        probs[worlds.index(w)] += p
-    return _normalized(worlds, probs)
 
 
 @dataclass
@@ -360,43 +241,3 @@ def iterate(
         log_l = np.where(np.isneginf(denom), NEG_INF, log_weights - denom)
         log_listeners.append(log_l)
     return RecursionResult(log_s1, log_s1_marginal, log_listeners, log_speakers)
-
-
-def expected_utility_over_interpretations(
-    scenario: GenericScenario,
-    message,
-    world,
-    qud_cells: Sequence[Sequence],
-    interp_prior: Sequence[float] | None = None,
-) -> float:
-    """Interpretation-averaged utility of a message for communicating a QUD cell.
-
-    The scenario's contexts play the role of interpretations.  For each
-    interpretation the term is the log of the literal listener's posterior on
-    the cell containing ``world`` (conditional on the QUD, whose constant
-    prior factor cancels in any downstream softmax); terms are weighted by
-    ``interp_prior`` (default: the scenario's context prior) and the message
-    cost is subtracted.  Returns ``-inf`` as soon as an interpretation with
-    positive prior leaves the cell with zero posterior mass.
-    """
-    rho = (
-        scenario.context_prior
-        if interp_prior is None
-        else np.asarray(interp_prior, dtype=float)
-    )
-    if abs(rho.sum() - 1.0) > 1e-9:
-        raise ValueError("interpretation prior must sum to 1")
-    m = scenario.message_index(message)
-    cell = next(c for c in qud_cells if world in c)
-    cell_idx = [scenario.world_index(w) for w in cell]
-    total_utility = 0.0
-    for c, weight in enumerate(rho):
-        if weight <= 0:
-            continue
-        true_mass = np.where(scenario.truth[c, m], scenario.world_prior[c], 0.0)
-        total = true_mass.sum()
-        cell_mass = true_mass[cell_idx].sum()
-        if cell_mass <= 0 or total <= 0:
-            return NEG_INF
-        total_utility += weight * (np.log(cell_mass) - np.log(total))
-    return total_utility - float(scenario.costs[m])

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_ndtr, logit
 
-from .data import (Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, Survey, preprocess,
-                   smoothed_production_probs)  # noqa: F401 (re-exported)
+from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
 from .models import MissingParameter, ModelId, ModelParams, XI_MODELS, _each, predict_table
 from .scenario import everywhere
 

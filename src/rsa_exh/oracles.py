@@ -38,10 +38,12 @@ def _costs(params: ModelParams) -> np.ndarray:
 def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
     """Supervaluationist variants, carrying the QUD through both levels.
 
-    Level-1 utilities average log cell-posteriors over interpretations
-    (the batched counterpart of
-    :func:`rsa_exh.engine.expected_utility_over_interpretations`); listeners
-    are joint over (world, QUD); level-2 speakers communicate (cell, QUD).
+    The level-1 speaker's utility for communicating the cell of world t
+    under QUD k is the interpretation-weighted average of the literal
+    listener's log posterior on that cell, minus the message cost; an
+    interpretation with positive weight that gives the cell no mass makes it
+    -inf.  Listeners are joint over (world, QUD); level-2 speakers
+    communicate (cell, QUD).
     """
     qc, pc = float(_clip_prior(params.require_xi())), _clip_prior(p)
     truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])

@@ -128,11 +128,13 @@ class ModelParams:
     Attributes
     ----------
     lam : float or (K, 1) array
-        Rationality (inverse softmax temperature); must be positive.
+        Rationality (inverse softmax temperature); must be positive and
+        finite.
     delta_ab : float or (K, 1) array
         Cost of ``A_AND_B`` relative to the bare ``A`` (whose cost is 0).
     delta_anb : float or (K, 1) array
-        Cost of ``A_AND_NOT_B`` relative to ``A``.
+        Cost of ``A_AND_NOT_B`` relative to ``A``.  Both costs must be
+        nonnegative and finite.
     xi : float, (K, 1) array or None
         Extra prior in [0, 1] used by some models: the wonkiness prior of the
         wonky-prior variants, or the total-QUD prior of the supervaluationist
@@ -145,10 +147,11 @@ class ModelParams:
     xi: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not everywhere(self.lam > 0):
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not (everywhere(self.delta_ab >= 0) and everywhere(self.delta_anb >= 0)):
-            raise ValueError("costs must be nonnegative")
+        if not everywhere((self.lam > 0) & (self.lam < np.inf)):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not everywhere((self.delta_ab >= 0) & (self.delta_ab < np.inf)
+                          & (self.delta_anb >= 0) & (self.delta_anb < np.inf)):
+            raise ValueError("costs must be nonnegative and finite")
         if self.xi is not None and not everywhere((0.0 <= self.xi) & (self.xi <= 1.0)):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
 

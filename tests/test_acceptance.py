@@ -15,21 +15,9 @@ import pytest
 from scipy.integrate import quad
 
 from rsa_exh.analysis import Predicate, bwrsa_antiexh_threshold, scan_regions
-from rsa_exh.data import parse_dataset, read_column_map, synth_generate
-from rsa_exh.engine import (
-    DegenerateMessage,
-    literal_listener,
-    softmax_speaker,
-    utility,
-)
-from rsa_exh.fitting import (
-    FitOptions,
-    NoiseParams,
-    compare,
-    comprehension_loglik,
-    fit,
-    smoothed_production_probs,
-)
+from rsa_exh.data import parse_dataset, read_column_map, smoothed_production_probs, synth_generate
+from rsa_exh.engine import iterate
+from rsa_exh.fitting import FitOptions, NoiseParams, compare, comprehension_loglik, fit
 from rsa_exh.models import (
     ModelId,
     XI_MODELS,
@@ -102,22 +90,6 @@ def test_oracle_equivalence_full_grid():
     assert elapsed < 60.0, f"grid took {elapsed:.1f}s"
 
 
-def _direct_s1_rows(params: ModelParams, p: float) -> np.ndarray:
-    """Level-1 speaker by direct engine evaluation (worlds x messages)."""
-    scenario, _ = canonical_scenario(ModelId.BASE_RSA, params, p)
-    rows = []
-    for w in scenario.worlds:
-        utilities = []
-        for m_idx, m in enumerate(scenario.messages):
-            try:
-                dist = literal_listener(scenario, m)
-                utilities.append(utility(dist, w, float(scenario.costs[m_idx])))
-            except DegenerateMessage:
-                utilities.append(-math.inf)
-        rows.append(softmax_speaker(utilities, params.lam).probs)
-    return np.array(rows)
-
-
 @criterion(2, "analytic condition checkers agree with direct evaluation on 1e4 draws")
 def test_checkers_match_direct_evaluation():
     from rsa_exh.analysis import (
@@ -136,7 +108,8 @@ def test_checkers_match_direct_evaluation():
             delta_anb=float(rng.uniform(0, 3)),
         )
         p = float(rng.uniform(1e-3, 1 - 1e-3))
-        s1 = _direct_s1_rows(params, p)
+        scenario, _ = canonical_scenario(ModelId.BASE_RSA, params, p)
+        s1 = iterate(scenario, params.lam, depth=1).speaker(1)  # worlds x messages
         ok = (
             check_speaker_antiexh_base(params, p) == (s1[1, 0] > s1[1, 1])
             and check_explicit_preferred(params, p) == (s1[0, 2] > s1[0, 0])

@@ -16,26 +16,16 @@ from rsa_exh.analysis import (
     scan_regions,
     sweep,
 )
-from rsa_exh.engine import DegenerateMessage, literal_listener, softmax_speaker, utility
+from rsa_exh.engine import iterate
 from rsa_exh.models import P_EPS, XI_MODELS, ModelId, predict_table
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import ModelParams
 
 
 def base_s1_rows(params: ModelParams, p: float) -> np.ndarray:
-    """Direct level-1 speaker evaluation through the engine primitives."""
+    """Direct level-1 speaker evaluation by the reference recursion."""
     scenario, _ = canonical_scenario(ModelId.BASE_RSA, params, p)
-    rows = []
-    for w in scenario.worlds:
-        utilities = []
-        for m_idx, m in enumerate(scenario.messages):
-            try:
-                dist = literal_listener(scenario, m)
-                utilities.append(utility(dist, w, float(scenario.costs[m_idx])))
-            except DegenerateMessage:
-                utilities.append(-math.inf)
-        rows.append(softmax_speaker(utilities, params.lam).probs)
-    return np.array(rows)  # (worlds, messages): rows w_a, w_ab
+    return iterate(scenario, params.lam, depth=1).speaker(1)  # rows w_a, w_ab
 
 
 # ---------------------------------------------------------------------------

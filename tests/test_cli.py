@@ -208,6 +208,8 @@ SYNTH = ["synth", "--model", "base", "--lambda", "1", "--sigma-a", "0.3",
     ["sweep", "--grid", "0", "--model", "base", "--lambda", "1"],
     ["check", "--model", "base", "--lambda", "1", "--grid-step", "0.5"],
     ["sweep", "--model", "base", "--lambda", "1", "--cost-ab", "nan"],
+    ["sweep", "--model", "base", "--lambda", "inf"],
+    ["sweep", "--model", "svrsa1", "--lambda", "1", "--xi", "0.5", "--cost-anb", "inf"],
     [*SYNTH, "--levels", "0"],
     [*SYNTH, "--n-utt-a", "-1"],
     [*SYNTH, "--prior-sd", "0.9"],

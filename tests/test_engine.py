@@ -4,101 +4,95 @@ import numpy as np
 import pytest
 
 from rsa_exh.engine import (
-    AllMessagesUnusable,
-    DegenerateMessage,
-    Distribution,
     GenericScenario,
-    UnreachableMessage,
-    expected_utility_over_interpretations,
     iterate,
-    literal_listener,
     log_joint_listener_table,
     log_literal_listener_table,
+    log_softmax,
     log_speaker_table,
-    marginal_world,
-    pragmatic_listener,
-    softmax_speaker,
-    utility,
 )
 from rsa_exh.models import ModelId, predict_table
 from rsa_exh.oracles import canonical_scenario
-from rsa_exh.scenario import Interpretation, Message, ModelParams, Qud, World
+from rsa_exh.scenario import ModelParams
 
 
-def two_world_scenario(prior, truth, costs=None):
-    truth = np.asarray(truth, dtype=bool)
-    if costs is None:
-        costs = np.zeros(truth.shape[0])
-    return GenericScenario(
-        worlds=("w1", "w2"),
-        messages=tuple(f"m{i}" for i in range(truth.shape[0])),
-        costs=np.asarray(costs, dtype=float),
-        truth=truth,
-        world_prior=np.asarray(prior, dtype=float),
-    )
+def reference_l0(truth, world_prior):
+    """Literal listener (contexts, messages, worlds), entry by entry in plain
+    floats."""
+    l0 = np.zeros(truth.shape)
+    for c, m in np.ndindex(truth.shape[:2]):
+        total = math.fsum(world_prior[c, w] for w in np.flatnonzero(truth[c, m]))
+        for w in np.flatnonzero(truth[c, m]):
+            l0[c, m, w] = world_prior[c, w] / total
+    return l0
+
+
+def reference_s1(truth, world_prior, costs, lam):
+    """Level-1 speaker (contexts, worlds, messages), entry by entry in plain
+    floats: exp(lam * (log literal posterior - cost)) normalized over the
+    messages.  Every world needs a true message of positive posterior."""
+    l0 = reference_l0(truth, world_prior)
+    n_c, n_m, n_w = truth.shape
+    s1 = np.zeros((n_c, n_w, n_m))
+    for c, w in np.ndindex(n_c, n_w):
+        weights = [math.exp(lam * (math.log(l0[c, m, w]) - costs[m])) if l0[c, m, w] > 0
+                   else 0.0 for m in range(n_m)]
+        s1[c, w] = [x / math.fsum(weights) for x in weights]
+    return s1
 
 
 # ---------------------------------------------------------------------------
-# Distribution
+# literal listener table
 # ---------------------------------------------------------------------------
 
 
-def test_distribution_validates_sum():
-    with pytest.raises(ValueError):
-        Distribution(("a", "b"), np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        Distribution(("a", "b"), np.array([1.2, -0.2]))
-    dist = Distribution(("a", "b"), np.array([0.25, 0.75]))
-    assert dist.prob("b") == 0.75
-
-
-# ---------------------------------------------------------------------------
-# literal_listener
-# ---------------------------------------------------------------------------
+def literal(prior, truth):
+    return np.exp(log_literal_listener_table(np.array([truth]), np.array([prior])))[0]
 
 
 def test_literal_listener_tautology_uniform():
-    sc = two_world_scenario([0.5, 0.5], [[True, True]])
-    np.testing.assert_allclose(literal_listener(sc, "m0").probs, [0.5, 0.5])
+    np.testing.assert_allclose(literal([0.5, 0.5], [[True, True]]), [[0.5, 0.5]])
 
 
 def test_literal_listener_singleton():
-    sc = two_world_scenario([0.3, 0.7], [[False, True]])
-    np.testing.assert_allclose(literal_listener(sc, "m0").probs, [0.0, 1.0])
+    np.testing.assert_allclose(literal([0.3, 0.7], [[False, True]]), [[0.0, 1.0]])
 
 
 def test_literal_listener_tautology_preserves_prior():
-    sc = two_world_scenario([0.25, 0.75], [[True, True]])
-    np.testing.assert_allclose(literal_listener(sc, "m0").probs, [0.25, 0.75])
+    np.testing.assert_allclose(literal([0.25, 0.75], [[True, True]]), [[0.25, 0.75]])
 
 
-def test_literal_listener_degenerate_message():
-    sc = two_world_scenario([0.0, 1.0], [[True, False], [True, True]])
-    with pytest.raises(DegenerateMessage):
-        literal_listener(sc, "m0")
+def test_literal_listener_degenerate_message_row_is_neg_inf():
+    # m0 is true only in a world of prior 0; m1 keeps its posterior
+    log_l0 = log_literal_listener_table(
+        np.array([[[True, False], [True, True]]]), np.array([[0.0, 1.0]])
+    )
+    assert np.all(np.isneginf(log_l0[0, 0]))
+    np.testing.assert_allclose(np.exp(log_l0[0, 1]), [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
-# utility / softmax_speaker
+# utilities and the softmax speaker
 # ---------------------------------------------------------------------------
 
 
-def test_utility_values():
-    d10 = Distribution(("w1", "w2"), np.array([1.0, 0.0]))
-    assert utility(d10, "w1", 0.0) == 0.0
-    d55 = Distribution(("w1", "w2"), np.array([0.5, 0.5]))
-    assert utility(d55, "w1", 0.5) == pytest.approx(math.log(0.5) - 0.5)
-    assert utility(d10, "w2", 3.0) == -math.inf
+def test_speaker_utilities_are_log_posterior_minus_cost():
+    # m0 names w1 for sure, m1 is a coin flip at cost 0.5: in w1 the weights
+    # are exp(log 1 - 0) and exp(log 0.5 - 0.5); in w2 m0 has utility -inf
+    with np.errstate(divide="ignore"):
+        listener = np.log([[1.0, 0.0], [0.5, 0.5]])
+    probs = np.exp(log_speaker_table(listener, np.array([0.0, 0.5]), 1.0))
+    w1 = [1.0, 0.5 * math.exp(-0.5)]
+    np.testing.assert_allclose(probs[0], [x / sum(w1) for x in w1], atol=1e-15)
+    assert probs[1].tolist() == [0.0, 1.0]
 
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(softmax_speaker([0.0, 0.0], lam=3.0).probs, [0.5, 0.5])
+    np.testing.assert_allclose(np.exp(log_softmax(3.0 * np.zeros(2))), [0.5, 0.5])
 
 
 def test_softmax_unique_usable():
-    np.testing.assert_allclose(
-        softmax_speaker([0.0, -math.inf], lam=1.0).probs, [1.0, 0.0]
-    )
+    assert np.exp(log_softmax(np.array([0.0, -math.inf]))).tolist() == [1.0, 0.0]
 
 
 def test_softmax_exp_normalize_by_hand():
@@ -106,9 +100,7 @@ def test_softmax_exp_normalize_by_hand():
     u = (math.log(0.5), -0.5)
     w = [math.exp(x) for x in u]
     expected = [wi / sum(w) for wi in w]
-    np.testing.assert_allclose(
-        softmax_speaker(u, lam=1.0).probs, expected, atol=1e-15
-    )
+    np.testing.assert_allclose(np.exp(log_softmax(np.array(u))), expected, atol=1e-15)
     np.testing.assert_allclose(expected, [0.4518628, 0.5481372], atol=1e-7)
 
 
@@ -119,56 +111,53 @@ def test_softmax_shift_invariance():
         lam = float(rng.uniform(0.2, 50))
         shift = float(rng.uniform(-100, 100))
         np.testing.assert_allclose(
-            softmax_speaker(u, lam).probs,
-            softmax_speaker(u + shift, lam).probs,
-            atol=1e-12,
+            np.exp(log_softmax(lam * u)), np.exp(log_softmax(lam * (u + shift))), atol=1e-12
         )
 
 
-def test_softmax_all_unusable():
-    with pytest.raises(AllMessagesUnusable):
-        softmax_speaker([-math.inf, -math.inf], lam=1.0)
+def test_softmax_all_unusable_row_is_neg_inf():
+    # numpy flags the (-inf) - (-inf) that log_softmax then masks
+    with np.errstate(invalid="ignore"):
+        log_s = log_softmax(np.array([[-math.inf, -math.inf], [0.0, -math.inf]]))
+    assert np.all(np.isneginf(log_s[0]))
+    assert np.exp(log_s[1]).tolist() == [1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
-# pragmatic_listener
+# pragmatic listener table
 # ---------------------------------------------------------------------------
 
 
-def _log_speaker(table):
+def pragmatic(prior, speaker):
+    """Level-1 listener (messages, worlds) of one context from a speaker
+    table (worlds, messages) given as probabilities."""
     with np.errstate(divide="ignore"):
-        return np.log(np.asarray(table, dtype=float))
+        log_s = np.log(np.array([speaker], dtype=float))
+    return log_joint_listener_table(log_s, np.array([prior]))[:, 0]
 
 
 def test_pragmatic_listener_deterministic_speaker():
-    sc = two_world_scenario([0.4, 0.6], [[True, True], [True, True]])
-    log_s = _log_speaker([[[1.0, 0.0], [0.0, 1.0]]])  # (context, world, message)
-    joint = pragmatic_listener(sc, log_s, "m0")
-    np.testing.assert_allclose(marginal_world(joint, sc.worlds).probs, [1.0, 0.0])
+    l1 = pragmatic([0.4, 0.6], [[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_allclose(np.exp(l1[0]), [1.0, 0.0])
 
 
 def test_pragmatic_listener_uninformative_speaker_returns_prior():
-    sc = two_world_scenario([0.3, 0.7], [[True, True], [True, True]])
-    log_s = _log_speaker([[[0.5, 0.5], [0.5, 0.5]]])
-    joint = pragmatic_listener(sc, log_s, "m1")
+    l1 = pragmatic([0.3, 0.7], [[0.5, 0.5], [0.5, 0.5]])
     # machine precision: "exactly" up to one rounding of the normalization
-    np.testing.assert_allclose(
-        marginal_world(joint, sc.worlds).probs, [0.3, 0.7], rtol=0, atol=1e-15
-    )
+    np.testing.assert_allclose(np.exp(l1[1]), [0.3, 0.7], rtol=0, atol=1e-15)
 
 
 def test_pragmatic_listener_bayes_by_hand():
-    sc = two_world_scenario([0.5, 0.5], [[True, True], [True, True]])
-    log_s = _log_speaker([[[0.2, 0.8], [0.6, 0.4]]])
-    joint = pragmatic_listener(sc, log_s, "m0")
-    np.testing.assert_allclose(marginal_world(joint, sc.worlds).probs, [0.25, 0.75])
+    l1 = pragmatic([0.5, 0.5], [[0.2, 0.8], [0.6, 0.4]])
+    np.testing.assert_allclose(np.exp(l1[0]), [0.25, 0.75])
 
 
-def test_pragmatic_listener_unreachable():
-    sc = two_world_scenario([0.5, 0.5], [[True, True], [True, True]])
-    log_s = _log_speaker([[[0.0, 1.0], [0.0, 1.0]]])
-    with pytest.raises(UnreachableMessage):
-        pragmatic_listener(sc, log_s, "m0")
+def test_pragmatic_listener_unreachable_row_is_neg_inf():
+    # numpy flags the (-inf) - (-inf) that the table then masks
+    with np.errstate(invalid="ignore"):
+        l1 = pragmatic([0.5, 0.5], [[0.0, 1.0], [0.0, 1.0]])
+    assert np.all(np.isneginf(l1[0]))
+    np.testing.assert_allclose(np.exp(l1[1]), [0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +171,7 @@ def test_iterate_depth_one_is_manual_composition():
     result = iterate(sc, params.lam, depth=1, **kwargs)
 
     # manual: literal listener -> utilities -> softmax -> Bayes
-    s1_rows = []
-    for w in sc.worlds:
-        utilities = []
-        for m_idx, m in enumerate(sc.messages):
-            try:
-                dist = literal_listener(sc, m)
-                utilities.append(utility(dist, w, float(sc.costs[m_idx])))
-            except DegenerateMessage:
-                utilities.append(-math.inf)
-        s1_rows.append(softmax_speaker(utilities, params.lam).probs)
-    s1 = np.array(s1_rows)
+    s1 = reference_s1(sc.truth, sc.world_prior, sc.costs, params.lam)[0]
     np.testing.assert_allclose(np.exp(result.log_s1[0]), s1, atol=1e-12)
 
     prior = sc.world_prior[0]
@@ -289,60 +268,11 @@ def test_scenario_validates_batched_world_prior_along_its_last_axes():
 
 
 # ---------------------------------------------------------------------------
-# expected utility over interpretations
+# batched tables agree with a per-entry reference
 # ---------------------------------------------------------------------------
 
 
-def _interp_scenario(p, chi=0.5):
-    from rsa_exh.oracles import _truth_table
-
-    return GenericScenario(
-        worlds=(World.A, World.AB),
-        messages=(Message.A, Message.A_AND_B, Message.A_AND_NOT_B),
-        costs=np.zeros(3),
-        truth=_truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE]),
-        world_prior=np.array([1 - p, p]),
-        context_prior=np.array([1 - chi, chi]),
-        contexts=("literal", "exhaustive"),
-    )
-
-
-def test_expected_utility_constant_average():
-    # identical posteriors under every interpretation: the average collapses
-    sc = _interp_scenario(0.5)
-    cells = [tuple(cell) for cell in Qud.TOTAL.cells]
-    eu = expected_utility_over_interpretations(sc, Message.A_AND_B, World.AB, cells)
-    assert eu == pytest.approx(0.0)  # log 1 - 0
-
-
-def test_expected_utility_ambiguous_message_blocked():
-    sc = _interp_scenario(0.5)
-    cells = [tuple(cell) for cell in Qud.TOTAL.cells]
-    assert expected_utility_over_interpretations(sc, Message.A, World.AB, cells) == -math.inf
-
-
-def test_expected_utility_term_by_term():
-    sc = _interp_scenario(0.5)
-    cells = [tuple(cell) for cell in Qud.TOTAL.cells]
-    eu = expected_utility_over_interpretations(sc, Message.A, World.A, cells)
-    assert eu == pytest.approx(0.5 * math.log(0.5) + 0.5 * math.log(1.0))
-
-
-def test_expected_utility_rejects_bad_prior():
-    sc = _interp_scenario(0.5)
-    cells = [tuple(cell) for cell in Qud.TOTAL.cells]
-    with pytest.raises(ValueError):
-        expected_utility_over_interpretations(
-            sc, Message.A, World.A, cells, interp_prior=[0.7, 0.7]
-        )
-
-
-# ---------------------------------------------------------------------------
-# batched tables agree with the scalar operations
-# ---------------------------------------------------------------------------
-
-
-def test_batched_tables_match_scalar_ops():
+def test_batched_tables_match_per_entry_reference():
     rng = np.random.default_rng(3)
     for _ in range(25):
         n_w, n_m, n_c = 3, 4, 2
@@ -351,43 +281,19 @@ def test_batched_tables_match_scalar_ops():
         prior = rng.dirichlet(np.ones(n_w), size=n_c)
         costs = rng.uniform(0, 2, size=n_m)
         lam = float(rng.uniform(0.3, 8))
-        sc = GenericScenario(
-            worlds=tuple(range(n_w)), messages=tuple(range(n_m)),
-            costs=costs, truth=truth, world_prior=prior,
-            context_prior=rng.dirichlet(np.ones(n_c)),
-        )
-        log_l0 = log_literal_listener_table(sc.truth, sc.world_prior)
+        context_prior = rng.dirichlet(np.ones(n_c))
+        log_l0 = log_literal_listener_table(truth, prior)
         log_s1 = np.stack(
             [log_speaker_table(log_l0[c], costs, lam) for c in range(n_c)]
         )
-        for c in range(n_c):
-            for m in range(n_m):
-                if truth[c, m].any():
-                    np.testing.assert_allclose(
-                        np.exp(log_l0[c, m]),
-                        literal_listener(sc, m, c).probs,
-                        atol=1e-12,
-                    )
-            for w in range(n_w):
-                utilities = []
-                for m in range(n_m):
-                    lp = log_l0[c, m, w]
-                    utilities.append(lp - costs[m])
-                if np.all(np.isneginf(utilities)):
-                    continue
-                np.testing.assert_allclose(
-                    np.exp(log_s1[c, w]),
-                    softmax_speaker(utilities, lam).probs,
-                    atol=1e-12,
-                )
-        joint_prior = sc.context_prior[:, None] * sc.world_prior
+        joint_prior = context_prior[:, None] * prior
         log_l1 = log_joint_listener_table(log_s1, joint_prior)
+
+        np.testing.assert_allclose(np.exp(log_l0), reference_l0(truth, prior), atol=1e-12)
+        s1 = reference_s1(truth, prior, costs, lam)
+        np.testing.assert_allclose(np.exp(log_s1), s1, atol=1e-12)
         for m in range(n_m):
-            try:
-                joint = pragmatic_listener(sc, log_s1, m)
-            except UnreachableMessage:
-                assert np.all(np.isneginf(log_l1[m]))
-                continue
+            weights = joint_prior * s1[:, :, m]
             np.testing.assert_allclose(
-                np.exp(log_l1[m]).reshape(-1), joint.probs, atol=1e-12
+                np.exp(log_l1[m]), weights / math.fsum(weights.ravel()), atol=1e-12
             )

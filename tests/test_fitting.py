@@ -19,6 +19,7 @@ from rsa_exh.data import (
     Survey,
     SynthDesign,
     preprocess,
+    smoothed_production_probs,
     synth_generate,
 )
 from rsa_exh import fitting
@@ -37,7 +38,6 @@ from rsa_exh.fitting import (
     fit,
     fit_result_row,
     production_loglik,
-    smoothed_production_probs,
 )
 from rsa_exh.models import MissingParameter, ModelId, XI_MODELS, predict_table
 from rsa_exh.scenario import ModelParams

@@ -139,34 +139,54 @@ def test_svrsa_total_qud_speaker_is_categorical_in_wab():
 
 def test_svrsa_partial_qud_speaker_world_independent():
     # under the partial QUD the level-1 speaker ignores the world and is
-    # driven by costs alone: check via the engine's expected utilities
-    from rsa_exh.engine import expected_utility_over_interpretations, softmax_speaker
-    from rsa_exh.oracles import _truth_table
-    from rsa_exh.engine import GenericScenario
-    from rsa_exh.scenario import Interpretation, Message, Qud, World
+    # driven by costs alone: each interpretation's literal listener puts a
+    # true message's whole mass on the QUD's one cell
+    from scipy.special import logsumexp
 
-    lam, dab, danb = 2.0, 0.3, 0.6
-    rows = {}
+    from rsa_exh.engine import log_literal_listener_table, log_softmax
+    from rsa_exh.oracles import _truth_table
+    from rsa_exh.scenario import WORLDS, Interpretation, Qud
+
+    lam, costs = 2.0, np.array([0.0, 0.3, 0.6])
+    truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])
+    hand = np.exp(-lam * costs) / np.exp(-lam * costs).sum()
     for p in (0.2, 0.7):
-        scenario = GenericScenario(
-            worlds=(World.A, World.AB),
-            messages=(Message.A, Message.A_AND_B, Message.A_AND_NOT_B),
-            costs=np.array([0.0, dab, danb]),
-            truth=_truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE]),
-            world_prior=np.array([1 - p, p]),
-            context_prior=np.array([0.5, 0.5]),
-        )
-        cells = [tuple(cell) for cell in Qud.PARTIAL.cells]
-        for world in (World.A, World.AB):
-            utilities = [
-                expected_utility_over_interpretations(scenario, m, world, cells)
-                for m in scenario.messages
-            ]
-            rows[(p, world)] = softmax_speaker(utilities, lam).probs
-    hand = np.exp(lam * -np.array([0.0, dab, danb]))
-    hand = hand / hand.sum()
-    for probs in rows.values():
-        np.testing.assert_allclose(probs, hand, atol=1e-12)
+        log_l0 = log_literal_listener_table(truth, np.array([[1 - p, p]] * 2))
+        for target in WORLDS:
+            in_cell = [w in Qud.PARTIAL.cell_of(target) for w in WORLDS]
+            log_cell = logsumexp(log_l0[..., in_cell], axis=-1)  # (interpretations, messages)
+            utilities = log_cell.mean(axis=0) - costs
+            np.testing.assert_allclose(np.exp(log_softmax(lam * utilities)), hand, atol=1e-12)
+
+
+def test_svrsa_oracle_total_qud_speaker_never_says_a_in_wab():
+    # A is false at w_ab under the exhaustive reading, so its utility for the
+    # total-QUD cell {w_ab} is -inf whatever the literal reading gives; the
+    # explicit exclusion is false there under both
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        params = random_params(rng, xi=True)
+        table = oracle_predict_table(ModelId.SVRSA2, params, rng.uniform(0.05, 0.95, size=3))
+        assert table.prod_wab.tolist() == [[0.0, 1.0, 0.0]] * 3
+
+
+@pytest.mark.parametrize("lam, dab, danb, xi, p", [
+    (1.0, 0.0, 0.0, 0.5, 0.5), (2.5, 0.3, 1.1, 0.2, 0.3), (0.7, 1.5, 0.4, 0.9, 0.8),
+])
+def test_svrsa_oracle_bare_message_listener_by_hand(lam, dab, danb, xi, p):
+    # level-1 utilities term by term: for the total-QUD cell {w_a}, A averages
+    # log(1 - p) (literal reading) and log 1 (exhaustive), A_AND_NOT_B has
+    # log 1 under both, A_AND_B is false; under the partial QUD each message
+    # keeps minus its cost.  The oracle's listener after A follows from these.
+    from rsa_exh.models import CHI
+
+    partial = 1 / (1 + math.exp(-lam * dab) + math.exp(-lam * danb))
+    bare = (1 - p) ** (lam * (1 - CHI))
+    total_wa = bare / (bare + math.exp(-lam * danb))
+    hand = (1 - xi) * p * partial / ((1 - xi) * partial + xi * (1 - p) * total_wa)
+    params = ModelParams(lam=lam, delta_ab=dab, delta_anb=danb, xi=xi)
+    for model in (ModelId.SVRSA1, ModelId.SVRSA2):
+        assert oracle_predict_table(model, params, p).post_a[0] == pytest.approx(hand, rel=1e-12)
 
 
 def test_svrsa_conjunction_compatible_with_wa_at_low_prior():

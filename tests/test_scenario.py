@@ -62,6 +62,11 @@ def test_canonical_orderings():
         {"lam": 1.0, "delta_anb": math.nan},
         {"lam": 1.0, "xi": math.nan},
         {"lam": np.ones((2, 1)), "delta_anb": np.array([[0.5], [math.nan]])},
+        {"lam": math.inf},
+        {"lam": 1.0, "delta_ab": math.inf},
+        {"lam": 1.0, "delta_anb": math.inf},
+        {"lam": np.array([[1.0], [math.inf]])},
+        {"lam": np.ones((2, 1)), "delta_ab": np.array([[0.5], [math.inf]])},
     ],
 )
 def test_model_params_validation(kwargs):
