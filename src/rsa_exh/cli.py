@@ -304,10 +304,12 @@ def _cmd_fit(args, parser) -> str:
     options = _fit_options(args, parser)
     dataset = _load_dataset(args)
     result = fit(model, dataset, options=options, equal_costs=args.equal_costs)
+    row = fit_result_row(result)
     if result.at_bounds:
         print(f"note: {model.value} fit at bound for: "
-              f"{', '.join(result.at_bounds)}", file=sys.stderr)
-    return _write_rows([fit_result_row(result)], FIT_COLUMNS, args.format)
+              f"{', '.join(f'{name}={row[name]:g}' for name in result.at_bounds)}",
+              file=sys.stderr)
+    return _write_rows([row], FIT_COLUMNS, args.format)
 
 
 def _cmd_compare(args, parser) -> str:

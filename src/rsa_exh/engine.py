@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 NEG_INF = float("-inf")
+_FLOAT_MAX = float(np.finfo(float).max)
 _SUM_TOL = 1e-12
 
 
@@ -125,14 +126,17 @@ def log_softmax(weights: np.ndarray) -> np.ndarray:
     top = weights[..., 0]
     for j in range(1, weights.shape[-1]):
         top = np.maximum(top, weights[..., j])
-    shifted = weights - top[..., None]
-    shifted = np.where(np.isnan(shifted), NEG_INF, shifted)  # (-inf) - (-inf)
+    # An all-(-inf) slice is shifted by a finite value instead, which keeps
+    # it all -inf; every other max is finite and left as it is.
+    shifted = weights - np.maximum(top, -_FLOAT_MAX)[..., None]
     exps = np.exp(shifted)
     total = exps[..., 0]
     for j in range(1, exps.shape[-1]):
         total = total + exps[..., j]
-    norm = _safe_log(total)[..., None]
-    return np.where(np.isneginf(norm), NEG_INF, shifted - norm)
+    # The max adds exp(0) = 1, so the total is at least 1, except on an
+    # all-(-inf) slice, where it is 0 and is taken as 1: log 1 = 0 leaves
+    # the slice all -inf.
+    return shifted - np.log(np.maximum(total, 1.0))[..., None]
 
 
 def log_speaker_table(log_listener: np.ndarray, costs: np.ndarray, lam: float) -> np.ndarray:
@@ -159,8 +163,8 @@ def log_joint_listener_table(
         log_speaker, -1, -3
     )
     denom = logsumexp(log_weights, axis=(-2, -1), keepdims=True)
-    out = log_weights - denom
-    return np.where(np.isneginf(denom), NEG_INF, out)
+    # an unreachable message's weights are all -inf: subtract 0 from them
+    return log_weights - np.where(np.isneginf(denom), 0.0, denom)
 
 
 @dataclass
@@ -238,6 +242,5 @@ def iterate(
         log_speakers.append(log_s)
         log_weights = log_prior_w + np.swapaxes(log_s, -1, -2)  # (..., messages, worlds)
         denom = logsumexp(log_weights, axis=-1, keepdims=True)
-        log_l = np.where(np.isneginf(denom), NEG_INF, log_weights - denom)
-        log_listeners.append(log_l)
+        log_listeners.append(log_weights - np.where(np.isneginf(denom), 0.0, denom))
     return RecursionResult(log_s1, log_s1_marginal, log_listeners, log_speakers)

@@ -7,6 +7,14 @@ categories are scored with an error-smoothed categorical likelihood.  The
 total log-likelihood is maximized by multi-start Nelder-Mead on a
 box-transformed parameter space, and models are compared by AIC.
 
+Each free parameter lies in a box [0, high] and the simplex walks an
+unconstrained coordinate t of it: a clipped logit (:meth:`_ParamSpec.decode`),
+which keeps the logistic's shape inside the box but reaches each bound at a
+finite t, about +-9.9, and holds it beyond.  Best fits often sit on a bound
+(a cost of 0, a cost or rationality at its cap), and a map that reaches a
+bound only at t = +-inf sends the simplex chasing it; a fit names the
+parameters that land on a bound in ``at_bounds``.
+
 The restarts of a fit run in lockstep.  Each restart's simplex search is a
 coroutine (:func:`_nelder_mead`) that yields the points it needs and is sent
 their values.  Every step stacks the pending points of all unfinished
@@ -74,6 +82,17 @@ SIGMA_MAX = 5.0
 #: unconstrained coordinates, and on the spread of their objective values.
 XATOL = 1e-6
 FATOL = 1e-9
+
+#: Overshoot c of the clipped logit that maps a coordinate t into a box
+#: [0, high] (see ``_ParamSpec.decode``): the logistic is stretched by c
+#: beyond each bound, r = (1 + 2c) expit(t) - c, and clipped back to [0, 1]
+#: with rounded corners, so a bound is reached exactly at a finite t, about
+#: +-9.9.  A smaller c keeps more of the logistic's shape near the bounds but
+#: puts them farther out; 1e-4 took fewer evaluations than 1e-6 on the
+#: benchmark's fit-compare datasets.
+OVERSHOOT = 1e-4
+#: Half-width of each rounded corner of the clip, on the scale of r.
+_CORNER = OVERSHOOT / 2
 
 
 @dataclass(frozen=True)
@@ -319,8 +338,9 @@ def dataset_loglik(
 
 
 # ---------------------------------------------------------------------------
-# Parameter-space transform: every free parameter is a scaled logistic of an
-# unconstrained coordinate, so the simplex search never leaves the box.
+# Parameter-space transform: every free parameter is a clipped logistic of an
+# unconstrained coordinate (see OVERSHOOT), so the simplex search never leaves
+# the box and reaches each of its bounds.
 # ---------------------------------------------------------------------------
 
 
@@ -360,17 +380,27 @@ class _ParamSpec:
 
     def decode(self, t: np.ndarray) -> dict:
         """Parameter values at a point ``t``, or (K, 1) columns of them at
-        each row of a (K, d) stack of points."""
-        values = self.highs * expit(t)
+        each row of a (K, d) stack of points: ``high * _rounded_clip((1 +
+        2c) expit(t) - c)`` with c = ``OVERSHOOT``, exactly 0 or ``high``
+        wherever the stretched logistic passes a bound by ``_CORNER``."""
+        values = self.highs * _rounded_clip((1 + 2 * OVERSHOOT) * expit(t) - OVERSHOOT)
         if values.ndim == 2:
             values = np.ascontiguousarray(values.T)[:, :, None]
         return dict(zip(self.names, values))
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """The points of parameter values, element by element: the inverse
-        of :meth:`decode` inside the box."""
-        ratio = np.clip(values / self.highs, 1e-12, 1 - 1e-12)
-        return logit(ratio)
+        of :meth:`decode` inside the box.  A value on or beyond a bound is
+        encoded halfway into the flat stretch past the corner, where
+        :meth:`decode` has reached that bound: at the corner's end the two
+        maps are inverse only to a few ulps of c, which could decode beside
+        the bound."""
+        ratio = np.clip(values / self.highs, 0.0, 1.0)
+        lower = 2 * np.sqrt(_CORNER * ratio) - _CORNER
+        upper = 1 + _CORNER - 2 * np.sqrt(_CORNER * (1 - ratio))
+        r = np.where(ratio < _CORNER, lower, np.where(ratio > 1 - _CORNER, upper, ratio))
+        r = np.where(ratio == 0.0, -1.5 * _CORNER, np.where(ratio == 1.0, 1 + 1.5 * _CORNER, r))
+        return logit((r + OVERSHOOT) / (1 + 2 * OVERSHOOT))
 
     def split(self, t: np.ndarray) -> tuple[ModelParams, NoiseParams]:
         """Model and noise parameters at a point ``t`` (floats) or at each
@@ -383,13 +413,15 @@ class _ParamSpec:
                              delta_anb=values["delta_anb"], xi=values.get("xi"))
         return params, NoiseParams(values["sigma_a"], values["sigma_ab"], values["epsilon"])
 
-    def at_upper_bound(self, t: np.ndarray) -> tuple[str, ...]:
-        """The rationality and cost parameters within 0.1% of their upper
-        bound at a point ``t``."""
+    def at_bounds(self, t: np.ndarray) -> tuple[str, ...]:
+        """The parameters whose value at a point ``t`` is exactly 0 or their
+        upper bound, by their ``FIT_COLUMNS`` names: the one cost of an
+        equal-cost fit as both ``delta_ab`` and ``delta_anb``."""
         values = self.decode(t)
-        return tuple(name for name, high in zip(self.names, self.highs)
-                     if name in ("lambda", "delta", "delta_ab", "delta_anb")
-                     and values[name] >= 0.999 * high)
+        hits = [name for name, high in zip(self.names, self.highs)
+                if values[name] == 0.0 or values[name] == high]
+        return tuple(column for name in hits
+                     for column in (("delta_ab", "delta_anb") if name == "delta" else (name,)))
 
     def initial_points(self, n: int, seed: int) -> np.ndarray:
         cube = _latin_hypercube(n, len(self.names), seed)
@@ -398,6 +430,22 @@ class _ParamSpec:
             np.log(self.init_lo) + cube * (np.log(self.init_hi) - np.log(self.init_lo))
         )
         return self.encode(np.where(self.log_init, span_log, span_lin))
+
+
+def _rounded_clip(r: np.ndarray) -> np.ndarray:
+    """``clip(r, 0, 1)`` with its corners rounded: within ``_CORNER`` of 0
+    or 1, the parabola that meets both sides of the corner with their
+    slopes.  Exactly 0 below ``-_CORNER`` and 1 above ``1 + _CORNER``.
+
+    The map is continuously differentiable, and so is the objective along a
+    coordinate whose best value is on a bound.  A plain clip leaves a kink
+    there, at which Nelder-Mead can stall: both restarts of a WRSA fit on
+    2 of 300 fit-compare datasets stopped 11-13 nats short of the optimum.
+    """
+    below = np.clip(r + _CORNER, 0.0, 2 * _CORNER)
+    above = np.clip(1 + _CORNER - r, 0.0, 2 * _CORNER)
+    return np.where(r < _CORNER, below * below / (4 * _CORNER),
+                    np.where(r > 1 - _CORNER, 1 - above * above / (4 * _CORNER), r))
 
 
 def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
@@ -593,18 +641,19 @@ def fit(
     """Maximize the joint likelihood by multi-start Nelder-Mead.
 
     Starts are a Latin-hypercube over sensible parameter ranges, mapped to an
-    unconstrained space by scaled-logit transforms onto the box below
-    ``LAM_MAX``, ``DELTA_MAX``, ``SIGMA_MAX`` and 1 (xi and epsilon); the
-    best restart wins, the first of equals.  ``options`` sets the restart
+    unconstrained space by clipped-logit transforms onto the box below
+    ``LAM_MAX``, ``DELTA_MAX``, ``SIGMA_MAX`` and 1 (xi and epsilon; see
+    ``OVERSHOOT``), which reach each bound at a finite point; the best
+    restart wins, the first of equals.  ``options`` sets the restart
     count, the seed of the starts and the evaluation budget of a restart.
     The restarts run in lockstep: each step scores the points that all
     unfinished restarts ask for with one batched likelihood call, and each
     restart walks its own simplex down to the tolerances ``XATOL`` and
-    ``FATOL``, so the result is that of running them one by one.  Results
-    whose rationality or costs land on the box bound are flagged in
-    ``at_bounds``.  Free-parameter count: model parameters (rationality, one
-    or two costs, the extra prior where the model has one) plus the three
-    noise parameters.
+    ``FATOL``, so the result is that of running them one by one.  Every
+    parameter of the result that lies exactly on a bound of the box, 0 or
+    its upper bound, is named in ``at_bounds``.  Free-parameter count: model
+    parameters (rationality, one or two costs, the extra prior where the
+    model has one) plus the three noise parameters.
     """
     options = options or FitOptions()
     spec = _ParamSpec.build(model, equal_costs)
@@ -631,7 +680,7 @@ def fit(
         n_params=k,
         aic=2.0 * k - 2.0 * loglik,
         converged=bool(best.success and np.isfinite(loglik)),
-        at_bounds=spec.at_upper_bound(best.x),
+        at_bounds=spec.at_bounds(best.x),
         equal_costs=equal_costs,
     )
 

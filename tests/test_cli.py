@@ -169,6 +169,18 @@ def test_fit_csv_columns(capsys, synth_file):
     assert rows[0]["converged"] == "true"
 
 
+def test_fit_notes_each_parameter_on_a_bound_with_its_value(capsys, synth_file):
+    # the data are generated at cost 0 for A_AND_B; one shared cost goes to 0
+    code, out, err = invoke(
+        capsys, "fit", "--model", "base", "--data", str(synth_file),
+        "--restarts", "3", "--seed", "1", "--equal-costs",
+    )
+    assert code == 0
+    assert err == "note: base fit at bound for: delta_ab=0, delta_anb=0\n"
+    (row,) = rows_of(out)
+    assert tuple(row) == FIT_COLUMNS and row["delta_ab"] == row["delta_anb"] == "0"
+
+
 def test_compare_subset_sorted_by_aic(capsys, synth_file):
     code, out, _ = invoke(
         capsys, "compare", "--models", "base,wrsa", "--data", str(synth_file),

@@ -263,6 +263,41 @@ def test_initial_points_match_scipy_latin_hypercube(model, equal_costs):
                 spec.encode, 1, np.where(spec.log_init, span_log, span_lin)
             )
             np.testing.assert_array_equal(spec.initial_points(n, seed), expected)
+            # the starts decode back into their ranges (to rounding)
+            values = spec.decode(spec.initial_points(n, seed))
+            for name, lo, hi in zip(spec.names, spec.init_lo, spec.init_hi):
+                assert np.all((values[name] >= lo * (1 - 1e-12))
+                              & (values[name] <= hi * (1 + 1e-12))), name
+
+
+@pytest.mark.parametrize("model", [ModelId.BASE_RSA, ModelId.WRSA])
+@pytest.mark.parametrize("equal_costs", [False, True])
+def test_clipped_logit_reaches_the_bounds_and_inverts_inside_the_box(model, equal_costs):
+    spec = _ParamSpec.build(model, equal_costs)
+    d = len(spec.names)
+
+    def decoded(t):
+        return np.array(list(spec.decode(t).values()))
+
+    for t in (-800.0, -40.0, 0.0, 40.0, 800.0):
+        values = decoded(np.full(d, t))
+        assert np.all((values >= 0.0) & (values <= spec.highs))
+    assert decoded(spec.encode(np.zeros(d))).tolist() == [0.0] * d
+    assert decoded(spec.encode(spec.highs)).tolist() == spec.highs.tolist()
+    ratios = np.concatenate([np.geomspace(1e-6, 0.5, 40), 1.0 - np.geomspace(1e-6, 0.5, 40)])
+    for ratio in ratios:
+        inside = ratio * spec.highs
+        np.testing.assert_allclose(decoded(spec.encode(inside)), inside, rtol=1e-12, atol=0)
+    for t in np.linspace(-9.2, 9.2, 37):
+        np.testing.assert_allclose(spec.encode(decoded(np.full(d, t))), t, rtol=1e-12, atol=1e-12)
+
+
+def test_at_bounds_names_the_columns_on_either_bound():
+    spec = _ParamSpec.build(ModelId.WRSA, equal_costs=True)  # lambda delta xi sigmas epsilon
+    t = spec.encode(np.array([2.0, 0.0, 1.0, 0.3, 0.2, 0.01]))
+    assert spec.at_bounds(t) == ("delta_ab", "delta_anb", "xi")
+    t[0] = 40.0
+    assert spec.at_bounds(t) == ("lambda", "delta_ab", "delta_anb", "xi")
 
 
 def test_aic_identity_arithmetic():
@@ -295,6 +330,19 @@ def test_fit_flags_rationality_at_bound(monkeypatch):
     monkeypatch.setitem(fitting._PARAMS, "lambda", (0.3, *fitting._PARAMS["lambda"][1:]))
     res = fit(ModelId.BASE_RSA, ds, options=FAST_OPTIONS)
     assert "lambda" in res.at_bounds
+
+
+@pytest.mark.parametrize("params, noise, flagged", [
+    (ModelParams(lam=3.0, delta_ab=0.0, delta_anb=1.0), NOISE, "delta_ab"),
+    (BASE_PARAMS, dataclasses.replace(NOISE, epsilon=0.0), "epsilon"),
+], ids=["delta_ab", "epsilon"])
+def test_fit_flags_a_parameter_on_its_lower_bound(params, noise, flagged):
+    # data generated with a cost or error rate of 0: the fit lands on
+    # exactly 0, which the transform reaches, and says so
+    ds = synth_generate(ModelId.BASE_RSA, params, noise, SMALL_DESIGN, seed=0)
+    res = fit(ModelId.BASE_RSA, ds, options=FAST_OPTIONS)
+    assert res.at_bounds == (flagged,)
+    assert fit_result_row(res)[flagged] == 0.0
 
 
 @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"maxiter": 0}])
@@ -568,7 +616,7 @@ def test_nelder_mead_matches_scipy(fn, maxiter, maxfev):
 
 
 def test_objective_scores_a_stack_as_its_points_one_by_one():
-    # lambda decodes to 0 at the second point (its logistic underflows)
+    # lambda decodes to 0 at the second point (far past the clip)
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
