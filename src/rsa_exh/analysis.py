@@ -149,19 +149,14 @@ def scan_regions(
                 hi = mid
         return 0.5 * (lo + hi)
 
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i <= n:
-        if not values[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 <= n and values[j + 1]:
-            j += 1
-        lo = grid[i] if i == 0 else refine(grid[i - 1], grid[i], lo_value=False)
-        hi = grid[j] if j == n else refine(grid[j], grid[j + 1], lo_value=True)
-        intervals.append((float(lo), float(hi)))
-        i = j + 1
+    # the ends of the runs of True, in order: a run's start is refined from
+    # the False before it, its end from the False after it
+    ends = [grid[0]] if values[0] else []
+    for i in np.flatnonzero(values[1:] != values[:-1]):
+        ends.append(refine(grid[i], grid[i + 1], lo_value=bool(values[i])))
+    if values[-1]:
+        ends.append(grid[-1])
+    intervals = [(float(lo), float(hi)) for lo, hi in zip(ends[::2], ends[1::2])]
     return RegionReport(model, params, predicate, tuple(intervals))
 
 

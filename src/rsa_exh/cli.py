@@ -24,9 +24,9 @@ from .analysis import Predicate, SWEEP_COLUMNS, bwrsa_antiexh_threshold, scan_re
 from .data import SynthDesign, parse_dataset, read_column_map, synth_generate, write_dataset
 from .engine import iterate
 from .fitting import FIT_COLUMNS, FitOptions, NoiseParams, compare, fit, fit_result_row
-from .models import ModelId, XI_MODELS
+from .models import MissingParameter, ModelId, require_xi
 from .oracles import canonical_scenario, oracle_predict_table
-from .scenario import ModelParams
+from .scenario import MESSAGES, WORLDS, ModelParams
 
 SIMULATE_COLUMNS = ("level", "role", "given", "outcome", "probability")
 CHECK_COLUMNS = ("model", "predicate", "interval_lo", "interval_hi", "omega_threshold")
@@ -53,21 +53,14 @@ def _write_rows(rows: list[dict], columns, fmt: str) -> str:
     return out.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default=None, help="write output to this file")
 
 
-def _add_model_params(parser: argparse.ArgumentParser, required_model=True) -> None:
+def _add_model_params(parser: argparse.ArgumentParser) -> None:
     names = ", ".join(m.value for m in ModelId)
-    parser.add_argument("--model", required=required_model, help=f"one of: {names}")
+    parser.add_argument("--model", required=True, help=f"one of: {names}")
     parser.add_argument("--params", default=None,
                         help="JSON file with lambda/delta_ab/delta_anb/xi")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -80,7 +73,8 @@ def _add_model_params(parser: argparse.ArgumentParser, required_model=True) -> N
                         help="extra prior (wonkiness or total-QUD prior)")
 
 
-def _build_params(args, parser: argparse.ArgumentParser) -> ModelParams:
+def _model_and_params(args, parser: argparse.ArgumentParser) -> tuple[ModelId, ModelParams]:
+    model = _model(args, parser)
     base = {"lam": None, "delta_ab": 0.0, "delta_anb": 0.0, "xi": None}
     if args.params:
         loaded = ModelParams.from_json(Path(args.params).read_text(encoding="utf-8"))
@@ -93,9 +87,13 @@ def _build_params(args, parser: argparse.ArgumentParser) -> ModelParams:
     if base["lam"] is None:
         parser.error("--lambda is required (directly or via --params)")
     try:
-        return ModelParams(**base)
+        params = ModelParams(**base)
+        require_xi(model, params)
+    except MissingParameter:
+        parser.error(f"{model.value} requires --xi")
     except ValueError as exc:
         parser.error(str(exc))
+    return model, params
 
 
 def _model(args, parser: argparse.ArgumentParser) -> ModelId:
@@ -158,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--sigma-a", type=float, required=True)
     p_synth.add_argument("--sigma-ab", type=float, required=True)
     p_synth.add_argument("--epsilon", type=float, required=True)
-    p_synth.add_argument("--seed", type=lambda s: _seed(s), default=0)
+    p_synth.add_argument("--seed", type=_seed, default=0)
     p_synth.add_argument("--levels", type=int, default=SynthDesign.levels)
     p_synth.add_argument("--n-utt-a", type=int, default=SynthDesign.comprehension_a)
     p_synth.add_argument("--n-utt-ab", type=int, default=SynthDesign.comprehension_ab)
@@ -184,13 +182,12 @@ def _add_fit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--equal-costs", action="store_true",
                         help="constrain both conjunction costs to one value")
     parser.add_argument("--restarts", type=int, default=32)
-    parser.add_argument("--seed", type=lambda s: _seed(s), default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     _add_common(parser)
 
 
 def _cmd_sweep(args, parser) -> str:
-    model = _model(args, parser)
-    params = _build_params(args, parser)
+    model, params = _model_and_params(args, parser)
     if args.grid < 1:
         parser.error("--grid must be a positive point count")
     rows = sweep(model, params, np.arange(1, args.grid + 1) / (args.grid + 1))
@@ -198,8 +195,7 @@ def _cmd_sweep(args, parser) -> str:
 
 
 def _cmd_check(args, parser) -> str:
-    model = _model(args, parser)
-    params = _build_params(args, parser)
+    model, params = _model_and_params(args, parser)
     try:
         predicate = Predicate.from_name(args.predicate)
     except ValueError as exc:
@@ -222,15 +218,13 @@ def _cmd_check(args, parser) -> str:
     rows = [
         {"model": model.value, "predicate": predicate.value,
          "interval_lo": lo, "interval_hi": hi, "omega_threshold": threshold}
-        for lo, hi in report.intervals
-    ] or [{"model": model.value, "predicate": predicate.value,
-           "interval_lo": None, "interval_hi": None, "omega_threshold": threshold}]
+        for lo, hi in report.intervals or [(None, None)]
+    ]
     return _write_rows(rows, CHECK_COLUMNS, "csv")
 
 
 def _cmd_simulate(args, parser) -> str:
-    model = _model(args, parser)
-    params = _build_params(args, parser)
+    model, params = _model_and_params(args, parser)
     if not 0.0 <= args.p <= 1.0:
         parser.error("--p must be in [0, 1]")
     if args.depth < 1:
@@ -243,33 +237,27 @@ def _cmd_simulate(args, parser) -> str:
     return _write_rows(rows, SIMULATE_COLUMNS, args.format)
 
 
+def _rows(level: int, role: str, table, givens, outcomes) -> list[dict]:
+    """Simulate rows of a (givens, outcomes) probability table."""
+    return [{"level": level, "role": role, "given": given, "outcome": outcome,
+             "probability": float(table[g, o])}
+            for g, given in enumerate(givens) for o, outcome in enumerate(outcomes)]
+
+
+_WORLD_NAMES = [w.value for w in WORLDS]
+_MESSAGE_NAMES = [m.value for m in MESSAGES]
+
+
 def _simulate_iterate_rows(model, params, p, depth) -> list[dict]:
     scenario, kwargs = canonical_scenario(model, params, p)
     result = iterate(scenario, params.lam, depth, **kwargs)
-    rows = []
-    worlds = [w.value for w in scenario.worlds]
-    messages = [m.value for m in scenario.messages]
-    s1 = np.exp(result.log_s1)
-    for c, ctx in enumerate(scenario.contexts):
-        for w, world in enumerate(worlds):
-            for m, msg in enumerate(messages):
-                rows.append({"level": 1, "role": "speaker",
-                             "given": f"{world}|{ctx}", "outcome": msg,
-                             "probability": float(s1[c, w, m])})
+    contextual = [f"{world}|{ctx}" for ctx in scenario.contexts for world in _WORLD_NAMES]
+    rows = _rows(1, "speaker", np.exp(result.log_s1).reshape(len(contextual), -1),
+                 contextual, _MESSAGE_NAMES)
     for n in range(1, depth + 1):
-        listener = result.listener(n)
-        for m, msg in enumerate(messages):
-            for w, world in enumerate(worlds):
-                rows.append({"level": n, "role": "listener", "given": msg,
-                             "outcome": world,
-                             "probability": float(listener[m, w])})
+        rows += _rows(n, "listener", result.listener(n), _MESSAGE_NAMES, _WORLD_NAMES)
         if n >= 2:
-            speaker = result.speaker(n)
-            for w, world in enumerate(worlds):
-                for m, msg in enumerate(messages):
-                    rows.append({"level": n, "role": "speaker", "given": world,
-                                 "outcome": msg,
-                                 "probability": float(speaker[w, m])})
+            rows += _rows(n, "speaker", result.speaker(n), _WORLD_NAMES, _MESSAGE_NAMES)
     return rows
 
 
@@ -277,18 +265,11 @@ def _simulate_svrsa_rows(model, params, p, depth, parser) -> list[dict]:
     if depth > 2:
         parser.error("supervaluationist variants define levels 1 and 2 only")
     table = oracle_predict_table(model, params, p)
-    rows = [
-        {"level": 1, "role": "listener", "given": "A", "outcome": "w_ab",
-         "probability": float(table.post_a[0])},
-        {"level": 1, "role": "listener", "given": "A_AND_B", "outcome": "w_ab",
-         "probability": float(table.post_ab[0])},
-    ]
+    rows = _rows(1, "listener", np.stack([table.post_a, table.post_ab]),
+                 _MESSAGE_NAMES[:2], _WORLD_NAMES[1:])
     if depth >= 2:
-        messages = ("A", "A_AND_B", "A_AND_NOT_B")
-        for world, dist in (("w_a", table.prod_wa[0]), ("w_ab", table.prod_wab[0])):
-            for m, msg in enumerate(messages):
-                rows.append({"level": 2, "role": "speaker", "given": world,
-                             "outcome": msg, "probability": float(dist[m])})
+        rows += _rows(2, "speaker", np.concatenate([table.prod_wa, table.prod_wab]),
+                      _WORLD_NAMES, _MESSAGE_NAMES)
     return rows
 
 
@@ -325,10 +306,7 @@ def _cmd_compare(args, parser) -> str:
 
 
 def _cmd_synth(args, parser) -> str:
-    model = _model(args, parser)
-    params = _build_params(args, parser)
-    if model in XI_MODELS and params.xi is None:
-        parser.error(f"{model.value} requires --xi")
+    model, params = _model_and_params(args, parser)
     try:
         noise = NoiseParams(args.sigma_a, args.sigma_ab, args.epsilon)
         design = SynthDesign(
@@ -368,10 +346,13 @@ def run(argv=None) -> int:
 
             warnings.showwarning = _show
             text = _COMMANDS[args.command](args, parser)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.out)
     return 0
 
 

@@ -342,7 +342,6 @@ def synth_generate(
     alpha, beta = design.beta_shape()
     rng = np.random.default_rng(seed)
     rows: list[ObservationRow] = []
-    counter = 0
 
     plan = [
         (Survey.COMPREHENSION, Condition.UTT_A, design.comprehension_a),
@@ -351,37 +350,21 @@ def synth_generate(
         (Survey.PRODUCTION, Condition.WORLD_AB, design.production_ab),
     ]
     for survey, condition, per_level in plan:
-        n = design.levels * per_level
-        priors = rng.beta(alpha, beta, size=n)
+        priors = rng.beta(alpha, beta, size=design.levels * per_level)
         table = predict_table(model, params, compress_prior(priors))
         if survey is Survey.COMPREHENSION:
             pred = table.post_a if condition is Condition.UTT_A else table.post_ab
             sigma = noise.sigma_a if condition is Condition.UTT_A else noise.sigma_ab
-            responses = np.clip(rng.normal(pred, sigma), 0.0, 1.0)
-            for raw_p, resp in zip(priors, responses):
-                counter += 1
-                rows.append(
-                    ObservationRow(
-                        participant_id=f"s{counter:04d}",
-                        survey=survey,
-                        raw_prior=float(raw_p),
-                        condition=condition,
-                        response_posterior=float(resp),
-                    )
-                )
+            answer = "response_posterior"
+            responses = np.clip(rng.normal(pred, sigma), 0.0, 1.0).tolist()
         else:
             probs = table.prod_wa if condition is Condition.WORLD_A else table.prod_wab
             smoothed = smoothed_production_probs(probs, noise.epsilon)
-            choices = [rng.choice(N_CANDIDATE_MESSAGES, p=row) for row in smoothed]
-            for raw_p, choice in zip(priors, choices):
-                counter += 1
-                rows.append(
-                    ObservationRow(
-                        participant_id=f"s{counter:04d}",
-                        survey=survey,
-                        raw_prior=float(raw_p),
-                        condition=condition,
-                        response_message=MODEL_MESSAGES[choice],
-                    )
-                )
+            answer = "response_message"
+            responses = [MODEL_MESSAGES[rng.choice(N_CANDIDATE_MESSAGES, p=row)]
+                         for row in smoothed]
+        for raw_p, response in zip(priors.tolist(), responses):
+            rows.append(ObservationRow(participant_id=f"s{len(rows) + 1:04d}", survey=survey,
+                                       raw_prior=raw_p, condition=condition,
+                                       **{answer: response}))
     return Dataset(tuple(rows))

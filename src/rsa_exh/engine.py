@@ -15,7 +15,8 @@ Lifted variables (interpretations, background assumptions, QUDs) are encoded
 as a flat "context" axis.  Where a variant marginalizes the lifted variable is
 variant-specific configuration: the plain recursion here integrates contexts
 out at the first pragmatic listener, while the supervaluationist construction
-(which carries the QUD through every level) lives in :mod:`rsa_exh.oracles`.
+(which carries the QUD through every level) lives in :mod:`rsa_exh.oracles`
+and takes its listener and level-2 speaker from the table primitives below.
 """
 
 from __future__ import annotations

@@ -90,6 +90,13 @@ class ModelId(Enum):
 #: Models whose ModelParams must carry the extra prior ``xi``.
 XI_MODELS = frozenset({ModelId.WRSA, ModelId.BWRSA, ModelId.SVRSA1, ModelId.SVRSA2})
 
+
+def require_xi(model: ModelId, params: ModelParams) -> None:
+    """Raise :class:`MissingParameter` where ``model`` needs ``xi`` and ``params`` lack it."""
+    if model in XI_MODELS and params.xi is None:
+        raise MissingParameter(f"{model.value} requires the extra prior xi")
+
+
 #: Fixed interpretation priors (literal, exhaustive, anti-exhaustive).
 FIXED_RHO = {
     ModelId.FREE_LU: (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
@@ -329,7 +336,7 @@ def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     with respect to the measured prior, so the posterior stays away from 0/1
     at the endpoints.
     """
-    omega = params.require_xi()
+    omega = params.xi
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
     pc = _clip_prior(p)
     wab_mass = (pc * (1 - omega) * expit(lam * (np.log(pc) + dab))
@@ -342,14 +349,6 @@ def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
         log_a = np.log1p(-post_a)
     prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
     return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
-
-
-def _bwrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
-    # The likelihoods of "A" mix the usual level-1 speaker (measured prior)
-    # with the wonky one (uniform prior): the lexical-uncertainty form with
-    # weights (1 - xi, xi, xi) and constant scores lam (delta - log 2).
-    omega = params.require_xi()
-    return _keep_prior_ends(_lu_table(params, p, (1 - omega, omega, omega), shift=LOG2), p)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,7 @@ def _softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
+def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
     """Level-1 listener and level-2 speakers over the four (world, QUD) cells
     ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
 
@@ -383,7 +382,7 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     """
     # The QUD prior gets the world prior's interior clamp; the endpoint values
     # q in {0, 1} are thereby the continuity limits.
-    qc, pc = _clip_prior(params.require_xi()), _clip_prior(p)
+    qc, pc = _clip_prior(params.xi), _clip_prior(p)
     lam, danb = params.lam, params.delta_anb
     costs = np.zeros(np.broadcast_shapes(np.shape(params.delta_ab), np.shape(danb)) + (3,))
     costs[..., 1], costs[..., 2] = params.delta_ab, danb
@@ -416,7 +415,7 @@ def _svrsa_table(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     # In w_ab the total-QUD speaker says the conjunction.
     prod_wa, prod_wab = np.zeros((2,) + y.shape + (3,))
     prod_wa[..., 0], prod_wa[..., 2], prod_wab[..., 1] = expit(y), expit(-y), 1.0
-    if variant == 2:
+    if model is ModelId.SVRSA2:
         return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
 
     # Level-2 speaker addressing the partial QUD: world-independent, scored
@@ -474,7 +473,7 @@ def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-def _li_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
+def _li_table(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
     lam = params.lam
     pc = _clip_prior(p)
     log_pc, log_qc = np.log(pc), np.log1p(-pc)
@@ -484,7 +483,7 @@ def _li_table(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTab
     x = lam * (log_pc + params.delta_ab) - LOG2
     y = (lam * params.delta_anb - LOG2) + np.log1p(np.exp(lam * log_qc))
     post_a, log_ab, log_a = _bayes_listener(pc, log_pc, log_qc, x, y)
-    if variant == 1:
+    if model is ModelId.RSA_LI1:
         prod_wa, prod_wab = _two_way_rows(y, x)
     else:
         prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
@@ -510,23 +509,23 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     Bayesian wonky variant, which keep a prior zero as Bayes' rule does:
     there the posterior is the prior itself, 0 or 1.
     """
-    if model in XI_MODELS and params.xi is None:
-        raise MissingParameter(f"{model.value} requires the extra prior xi")
+    require_xi(model, params)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if model is ModelId.BASE_RSA:
         return _keep_prior_ends(_lu_table(params, p, (1.0, 0.0, 0.0)), p)
     if model is ModelId.WRSA:
         return _wrsa_table(params, p)
     if model is ModelId.BWRSA:
-        return _bwrsa_table(params, p)
-    if model is ModelId.SVRSA1:
-        return _svrsa_table(params, p, variant=1)
-    if model is ModelId.SVRSA2:
-        return _svrsa_table(params, p, variant=2)
+        # The likelihoods of "A" mix the usual level-1 speaker (measured
+        # prior) with the wonky one (uniform prior): the lexical-uncertainty
+        # form with weights (1 - xi, xi, xi) and constant scores
+        # lam (delta - log 2).
+        omega = params.xi
+        return _keep_prior_ends(_lu_table(params, p, (1 - omega, omega, omega), shift=LOG2), p)
+    if model in (ModelId.SVRSA1, ModelId.SVRSA2):
+        return _svrsa_table(model, params, p)
     if model in (ModelId.FREE_LU, ModelId.EXH_LU):
         return _lu_table(params, p, FIXED_RHO[model])
-    if model is ModelId.RSA_LI1:
-        return _li_table(params, p, variant=1)
-    if model is ModelId.RSA_LI2:
-        return _li_table(params, p, variant=2)
+    if model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
+        return _li_table(model, params, p)
     raise ValueError(f"unknown model {model!r}")

@@ -5,7 +5,8 @@ intentions x2) follow the plain alternating recursion.  Each is written once,
 as a scenario for :func:`rsa_exh.engine.iterate` (:func:`canonical_scenario`),
 and its predictions are read off the recursion that ``rsa-exh simulate``
 prints.  The supervaluationist variants carry the QUD through the level-2
-speaker and have their own construction (:func:`svrsa_oracle`).  Nothing is
+speaker and have their own construction (:func:`svrsa_oracle`), whose
+listener and level-2 speaker are the engine's table primitives.  Nothing is
 algebraically simplified, which is the point: the test suite pins the closed
 forms of :mod:`rsa_exh.models` against these constructions on dense grids.
 Everything is vectorized over the prior (a leading batch axis).
@@ -16,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from .engine import GenericScenario, _safe_log, iterate, log_softmax
-from .models import CHI, FIXED_RHO, ModelId, ModelParams, PredictionTable, _clip_prior
-from .scenario import INTERPRETATIONS, MESSAGES, WORLDS, Interpretation, truth_value
+from .engine import (GenericScenario, _safe_log, iterate, log_joint_listener_table,
+                     log_softmax, log_speaker_table)
+from .models import CHI, FIXED_RHO, ModelId, ModelParams, PredictionTable, _clip_prior, require_xi
+from .scenario import INTERPRETATIONS, MESSAGES, WORLDS, Interpretation, Qud, truth_value
 
 _IW_A, _IW_AB = 0, 1
 _IM_A, _IM_AB = 0, 1
@@ -35,25 +37,26 @@ def _costs(params: ModelParams) -> np.ndarray:
     return np.array([0.0, params.delta_ab, params.delta_anb])
 
 
-def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> PredictionTable:
+def svrsa_oracle(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
     """Supervaluationist variants, carrying the QUD through both levels.
 
     The level-1 speaker's utility for communicating the cell of world t
     under QUD k is the interpretation-weighted average of the literal
     listener's log posterior on that cell, minus the message cost; an
     interpretation with positive weight that gives the cell no mass makes it
-    -inf.  Listeners are joint over (world, QUD); level-2 speakers
-    communicate (cell, QUD).
+    -inf.  Listeners are joint over (world, QUD), with the QUD in the
+    engine's context axis; level-2 speakers communicate (cell, QUD).
     """
-    qc, pc = float(_clip_prior(params.require_xi())), _clip_prior(p)
+    require_xi(model, params)
+    qc, pc = float(_clip_prior(params.xi)), _clip_prior(p)
     truth = _truth_table([Interpretation.LITERAL, Interpretation.EXHAUSTIVE])
     costs, lam = _costs(params), params.lam
     wp = np.stack([1.0 - pc, pc], axis=-1)  # (n, worlds)
     rho = np.array([1.0 - CHI, CHI])
-    qud_prior = np.array([1.0 - qc, qc])
-    # cell membership (qud, target world, member world): the partial QUD has
-    # one two-world cell; the total QUD separates the worlds
-    cmask = np.stack([np.ones((2, 2)), np.eye(2)])
+    qud_prior = np.array([1.0 - qc, qc])  # partial, total: the order of Qud
+    # cell membership (qud, target world, member world)
+    cmask = np.array([[[w in qud.cell_of(t) for w in WORLDS] for t in WORLDS] for qud in Qud],
+                     dtype=float)
 
     masses = wp[:, None, None, :] * truth  # (n, interp, message, world)
     true_mass = masses.sum(axis=-1)
@@ -66,23 +69,13 @@ def svrsa_oracle(params: ModelParams, p: np.ndarray, variant: int) -> Prediction
     log_s1 = log_softmax(lam * np.moveaxis(eu, 1, -1))  # (n, k, t, m)
 
     joint_prior = qud_prior[None, :, None] * wp[:, None, :]  # (n, k, w)
-    log_weights = _safe_log(joint_prior)[:, None] + np.moveaxis(log_s1, -1, 1)
-    denom = logsumexp(log_weights, axis=(-2, -1), keepdims=True)
-    log_l1 = log_weights - denom  # (n, m, k, w)
+    log_l1 = log_joint_listener_table(log_s1, joint_prior)  # (n, m, k, w)
+    cell_l1 = np.einsum("nmkw,ktw->nkmt", np.exp(log_l1), cmask)
+    s2 = np.exp(log_speaker_table(_safe_log(cell_l1), costs, lam))  # (n, k, t, m)
 
-    cell_l1 = np.einsum("nmkw,ktw->nmkt", np.exp(log_l1), cmask)
-    u2 = _safe_log(cell_l1) - costs[None, :, None, None]
-    log_s2 = log_softmax(lam * np.moveaxis(u2, 1, -1))  # (n, k, t, m)
-    s2 = np.exp(log_s2)
-
-    post_a = np.exp(logsumexp(log_l1[:, _IM_A, :, _IW_AB], axis=-1))
-    post_ab = np.exp(logsumexp(log_l1[:, _IM_AB, :, _IW_AB], axis=-1))
-    if variant == 1:
-        prod_wa = (1 - qc) * s2[:, 0, _IW_A] + qc * s2[:, 1, _IW_A]
-        prod_wab = (1 - qc) * s2[:, 0, _IW_AB] + qc * s2[:, 1, _IW_AB]
-    else:
-        prod_wa, prod_wab = s2[:, 1, _IW_A], s2[:, 1, _IW_AB]
-    return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
+    post_a, post_ab = (np.exp(logsumexp(log_l1[:, m, :, _IW_AB], axis=-1)) for m in (_IM_A, _IM_AB))
+    prod = (1 - qc) * s2[:, 0] + qc * s2[:, 1] if model is ModelId.SVRSA1 else s2[:, 1]
+    return PredictionTable(p, post_a, post_ab, prod[:, _IW_A], prod[:, _IW_AB])
 
 
 def canonical_scenario(model: ModelId, params: ModelParams, p):
@@ -94,6 +87,7 @@ def canonical_scenario(model: ModelId, params: ModelParams, p):
     QUD through every level and do not reduce to ``iterate``; use
     :func:`svrsa_oracle` for those.
     """
+    require_xi(model, params)
     pc = _clip_prior(p)
     measured = np.stack([1.0 - pc, pc], axis=-1)  # (..., worlds)
 
@@ -113,7 +107,7 @@ def canonical_scenario(model: ModelId, params: ModelParams, p):
     if model in (ModelId.WRSA, ModelId.BWRSA):
         # the wonky background conditions on the uniform prior; the Bayesian
         # listener keeps the measured prior under both backgrounds
-        omega = params.require_xi()
+        omega = params.xi
         uniform = np.broadcast_to(0.5, measured.shape)
         wonky = scenario([literal] * 2, np.stack([measured, uniform], axis=-2),
                          [1.0 - omega, omega], ("usual", "wonky"))
@@ -137,7 +131,7 @@ def oracle_predict_table(model: ModelId, params: ModelParams, p) -> PredictionTa
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if model in (ModelId.SVRSA1, ModelId.SVRSA2):
-        return svrsa_oracle(params, p, variant=1 if model is ModelId.SVRSA1 else 2)
+        return svrsa_oracle(model, params, p)
     scenario, kwargs = canonical_scenario(model, params, p)
     result = iterate(scenario, params.lam, 2, **kwargs)
     l1 = result.listener(1)

@@ -155,13 +155,6 @@ class ModelParams:
         if self.xi is not None and not everywhere((0.0 <= self.xi) & (self.xi <= 1.0)):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
 
-    def require_xi(self) -> float | np.ndarray:
-        from .models import MissingParameter  # local import to avoid a cycle
-
-        if self.xi is None:
-            raise MissingParameter("this model requires the extra prior xi")
-        return self.xi
-
     def to_json(self) -> str:
         """Serialize to the flat key-value text format (xi omitted when absent)."""
         payload: dict[str, float] = {

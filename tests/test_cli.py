@@ -255,6 +255,22 @@ def test_xi_required_for_synth_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "wrsa", "--lambda", "1"],
+    ["check", "--model", "bwrsa", "--lambda", "1"],
+    ["simulate", "--model", "svrsa1", "--lambda", "1", "--p", "0.5"],
+    ["synth", "--model", "svrsa2", "--lambda", "1", "--sigma-a", "0.3",
+     "--sigma-ab", "0.3", "--epsilon", "0.02"],
+])
+def test_missing_xi_exits_2_on_every_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{argv[2]} requires --xi" in captured.err
+
+
 def test_missing_data_file_is_runtime_error(capsys):
     code, out, err = invoke(
         capsys, "fit", "--model", "base", "--data", "/nonexistent/file.csv"
@@ -262,6 +278,17 @@ def test_missing_data_file_is_runtime_error(capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+def test_unwritable_out_is_runtime_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.csv"
+    code, out, err = invoke(
+        capsys, "sweep", "--model", "base", "--lambda", "2", "--out", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "x.csv" in err
+    assert not target.parent.exists()
 
 
 def test_invalid_prior_value_is_usage_error():

@@ -178,6 +178,16 @@ def test_dataset_loglik_nonfinite_names_row_after_other_conditions():
     )
 
 
+def _slider_loglik(pred, observed, sigma):
+    """Tobit score of one slider response from scipy's normal distribution,
+    independent of the package's slider code."""
+    if observed <= 0.0:
+        return norm.logcdf(0.0, pred, sigma)
+    if observed >= 1.0:
+        return norm.logsf(1.0, pred, sigma)
+    return norm.logpdf(observed, pred, sigma)
+
+
 def _row_by_row_loglik(model, params, noise, dataset):
     """The joint loglik as the exact sum of the per-observation scores."""
     scores = []
@@ -185,9 +195,9 @@ def _row_by_row_loglik(model, params, noise, dataset):
         table = predict_table(model, params, row.raw_prior)
         observed = row.response_posterior
         if row.condition is Condition.UTT_A:
-            scores.append(comprehension_loglik(table.post_a[0], observed, noise.sigma_a))
+            scores.append(_slider_loglik(table.post_a[0], observed, noise.sigma_a))
         elif row.condition is Condition.UTT_AB:
-            scores.append(comprehension_loglik(table.post_ab[0], observed, noise.sigma_ab))
+            scores.append(_slider_loglik(table.post_ab[0], observed, noise.sigma_ab))
         else:
             probs = (table.prod_wa if row.condition is Condition.WORLD_A else table.prod_wab)[0]
             scores.append(production_loglik(probs, row.response_message, noise.epsilon))
