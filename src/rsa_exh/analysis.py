@@ -177,7 +177,9 @@ def sweep(model: ModelId, params: ModelParams, grid) -> list[dict]:
     if p.size == 0:
         raise ValueError("grid must be nonempty")
     table = predict_table(model, params, p)
-    clamped = predict_table(model, params, _clip_prior(p))
+    inner = _clip_prior(p)
+    # the clamp changes only a grid that holds 0, 1 or priors beyond it
+    clamped = table if np.array_equal(inner, p) else predict_table(model, params, inner)
     columns = (p, *(_predicate_values(clamped, pred) for pred in Predicate),
                table.post_a, table.post_ab, *table.prod_wa.T, *table.prod_wab.T)
     return [dict(zip(SWEEP_COLUMNS, (model.value, *row)))

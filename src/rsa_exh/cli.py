@@ -77,7 +77,10 @@ def _model_and_params(args, parser: argparse.ArgumentParser) -> tuple[ModelId, M
     model = _model(args, parser)
     base = {"lam": None, "delta_ab": 0.0, "delta_anb": 0.0, "xi": None}
     if args.params:
-        loaded = ModelParams.from_json(Path(args.params).read_text(encoding="utf-8"))
+        try:  # an unreadable file (OSError) stays a runtime error
+            loaded = ModelParams.from_json(Path(args.params).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            parser.error(f"--params {args.params}: {exc}")
         base = {"lam": loaded.lam, "delta_ab": loaded.delta_ab,
                 "delta_anb": loaded.delta_anb, "xi": loaded.xi}
     for key, value in (("lam", args.lam), ("delta_ab", args.cost_ab),

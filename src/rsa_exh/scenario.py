@@ -178,9 +178,12 @@ class ModelParams:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         if "lambda" not in payload:
             raise ValueError("params file must define 'lambda'")
-        return cls(
-            lam=float(payload["lambda"]),
-            delta_ab=float(payload.get("delta_ab", 0.0)),
-            delta_anb=float(payload.get("delta_anb", 0.0)),
-            xi=None if payload.get("xi") is None else float(payload["xi"]),
-        )
+        try:
+            return cls(
+                lam=float(payload["lambda"]),
+                delta_ab=float(payload.get("delta_ab", 0.0)),
+                delta_anb=float(payload.get("delta_anb", 0.0)),
+                xi=None if payload.get("xi") is None else float(payload["xi"]),
+            )
+        except TypeError as exc:  # a list, an object or null where a number belongs
+            raise ValueError(f"params file values must be numbers: {exc}") from None

@@ -258,7 +258,8 @@ def test_sweep_rows_and_reference_curve():
 
 
 def test_sweep_reads_its_predicates_off_one_table(monkeypatch):
-    # one table for the rows, one at the clamped grid for all three predicates
+    # one table for the rows, and one at the clamped grid for all three
+    # predicates only where the clamp moves a prior
     calls = []
 
     def counted(*args):
@@ -267,28 +268,32 @@ def test_sweep_reads_its_predicates_off_one_table(monkeypatch):
 
     monkeypatch.setattr(analysis, "predict_table", counted)
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0, xi=0.3)
-    rows = sweep(ModelId.WRSA, params, [0.0, 0.25, 1.0])
-    assert len(rows) == 3 and len(calls) == 2
+    for grid, tables in (([0.0, 0.25, 1.0], 2), ([1e-13, 0.25, 1 - 1e-13], 2),
+                         ([P_EPS, 0.25, 0.5, 1 - P_EPS], 1)):
+        calls.clear()
+        rows = sweep(ModelId.WRSA, params, grid)
+        assert len(rows) == len(grid) and len(calls) == tables, grid
 
 
 @pytest.mark.parametrize("model", list(ModelId))
 def test_sweep_rows_are_the_table_columns(model):
     # rows keyed in SWEEP_COLUMNS order, holding the table at the grid and
-    # the predicates at the clamped grid, as str, float and bool
+    # the predicates at the clamped grid, as str, float and bool; on a grid
+    # with the ends 0 and 1 and on one that the clamp leaves as it is
     params = ModelParams(lam=3.9, delta_ab=0.37, delta_anb=2.0,
                          xi=0.35 if model in XI_MODELS else None)
-    grid = np.linspace(0.0, 1.0, 41)
-    rows = sweep(model, params, grid)
-    table = predict_table(model, params, grid)
-    clamped = predict_table(model, params, np.clip(grid, P_EPS, 1 - P_EPS))
-    flags = [analysis._predicate_values(clamped, pred) for pred in Predicate]
-    assert len(rows) == grid.size
-    for i, row in enumerate(rows):
-        assert tuple(row) == SWEEP_COLUMNS
-        expected = (model.value, grid[i], *(f[i] for f in flags), table.post_a[i],
-                    table.post_ab[i], *table.prod_wa[i], *table.prod_wab[i])
-        assert [type(v) for v in row.values()] == [str, float] + [bool] * 3 + [float] * 8
-        assert list(row.values()) == list(expected)
+    for grid in (np.linspace(0.0, 1.0, 41), np.arange(1, 100) / 100):
+        rows = sweep(model, params, grid)
+        table = predict_table(model, params, grid)
+        clamped = predict_table(model, params, np.clip(grid, P_EPS, 1 - P_EPS))
+        flags = [analysis._predicate_values(clamped, pred) for pred in Predicate]
+        assert len(rows) == grid.size
+        for i, row in enumerate(rows):
+            assert tuple(row) == SWEEP_COLUMNS
+            expected = (model.value, grid[i], *(f[i] for f in flags), table.post_a[i],
+                        table.post_ab[i], *table.prod_wa[i], *table.prod_wab[i])
+            assert [type(v) for v in row.values()] == [str, float] + [bool] * 3 + [float] * 8
+            assert list(row.values()) == list(expected)
 
 
 def test_sweep_symmetric_point():

@@ -75,6 +75,31 @@ def test_params_file_with_flag_override(capsys, tmp_path):
     assert out_override != out
 
 
+@pytest.mark.parametrize("text", [
+    '{"lambda": -1}',  # out of range, as --lambda -1 is
+    '{"lambda": 2, "gamma": 1}',  # unknown key
+    '{"delta_ab": 1}',  # no lambda
+    "[2]",  # not an object
+    "lambda = 2",  # not JSON
+    '{"lambda": [2]}',  # not a number
+])
+def test_bad_params_file_exits_2(capsys, tmp_path, text):
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "base", "--params", str(params)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--params" in captured.err
+
+
+def test_missing_params_file_is_a_runtime_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "sweep", "--model", "base",
+                            "--params", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert out == "" and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

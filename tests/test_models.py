@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rsa_exh.models import (
+    BLOCK,
     FIXED_RHO,
     LOG2,
     MissingParameter,
@@ -576,6 +578,65 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
             one = getattr(single, name)
             assert getattr(batched, name)[k].shape == one.shape
             assert getattr(batched, name)[k].tobytes() == one.tobytes(), (name, params)
+
+
+FIELDS = ("post_a", "post_ab", "prod_wa", "prod_wab")
+
+#: (lam, delta_ab, delta_anb, xi): a fitted point, the band-heavy point
+#: (most priors within NEAR_PRIOR of the posterior) and a low-rationality one.
+BLOCK_ROWS = [(3.9, 0.2, 0.37, 0.86), (25.0, 2.0, 2.2, 0.5), (0.7, 1.1, 0.4, 0.3)]
+
+
+def _block_params(model):
+    """Float parameters for each row of BLOCK_ROWS, then all three as a batch."""
+    rows = [(lam, dab, danb, xi if model in XI_MODELS else None)
+            for lam, dab, danb, xi in BLOCK_ROWS]
+    batch = [None if r[0] is None else np.array(r, dtype=float)[:, None] for r in zip(*rows)]
+    return [ModelParams(*r) for r in rows] + [ModelParams(*batch)]
+
+
+def _assert_cut_free(table_of, grid):
+    """``table_of(grid)`` is, bit for bit, its tables on 1000-prior slices
+    put together; the slices do not line up with the blocks."""
+    whole = table_of(grid)
+    pieces = [table_of(grid[i:i + 1000]) for i in range(0, grid.size, 1000)]
+    assert whole.p is grid
+    for name in FIELDS:
+        axis = -1 if name.startswith("post") else -2
+        joined = np.concatenate([getattr(t, name) for t in pieces], axis=axis)
+        assert getattr(whole, name).shape == joined.shape, name
+        assert getattr(whole, name).tobytes() == joined.tobytes(), name
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_predict_table_does_not_depend_on_where_the_grid_is_cut(model):
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        grid = np.linspace(0.0, 1.0, n)  # exact 0 and 1 at the ends
+        for params in _block_params(model):
+            _assert_cut_free(lambda p: predict_table(model, params, p), grid)
+
+
+def test_lu_predict_does_not_depend_on_where_the_grid_is_cut():
+    grid = np.linspace(0.0, 1.0, 2 * BLOCK + 3)
+    for params in _block_params(ModelId.FREE_LU):
+        _assert_cut_free(lambda p: lu_predict(params, p, (0.5, 0.2, 0.3)), grid)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_predict_table_peak_memory_is_about_its_table(model):
+    # numpy reports its allocations to tracemalloc: a long grid's temporaries
+    # are a block's, so the peak is close to the output arrays themselves
+    grid = np.arange(1, 200_001) / 200_001
+    for params in _block_params(model)[:2]:
+        predict_table(model, params, grid[:100])
+        tracemalloc.start()
+        try:
+            table = predict_table(model, params, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(table, name).nbytes for name in FIELDS)
+        assert peak <= 1.5 * size, (params, peak / size)
 
 
 def test_predict_requires_xi_where_applicable():

@@ -92,3 +92,6 @@ def test_model_params_json_errors():
         ModelParams.from_json('{"lambda": 1.0, "bogus": 2}')
     with pytest.raises(ValueError):
         ModelParams.from_json("[1, 2, 3]")
+    for text in ('{"lambda": [1]}', '{"lambda": 1, "delta_ab": null}', '{"lambda": {}}'):
+        with pytest.raises(ValueError, match="must be numbers"):
+            ModelParams.from_json(text)
