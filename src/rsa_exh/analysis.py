@@ -29,16 +29,6 @@ class Predicate(Enum):
     SPEAKER_ANTI_EXH = "speaker-anti-exh"
     PRODUCTION_EXPLICIT_PREFERRED = "explicit-preferred"
 
-    @classmethod
-    def from_name(cls, name: str) -> "Predicate":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(
-            f"unknown predicate {name!r}; choose from "
-            f"{', '.join(m.value for m in cls)}"
-        )
-
 
 @dataclass(frozen=True)
 class RegionReport:

@@ -6,6 +6,10 @@ the generic engine), ``fit`` / ``compare`` (maximum-likelihood estimation and
 AIC ranking), and ``synth`` (synthetic dataset generation).  All results go
 to standard output as CSV or JSON; diagnostics go to standard error.  Exit
 codes: 0 success, 2 usage error, 1 runtime error.
+
+Command-line text becomes checked values here: argparse checks names and
+counts, and a flag overrides a ``--params`` file's value of the same model
+parameter before the merged values are validated together, once.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .scenario import MESSAGES, WORLDS, ModelParams
 
 SIMULATE_COLUMNS = ("level", "role", "given", "outcome", "probability")
 CHECK_COLUMNS = ("model", "predicate", "interval_lo", "interval_hi", "omega_threshold")
+_MODEL_NAMES = [m.value for m in ModelId]
 
 
 def _fmt(value) -> str:
@@ -59,10 +64,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_model_params(parser: argparse.ArgumentParser) -> None:
-    names = ", ".join(m.value for m in ModelId)
-    parser.add_argument("--model", required=True, help=f"one of: {names}")
+    parser.add_argument("--model", required=True, choices=_MODEL_NAMES)
     parser.add_argument("--params", default=None,
-                        help="JSON file with lambda/delta_ab/delta_anb/xi")
+                        help="JSON object with numbers for lambda/delta_ab/delta_anb/xi; "
+                             "a flag overrides the file's value, and the merged values "
+                             "are validated together")
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
                         help="rationality (positive)")
     parser.add_argument("--cost-ab", type=float, default=None,
@@ -74,36 +80,38 @@ def _add_model_params(parser: argparse.ArgumentParser) -> None:
 
 
 def _model_and_params(args, parser: argparse.ArgumentParser) -> tuple[ModelId, ModelParams]:
-    model = _model(args, parser)
-    base = {"lam": None, "delta_ab": 0.0, "delta_anb": 0.0, "xi": None}
+    """The model and one validated ModelParams from ``--params`` and the flags."""
+    model = ModelId(args.model)
+    values = {"lambda": None, "delta_ab": 0.0, "delta_anb": 0.0, "xi": None}  # ModelParams' order
+    where = f"--params {args.params}: " if args.params else ""
     if args.params:
-        try:  # an unreadable file (OSError) stays a runtime error
-            loaded = ModelParams.from_json(Path(args.params).read_text(encoding="utf-8"))
+        text = Path(args.params).read_text(encoding="utf-8")  # OSError: a runtime error
+        try:  # every JSON number is a float; "xi": null means no xi
+            payload = json.loads(text, parse_int=float)
         except ValueError as exc:
-            parser.error(f"--params {args.params}: {exc}")
-        base = {"lam": loaded.lam, "delta_ab": loaded.delta_ab,
-                "delta_anb": loaded.delta_anb, "xi": loaded.xi}
-    for key, value in (("lam", args.lam), ("delta_ab", args.cost_ab),
-                       ("delta_anb", args.cost_anb), ("xi", args.xi)):
+            parser.error(f"{where}not JSON: {exc}")
+        if not isinstance(payload, dict):
+            parser.error(f"{where}must hold a JSON object")
+        unknown = sorted(set(payload) - set(values))
+        if unknown:
+            parser.error(f"{where}unknown parameter keys: {unknown}")
+        for key, value in payload.items():
+            if not (isinstance(value, float) or key == "xi" and value is None):
+                parser.error(f"{where}{key} must be a number, got {json.dumps(value)}")
+        values.update(payload)
+    for key, value in zip(values, (args.lam, args.cost_ab, args.cost_anb, args.xi)):
         if value is not None:
-            base[key] = value
-    if base["lam"] is None:
-        parser.error("--lambda is required (directly or via --params)")
+            values[key] = value
+    if values["lambda"] is None:
+        parser.error(f"{where}--lambda is required (directly or via --params)")
     try:
-        params = ModelParams(**base)
+        params = ModelParams(*values.values())
         require_xi(model, params)
     except MissingParameter:
-        parser.error(f"{model.value} requires --xi")
+        parser.error(f"{where}{model.value} requires --xi")
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"{where}{exc}")
     return model, params
-
-
-def _model(args, parser: argparse.ArgumentParser) -> ModelId:
-    try:
-        return ModelId.from_name(args.model)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 def _load_dataset(args):
@@ -127,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="prediction table over a prior grid")
     _add_model_params(p_sweep)
-    p_sweep.add_argument("--grid", type=int, default=99,
+    p_sweep.add_argument("--grid", type=_count, default=99,
                          help="number of evenly spaced interior priors")
     _add_common(p_sweep)
 
     p_check = sub.add_parser("check", help="anti-exhaustivity region report")
     _add_model_params(p_check)
     p_check.add_argument("--predicate", default=Predicate.LISTENER_ANTI_EXH.value,
-                         help="one of: " + ", ".join(pr.value for pr in Predicate))
+                         choices=[pr.value for pr in Predicate])
     p_check.add_argument("--grid-step", type=float, default=0.005)
     _add_common(p_check)
 
@@ -142,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_params(p_sim)
     p_sim.add_argument("--p", type=float, required=True,
                        help="conditional prior of the A-and-B world")
-    p_sim.add_argument("--depth", type=int, default=2)
+    p_sim.add_argument("--depth", type=_count, default=2)
     _add_common(p_sim)
 
     p_fit = sub.add_parser("fit", help="maximum-likelihood fit of one model")
-    p_fit.add_argument("--model", required=True)
+    p_fit.add_argument("--model", required=True, choices=_MODEL_NAMES)
     _add_fit_args(p_fit)
 
     p_cmp = sub.add_parser("compare", help="fit several models, rank by AIC")
-    p_cmp.add_argument("--models", default="all",
+    p_cmp.add_argument("--models", type=_models, default="all",
                        help="'all' or comma-separated model names")
     _add_fit_args(p_cmp)
 
@@ -178,31 +186,45 @@ def _seed(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _models(text: str) -> list[ModelId]:
+    """``all`` or comma-separated model names."""
+    if text.strip() == "all":
+        return list(ModelId)
+    names = [name.strip() for name in text.split(",")]
+    for name in names:
+        if name not in _MODEL_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown model {name!r}; choose 'all' or from {', '.join(_MODEL_NAMES)}")
+    return [ModelId(name) for name in names]
+
+
 def _add_fit_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="dataset CSV")
     parser.add_argument("--column-map", default=None,
                         help="logical=actual column mapping file")
     parser.add_argument("--equal-costs", action="store_true",
                         help="constrain both conjunction costs to one value")
-    parser.add_argument("--restarts", type=int, default=32)
+    parser.add_argument("--restarts", type=_count, default=32)
     parser.add_argument("--seed", type=_seed, default=0)
     _add_common(parser)
 
 
 def _cmd_sweep(args, parser) -> str:
     model, params = _model_and_params(args, parser)
-    if args.grid < 1:
-        parser.error("--grid must be a positive point count")
     rows = sweep(model, params, np.arange(1, args.grid + 1) / (args.grid + 1))
     return _write_rows(rows, SWEEP_COLUMNS, args.format)
 
 
 def _cmd_check(args, parser) -> str:
     model, params = _model_and_params(args, parser)
-    try:
-        predicate = Predicate.from_name(args.predicate)
-    except ValueError as exc:
-        parser.error(str(exc))
+    predicate = Predicate(args.predicate)
     if not 0.0 < args.grid_step <= 0.01:
         parser.error("--grid-step must be in (0, 0.01]")
     report = scan_regions(model, params, predicate, args.grid_step)
@@ -230,8 +252,6 @@ def _cmd_simulate(args, parser) -> str:
     model, params = _model_and_params(args, parser)
     if not 0.0 <= args.p <= 1.0:
         parser.error("--p must be in [0, 1]")
-    if args.depth < 1:
-        parser.error("--depth must be >= 1")
     rows = (
         _simulate_svrsa_rows(model, params, args.p, args.depth, parser)
         if model in (ModelId.SVRSA1, ModelId.SVRSA2)
@@ -276,16 +296,9 @@ def _simulate_svrsa_rows(model, params, p, depth, parser) -> list[dict]:
     return rows
 
 
-def _fit_options(args, parser) -> FitOptions:
-    try:
-        return FitOptions(restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _cmd_fit(args, parser) -> str:
-    model = _model(args, parser)
-    options = _fit_options(args, parser)
+    model = ModelId(args.model)
+    options = FitOptions(restarts=args.restarts, seed=args.seed)
     dataset = _load_dataset(args)
     result = fit(model, dataset, options=options, equal_costs=args.equal_costs)
     row = fit_result_row(result)
@@ -297,14 +310,9 @@ def _cmd_fit(args, parser) -> str:
 
 
 def _cmd_compare(args, parser) -> str:
-    try:
-        models = (list(ModelId) if args.models.strip() == "all" else
-                  [ModelId.from_name(name.strip()) for name in args.models.split(",")])
-    except ValueError as exc:
-        parser.error(str(exc))
-    options = _fit_options(args, parser)
+    options = FitOptions(restarts=args.restarts, seed=args.seed)
     dataset = _load_dataset(args)
-    results = compare(models, dataset, options=options, equal_costs=args.equal_costs)
+    results = compare(args.models, dataset, options=options, equal_costs=args.equal_costs)
     return _write_rows([fit_result_row(r) for r in results], FIT_COLUMNS, args.format)
 
 

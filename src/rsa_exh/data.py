@@ -142,11 +142,10 @@ class ObservationRow:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observation rows plus flags recording which preprocessing ran."""
+    """Observation rows plus a flag recording whether :func:`preprocess` ran."""
 
     rows: tuple[ObservationRow, ...]
-    priors_compressed: bool = False
-    messages_merged: bool = False
+    preprocessed: bool = False
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -248,19 +247,17 @@ def preprocess(dataset: Dataset) -> Dataset:
     Compresses priors into [.005, .995], merges the rare bare responses into
     their conjunctive categories, and drops uncodable production rows.
     """
-    rows = list(dataset.rows)
-    if not dataset.priors_compressed:
-        rows = [replace(r, raw_prior=float(compress_prior(r.raw_prior))) for r in rows]
-    if not dataset.messages_merged:
-        merged = []
-        for r in rows:
-            if r.response_message is ResponseMessage.OTHER_NA:
-                continue
-            if r.response_message in _MERGES:
-                r = replace(r, response_message=_MERGES[r.response_message])
-            merged.append(r)
-        rows = merged
-    return Dataset(tuple(rows), priors_compressed=True, messages_merged=True)
+    if dataset.preprocessed:
+        return dataset
+    rows = []
+    for r in dataset.rows:
+        if r.response_message is ResponseMessage.OTHER_NA:
+            continue
+        r = replace(r, raw_prior=float(compress_prior(r.raw_prior)))
+        if r.response_message in _MERGES:
+            r = replace(r, response_message=_MERGES[r.response_message])
+        rows.append(r)
+    return Dataset(tuple(rows), preprocessed=True)
 
 
 def write_dataset(dataset: Dataset) -> str:

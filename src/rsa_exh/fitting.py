@@ -82,6 +82,9 @@ SIGMA_MAX = 5.0
 #: unconstrained coordinates, and on the spread of their objective values.
 XATOL = 1e-6
 FATOL = 1e-9
+#: Default cap on a restart's iterations and on its objective evaluations,
+#: per free parameter (``FitOptions.maxiter`` overrides the product).
+EVALS_PER_PARAM = 600
 
 #: Overshoot c of the clipped logit that maps a coordinate t into a box
 #: [0, high] (see ``_ParamSpec.decode``): the logistic is stretched by c
@@ -100,8 +103,8 @@ class FitOptions:
     """Restart count, RNG seed and evaluation budget of a fit.
 
     All ``restarts`` run together, in lockstep (see the module docstring);
-    ``maxiter`` (default 600 per free parameter) caps both the iterations and
-    the objective evaluations of each restart.  Both must be at least 1.
+    ``maxiter`` (default ``EVALS_PER_PARAM`` per free parameter) caps both
+    the iterations and the evaluations of each restart.  Both must be >= 1.
     """
 
     restarts: int = 32
@@ -603,12 +606,12 @@ def _nelder_mead(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
     return _SimplexResult(sim[0], np.min(fsim), iterations, nfev, status)
 
 
-def _lockstep(objective, starts, xatol: float, fatol: float, budget: int) -> list:
+def _lockstep(objective, starts, budget: int) -> list:
     """Nelder-Mead from every start, the searches run together: each step
     stacks the points that all unfinished searches ask for and evaluates them
-    with one call of ``objective``.  ``budget`` caps both the iterations and
-    the evaluations of each search.  Returns their results in start order."""
-    searches = [_nelder_mead(x0, xatol, fatol, budget, budget) for x0 in starts]
+    with one call of ``objective``.  Each stops at ``XATOL`` and ``FATOL`` or
+    at ``budget`` iterations or evaluations.  Returns them in start order."""
+    searches = [_nelder_mead(x0, XATOL, FATOL, budget, budget) for x0 in starts]
     results: list = [None] * len(searches)
     pending: dict[int, np.ndarray] = {}
 
@@ -658,11 +661,10 @@ def fit(
     options = options or FitOptions()
     spec = _ParamSpec.build(model, equal_costs)
     packed = _PackedData.from_dataset(dataset)
-    budget = options.maxiter or 600 * len(spec.names)
     results = _lockstep(
         lambda points: _objective(points, model, spec, packed),
         spec.initial_points(options.restarts, options.seed),
-        XATOL, FATOL, budget,
+        options.maxiter or EVALS_PER_PARAM * len(spec.names),
     )
     best = min(results, key=lambda res: res.fun)
     if not any(res.success for res in results):

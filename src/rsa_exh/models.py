@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import expit
 
-from .engine import _safe_log, log_softmax
+from .engine import _safe_log
 from .scenario import ModelParams, everywhere, somewhere
 
 LOG2 = np.log(2.0)
@@ -79,16 +79,6 @@ class ModelId(Enum):
     EXH_LU = "exh-lu"
     RSA_LI1 = "li1"
     RSA_LI2 = "li2"
-
-    @classmethod
-    def from_name(cls, name: str) -> "ModelId":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(
-            f"unknown model {name!r}; choose from "
-            f"{', '.join(m.value for m in cls)}"
-        )
 
 
 #: Models whose ModelParams must carry the extra prior ``xi``.
@@ -421,9 +411,12 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     # q in {0, 1} are thereby the continuity limits.
     qc, pc = _clip_prior(params.xi), _clip_prior(p)
     lam, danb = params.lam, params.delta_anb
-    costs = np.zeros(np.broadcast_shapes(np.shape(params.delta_ab), np.shape(danb)) + (3,))
-    costs[..., 1], costs[..., 2] = params.delta_ab, danb
-    log_s = log_softmax(-np.asarray(lam)[..., None] * costs)
+    # The level-1 partial-QUD speaker: engine.log_softmax's operations on
+    # the weights (0, w_ab, w_anb) in its order, its top weight being 0, so
+    # the same bits; 0.0 - log_z, as there, keeps +0.0 where log_z is 0.
+    w_ab, w_anb = -lam * params.delta_ab, -lam * danb
+    log_z = np.log((1.0 + np.exp(w_ab)) + np.exp(w_anb))
+    log_s = (0.0 - log_z, w_ab - log_z, w_anb - log_z)
     s = np.exp(log_s)
     log_wa = np.log1p(-pc)
     x = lam * ((1 - CHI) * log_wa + danb)
@@ -434,17 +427,17 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     # never exceeds 1).  At high rationality post_ab can round to 1 + 2^-52
     # (exact: <= 1); a complement form would lose its relative accuracy at
     # small p.
-    total_a = (1 - qc) * s[..., 0] + (1 - pc) * qc * expit(x)
-    total_ab = (1 - qc) * s[..., 1] + pc * qc
-    post_a = pc * ((1 - qc) * s[..., 0] / total_a)
-    post_ab = np.minimum(pc * (((1 - qc) * s[..., 1] + qc) / total_ab), 1.0)
+    total_a = (1 - qc) * s[0] + (1 - pc) * qc * expit(x)
+    total_ab = (1 - qc) * s[1] + pc * qc
+    post_a = pc * ((1 - qc) * s[0] / total_a)
+    post_ab = np.minimum(pc * (((1 - qc) * s[1] + qc) / total_ab), 1.0)
 
     # Every term of A_AND_NOT_B carries a factor of about exp(-lam delta_anb)
     # or below, and its total underflows once that exponent passes about
     # 745; so it enters through the log-ratio d of its partial mass to its
     # total-QUD mass (1 - p) q sigma(-x).
     log_part, log_wa_total, log_total_a = np.log1p(-qc), log_wa + np.log(qc), np.log(total_a)
-    d = (log_part + log_s[..., 2]) - (log_wa_total - _softplus(x))
+    d = (log_part + log_s[2]) - (log_wa_total - _softplus(x))
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way, scored by the log posteriors
     # log((1 - p) q sigma(x) / T_A) and -softplus(d) of that cell.
@@ -458,8 +451,8 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     # Level-2 speaker addressing the partial QUD: world-independent, scored
     # by each message's log joint posterior on the partial-QUD cell, all
     # finite: the softmax of u below, weighted 1 - q in the mixture.
-    u = (lam * ((log_part + log_s[..., 0]) - log_total_a),
-         lam * ((log_part + log_s[..., 1] - params.delta_ab) - np.log(total_ab)),
+    u = (lam * ((log_part + log_s[0]) - log_total_a),
+         lam * ((log_part + log_s[1] - params.delta_ab) - np.log(total_ab)),
          -lam * (_softplus(-d) + danb))
     top = np.maximum(np.maximum(u[0], u[1]), u[2])
     e = [np.exp(u_k - top) for u_k in u]

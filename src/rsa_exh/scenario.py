@@ -11,7 +11,6 @@ index-based tables; this module pins down the canonical one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -154,36 +153,3 @@ class ModelParams:
             raise ValueError("costs must be nonnegative and finite")
         if self.xi is not None and not everywhere((0.0 <= self.xi) & (self.xi <= 1.0)):
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
-
-    def to_json(self) -> str:
-        """Serialize to the flat key-value text format (xi omitted when absent)."""
-        payload: dict[str, float] = {
-            "lambda": self.lam,
-            "delta_ab": self.delta_ab,
-            "delta_anb": self.delta_anb,
-        }
-        if self.xi is not None:
-            payload["xi"] = self.xi
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        """Parse the flat key-value format; ``xi`` may be missing."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError("params file must hold a JSON object")
-        known = {"lambda", "delta_ab", "delta_anb", "xi"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-        if "lambda" not in payload:
-            raise ValueError("params file must define 'lambda'")
-        try:
-            return cls(
-                lam=float(payload["lambda"]),
-                delta_ab=float(payload.get("delta_ab", 0.0)),
-                delta_anb=float(payload.get("delta_anb", 0.0)),
-                xi=None if payload.get("xi") is None else float(payload["xi"]),
-            )
-        except TypeError as exc:  # a list, an object or null where a number belongs
-            raise ValueError(f"params file values must be numbers: {exc}") from None

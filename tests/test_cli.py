@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import rsa_exh
-from rsa_exh.cli import run
+from rsa_exh.analysis import Predicate
+from rsa_exh.cli import build_parser, run
 from rsa_exh.data import parse_dataset
 from rsa_exh.fitting import FIT_COLUMNS
+from rsa_exh.models import ModelId
 
 
 def invoke(capsys, *argv):
@@ -82,6 +85,11 @@ def test_params_file_with_flag_override(capsys, tmp_path):
     "[2]",  # not an object
     "lambda = 2",  # not JSON
     '{"lambda": [2]}',  # not a number
+    '{"lambda": {}}',
+    '{"lambda": 1, "delta_ab": null}',  # only xi may be null
+    '{"lambda": true}',  # a JSON boolean is not a number
+    '{"lambda": 2, "xi": false}',
+    '{"lambda": 1' + "0" * 400 + "}",  # an integer beyond float range is inf
 ])
 def test_bad_params_file_exits_2(capsys, tmp_path, text):
     params = tmp_path / "params.json"
@@ -91,6 +99,43 @@ def test_bad_params_file_exits_2(capsys, tmp_path, text):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--params" in captured.err
+
+
+@pytest.mark.parametrize("text, model, flags, same_as", [
+    # the file's values are the flags' values, xi included or left out
+    ('{"lambda": 3, "delta_ab": 1, "delta_anb": 1.2, "xi": 0.1}', "wrsa", [],
+     ["--lambda", "3", "--cost-ab", "1", "--cost-anb", "1.2", "--xi", "0.1"]),
+    ('{"lambda": 2.0, "delta_ab": 0.25}', "base", [], ["--lambda", "2", "--cost-ab", "0.25"]),
+    ('{"lambda": 2, "xi": null}', "base", [], ["--lambda", "2"]),
+    # a flag completes the file or overrides its value before validation
+    ('{"delta_ab": 1}', "base", ["--lambda", "2"], ["--lambda", "2", "--cost-ab", "1"]),
+    ('{"lambda": -1}', "base", ["--lambda", "2"], ["--lambda", "2"]),
+])
+def test_params_file_merges_with_the_flags(capsys, tmp_path, text, model, flags, same_as):
+    params = tmp_path / "params.json"
+    params.write_text(text)
+    sweep = ["sweep", "--model", model, "--grid", "9"]
+    code, out, err = invoke(capsys, *sweep, "--params", str(params), *flags)
+    assert code == 0 and err == ""
+    assert (code, out) == invoke(capsys, *sweep, *same_as)[:2]
+    assert out != invoke(capsys, *sweep, "--lambda", "2", "--cost-ab", "0.5", "--xi", "0.1")[1]
+
+
+def test_parser_offers_every_model_and_predicate(capsys):
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = {name: {a.dest: a.choices for a in sub._actions}
+               for name, sub in subparsers.choices.items()}
+    for name in ("sweep", "check", "simulate", "fit", "synth"):
+        assert offered[name]["model"] == [m.value for m in ModelId]
+    assert offered["check"]["predicate"] == [pr.value for pr in Predicate]
+    args = parser.parse_args(["compare", "--data", "data.csv", "--models", "all"])
+    assert args.models == list(ModelId)
+    args = parser.parse_args(["compare", "--data", "data.csv", "--models", "wrsa, base"])
+    assert args.models == [ModelId.WRSA, ModelId.BASE_RSA]
+    with pytest.raises(SystemExit):
+        parser.parse_args(["compare", "--data", "data.csv", "--models", "base,nope"])
+    assert "unknown model 'nope'; choose 'all' or from base, wrsa," in capsys.readouterr().err
 
 
 def test_missing_params_file_is_a_runtime_error(capsys, tmp_path):

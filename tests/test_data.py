@@ -124,7 +124,7 @@ def test_preprocess_compresses_merges_and_drops():
         for r in out.rows
         if r.survey is Survey.PRODUCTION
     )
-    assert out.priors_compressed and out.messages_merged
+    assert out.preprocessed
 
 
 def test_preprocess_idempotent():

@@ -116,7 +116,7 @@ def test_dataset_loglik_single_comprehension_row():
     row = ObservationRow(
         "c1", Survey.COMPREHENSION, 0.6, Condition.UTT_A, response_posterior=0.4
     )
-    ds = Dataset((row,), priors_compressed=True, messages_merged=True)
+    ds = Dataset((row,), preprocessed=True)
     expected = comprehension_loglik(
         predict_table(ModelId.BASE_RSA, BASE_PARAMS, 0.6).post_a[0], 0.4, NOISE.sigma_a
     )
@@ -146,7 +146,7 @@ def test_dataset_loglik_nonfinite_names_row():
         "oddball", Survey.PRODUCTION, 0.3, Condition.WORLD_A,
         response_message=ResponseMessage.A_AND_B,  # literally false in w_a
     )
-    ds = Dataset((row,), priors_compressed=True, messages_merged=True)
+    ds = Dataset((row,), preprocessed=True)
     zero_eps = NoiseParams(sigma_a=0.3, sigma_ab=0.3, epsilon=0.0)
     with pytest.raises(NonfiniteLikelihood, match="oddball"):
         dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, ds)
@@ -168,10 +168,10 @@ def test_dataset_loglik_nonfinite_names_row_after_other_conditions():
                        response_message=ResponseMessage.A_AND_NOT_B),  # false in w_ab
     )
     zero_eps = NoiseParams(sigma_a=0.3, sigma_ab=0.3, epsilon=0.0)
-    ds = Dataset(rows, priors_compressed=True, messages_merged=True)
+    ds = Dataset(rows, preprocessed=True)
     with pytest.raises(NonfiniteLikelihood, match="oddball"):
         dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, ds)
-    valid = Dataset(rows[:-1], priors_compressed=True, messages_merged=True)
+    valid = Dataset(rows[:-1], preprocessed=True)
     expected = _row_by_row_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, valid)
     assert dataset_loglik(ModelId.BASE_RSA, BASE_PARAMS, zero_eps, valid) == pytest.approx(
         expected, rel=1e-12, abs=0

@@ -693,12 +693,6 @@ def test_closed_forms_match_oracles_spot_sample():
             np.testing.assert_allclose(ours.prod_wab, ref.prod_wab, atol=1e-10)
 
 
-def test_model_id_from_name():
-    assert ModelId.from_name("exh-lu") is ModelId.EXH_LU
-    with pytest.raises(ValueError):
-        ModelId.from_name("nonsense")
-
-
 def test_fixed_rho_values():
     assert FIXED_RHO[ModelId.FREE_LU] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     assert FIXED_RHO[ModelId.EXH_LU] == (0.5, 0.5, 0.0)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -72,26 +71,3 @@ def test_canonical_orderings():
 def test_model_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
-
-
-def test_model_params_json_round_trip():
-    params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0, xi=0.1)
-    again = ModelParams.from_json(params.to_json())
-    assert again == params
-
-    no_xi = ModelParams(lam=2.0, delta_ab=0.25)
-    payload = json.loads(no_xi.to_json())
-    assert "xi" not in payload
-    assert ModelParams.from_json(no_xi.to_json()) == no_xi
-
-
-def test_model_params_json_errors():
-    with pytest.raises(ValueError):
-        ModelParams.from_json('{"delta_ab": 1.0}')  # lambda missing
-    with pytest.raises(ValueError):
-        ModelParams.from_json('{"lambda": 1.0, "bogus": 2}')
-    with pytest.raises(ValueError):
-        ModelParams.from_json("[1, 2, 3]")
-    for text in ('{"lambda": [1]}', '{"lambda": 1, "delta_ab": null}', '{"lambda": {}}'):
-        with pytest.raises(ValueError, match="must be numbers"):
-            ModelParams.from_json(text)
