@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from rsa_exh.analysis import (
     sweep,
 )
 from rsa_exh.engine import iterate
-from rsa_exh.models import P_EPS, XI_MODELS, ModelId, predict_table
+from rsa_exh.models import P_EPS, XI_MODELS, ModelId, _clip_prior, predict_table
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import ModelParams
 
@@ -216,6 +217,65 @@ def test_scan_stable_under_halving_step():
     for (a, b), (c, d) in zip(coarse.intervals, fine.intervals):
         assert abs(a - c) < 2 * 0.008
         assert abs(b - d) < 2 * 0.008
+
+
+def serial_intervals(model, params, predicate, grid_step):
+    """scan_regions' intervals by the serial bisection, one prior per call."""
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    holds = lambda p: analysis._predicate_values(  # noqa: E731
+        predict_table(model, params, _clip_prior(p)), predicate)
+    values = holds(grid)
+    ends = [grid[0]] if values[0] else []
+    for i in np.flatnonzero(values[1:] != values[:-1]):
+        lo, hi = grid[i], grid[i + 1]
+        while hi - lo > ENDPOINT_TOL:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if holds(mid)[0] == values[i] else (lo, mid)
+        ends.append(0.5 * (lo + hi))
+    ends += [grid[-1]] if values[-1] else []
+    return tuple((float(lo), float(hi)) for lo, hi in zip(ends[::2], ends[1::2]))
+
+
+#: (lam, delta_ab, delta_anb, xi): a band-heavy point, a WRSA listener with
+#: three boundaries, an SVRSA point with two and three, and two baseline
+#: listener boundaries within 1e-6 of the grid points 0.5 and 0.7 (prior
+#: log-odds delta_anb - delta_ab), above and below them.
+SCAN_DRAWS = [
+    (25.0, 2.0, 2.2, 0.5),
+    (3.0, 1.0, 1.2, 0.1),
+    (7.5193761532135355, 0.030211931899707684, 0.03394124881615758, 0.3897138099727988),
+    (3.0, 0.0, math.log((0.5 + 3e-7) / (0.5 - 3e-7)), 0.5),
+    (3.0, 0.0, math.log((0.7 - 4e-7) / (0.3 + 4e-7)), 0.5),
+]
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_scan_refines_boundaries_as_the_serial_bisection(model, monkeypatch):
+    # the batched replay ends each boundary on the serial loop's endpoint,
+    # bit for bit, in at most 1 + ceil(13 / BISECT_LEVELS) calls per scan:
+    # a bracket of either grid step takes 13 halvings, and at the step 0.008
+    # the last one is 0.98 ENDPOINT_TOL wide
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return predict_table(*args)
+
+    for lam, dab, danb, xi in SCAN_DRAWS:
+        params = ModelParams(lam, dab, danb, xi if model in XI_MODELS else None)
+        for predicate, grid_step in itertools.product(Predicate, (0.005, 0.008)):
+            expected = serial_intervals(model, params, predicate, grid_step)
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "predict_table", counted)
+                calls.clear()
+                report = scan_regions(model, params, predicate, grid_step)
+            assert report.intervals == expected, (params, predicate, grid_step)
+            assert len(calls) <= 1 + math.ceil(13 / analysis.BISECT_LEVELS)
+    if model is ModelId.BASE_RSA:
+        # the near-grid cases are what they say
+        ends = [scan_regions(model, ModelParams(*draw[:3]), Predicate.LISTENER_ANTI_EXH)
+                .intervals[0][0] for draw in SCAN_DRAWS[3:]]
+        assert 0 < ends[0] - 0.5 < ENDPOINT_TOL and 0 < 0.7 - ends[1] < ENDPOINT_TOL
 
 
 def test_region_report_validates_intervals():

@@ -4,14 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rsa_exh.models import (
     BLOCK,
+    EXP_FLOOR,
     FIXED_RHO,
     LOG2,
     MissingParameter,
     NEAR_PRIOR,
+    TINY,
     ModelId,
+    _softplus_pair,
+    _two_way_rows,
     lu_predict,
     predict_table,
     XI_MODELS,
@@ -696,3 +701,81 @@ def test_closed_forms_match_oracles_spot_sample():
 def test_fixed_rho_values():
     assert FIXED_RHO[ModelId.FREE_LU] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
     assert FIXED_RHO[ModelId.EXH_LU] == (0.5, 0.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# logistic and softplus primitives
+# ---------------------------------------------------------------------------
+
+
+def _ulps(a, b):
+    """Distance in ulps between arrays of nonnegative floats."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_logistic_pair_matches_expit():
+    # sigma(x) and sigma(-x) from numpy's exp: exactly 0 and 1 where expit
+    # is, also where exp overflows (|x| > 709.78, x = +-inf), without a
+    # warning; elsewhere within 4 ulps of expit and, above TINY, within 3
+    # ulps of a 50-digit value
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(16)
+    x = np.concatenate([
+        rng.standard_normal(2000), 30 * rng.standard_normal(2000),
+        rng.uniform(-760, 760, 2000),
+        [0.0, -0.0, 1e-300, 36.7, 37.5, 709.78, 709.79, 710.0, 745.2, 800.0, np.inf],
+    ])
+    x = np.concatenate([x, -x])
+    assert 1.0 + np.exp(EXP_FLOOR) == 1.0  # so the floor changes no bit
+    prod_wa, prod_wab = _two_way_rows(x, -x)
+    assert prod_wa[:, 1].tolist() == prod_wab[:, 2].tolist() == [0.0] * x.size
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for ours, arg in ((prod_wa[:, 0], x), (prod_wa[:, 2], -x),
+                      (prod_wab[:, 0], -x), (prod_wab[:, 1], x)):
+        ref = expit(arg)
+        ends = (ref == 0.0) | (ref == 1.0)
+        assert ours[ends].tobytes() == ref[ends].tobytes()
+        assert np.all(_ulps(ours, ref) <= 4)
+        for value, v in zip(ours[~ends].tolist(), arg[~ends].tolist()):
+            exact = 1 / (1 + mp.exp(-mp.mpf(v)))
+            if exact >= TINY:
+                assert abs(value - exact) <= 3 * math.ulp(float(exact)), v
+    assert prod_wa[x == -np.inf, 0].tolist() == [0.0]
+    assert prod_wa[x == np.inf, 0].tolist() == [1.0]
+
+
+def test_speaker_row_is_exactly_zero_where_the_posterior_rounds_to_one():
+    # log(1 - post_a) = -inf scores A at -inf in World.A: its probability is
+    # 0, not a tiny positive number, so an epsilon-free likelihood still sees
+    # that the row rules A out
+    table = predict_table(ModelId.WRSA, ModelParams(50.0, 0.0, 0.0, 0.0), [1 - 1e-6])
+    assert table.post_a.tolist() == [1.0]
+    assert table.prod_wa.tolist() == [[0.0, 0.0, 1.0]]
+
+
+def test_softplus_pair_is_the_two_softplus_forms():
+    rng = np.random.default_rng(17)
+    z = np.concatenate([rng.standard_normal(500) * np.exp(rng.uniform(-10, 7, 500)),
+                        [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]])
+    pos, neg = _softplus_pair(z)
+    for ours, arg in ((pos, z), (neg, -z)):
+        ref = np.maximum(arg, 0.0) + np.log1p(np.exp(-np.abs(arg)))
+        assert ours.tobytes() == ref.tobytes()
+
+
+def test_production_rows_sum_to_one_within_four_ulps():
+    # over the fitting box (lam to 1e3, costs to 200) and priors at the ends
+    rng = np.random.default_rng(18)
+    priors = np.concatenate([[0.0, 1e-12, 1e-9], rng.uniform(0, 1, 200), [1 - 1e-9, 1.0]])
+    for model in ModelId:
+        for _ in range(6):
+            params = ModelParams(
+                lam=float(np.exp(rng.uniform(np.log(0.05), np.log(1e3)))),
+                delta_ab=float(rng.choice([0.0, rng.uniform(0, 3), rng.uniform(0, 200)])),
+                delta_anb=float(rng.choice([0.0, rng.uniform(0, 3), rng.uniform(0, 200)])),
+                xi=float(rng.choice([0.0, 1.0, rng.uniform()])) if model in XI_MODELS else None,
+            )
+            table = predict_table(model, params, priors)
+            for rows in (table.prod_wa, table.prod_wab):
+                assert np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 4 * np.spacing(1.0)), params
