@@ -40,14 +40,10 @@ exact where ``|A - B| >= 4 eps max(A, B)`` (``eps = 2^-52``).  The scores
 carry the rounding of ``log p`` and ``log1p(-p)``.
 
 The two-way speaker rows (:func:`_two_way_rows`, seven variants) and SVRSA's
-total-QUD row take each logistic pair ``sigma(x)``, ``sigma(-x)`` by scipy's
-``expit`` formula, ``1 / (1 + exp(-+x))``, on numpy's vector ``exp`` (see
-:func:`_logistic_pair`), which costs a tenth of ``expit`` per entry: within
-4 ulps of ``expit``, and exactly 0 or 1 wherever ``expit`` is.  Where ``exp``
-overflows (``|x|`` beyond about 709.78, ``x = +-inf``) the logistic is
-exactly 0; that overflow is ignored, not clamped away.  The logistics
-inside the likelihoods of ``A`` keep scipy's ``expit``, so the posteriors
-are those that the order-exact scans were checked on.
+total-QUD row take each logistic pair from :func:`_logistic_pair`: scipy's
+``expit`` formula on numpy's vector ``exp``, with the overflow rule stated
+there.  The logistics inside the likelihoods of ``A`` keep scipy's ``expit``,
+so the posteriors are those that the order-exact scans were checked on.
 """
 
 from __future__ import annotations
@@ -338,23 +334,19 @@ def _off_prior(q, delta, side):
     return fine
 
 
-#: Floor on the argument t of the logistics' ``exp`` (see _logistic_pair):
-#: below it ``1 + exp(t)`` rounds to 1, so the floor changes no bit, while
-#: numpy's vector ``exp`` is slow where its results underflow (on the 2-vCPU
-#: Xeon VM, 480 entries at t = -740 took 56 us, against 4 us at t = 700).
-EXP_FLOOR = -40.0
-
-
 def _logistic_pair(x, pos, neg):
-    """Write ``sigma(x)`` into ``pos`` and ``sigma(-x)`` into ``neg`` (see the
-    module docstring).  The argument of ``exp`` is held at ``EXP_FLOOR`` or
-    above, where the logistic is 1 either way; it is not bounded above, so
-    ``x = -inf`` (a posterior rounded to 1) still gives exactly 0.  The
-    caller ignores the overflow, with one ``np.errstate`` per table."""
-    e = np.exp(-np.minimum(x, -EXP_FLOOR))
+    """Write ``sigma(x)`` into ``pos`` and ``sigma(-x)`` into ``neg`` by
+    scipy's ``expit`` formula, ``1 / (1 + exp(-+x))``, on numpy's vector
+    ``exp``, which costs a tenth of ``expit`` per entry: within 4 ulps of
+    ``expit``, and exactly 0 or 1 wherever ``expit`` is.  Where ``exp``
+    overflows (``|x|`` beyond about 709.78, ``x = +-inf``) the logistic is
+    exactly 0; ``x`` is not clamped, so ``x = -inf`` (a posterior rounded to
+    1) gives 0, not a tiny number.  The caller ignores the overflow, with one
+    ``np.errstate`` per table."""
+    e = np.exp(-x)
     e += 1.0
     np.divide(1.0, e, out=pos)
-    np.exp(np.maximum(x, EXP_FLOOR), out=e)
+    np.exp(x, out=e)
     e += 1.0
     np.divide(1.0, e, out=neg)
 
@@ -362,10 +354,8 @@ def _logistic_pair(x, pos, neg):
 def _two_way_rows(x_wa, x_wab):
     """Speaker rows over (A, A_AND_B, A_AND_NOT_B) for a choice between ``A``
     and the explicit message: ``[sigma(x_wa), 0, sigma(-x_wa)]`` in
-    ``World.A`` and ``[sigma(x_wab), sigma(-x_wab), 0]`` in ``World.AB``.
-    Each logistic is ``1 / (1 + exp(-x))`` on numpy's ``exp`` (see
-    :func:`_logistic_pair`), exactly 0 where ``exp`` overflows; one
-    ``np.errstate`` ignores that overflow for the whole table."""
+    ``World.A`` and ``[sigma(x_wab), sigma(-x_wab), 0]`` in ``World.AB``,
+    by :func:`_logistic_pair`."""
     prod_wa, prod_wab = np.empty((2,) + x_wa.shape + (3,))
     prod_wa[..., 1] = prod_wab[..., 2] = 0.0
     with np.errstate(over="ignore"):
@@ -420,6 +410,12 @@ def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
 # An ambiguous message is unusable for a total-QUD speaker unless true under
 # every positive-prior interpretation.
 # ---------------------------------------------------------------------------
+
+
+def _softplus(z):
+    """``log(1 + exp(z))``: ``np.logaddexp(0, z)`` spelled out, which takes
+    half the time."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _softplus_pair(z):
@@ -477,12 +473,11 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     log_part, log_wa_total, log_total_a = np.log1p(-qc), log_wa + np.log(qc), np.log(total_a)
     softplus_x, softplus_neg_x = _softplus_pair(x)
     d = (log_part + log_s[2]) - (log_wa_total - softplus_x)
-    softplus_d, softplus_neg_d = _softplus_pair(d)
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way, scored by the log posteriors
     # log((1 - p) q sigma(x) / T_A) and -softplus(d) of that cell.
-    y = lam * (danb + ((log_wa_total - softplus_neg_x) - log_total_a) + softplus_d)
-    del softplus_x, softplus_neg_x, softplus_d  # they would lift the call's peak memory
+    y = lam * (danb + ((log_wa_total - softplus_neg_x) - log_total_a) + _softplus(d))
+    del softplus_x, softplus_neg_x  # they would lift the call's peak memory
     # In w_ab the total-QUD speaker says the conjunction.
     prod_wa, prod_wab = np.empty((2,) + y.shape + (3,))
     prod_wa[..., 1] = prod_wab[..., 0] = prod_wab[..., 2] = 0.0
@@ -497,7 +492,7 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     # finite: the softmax of u below, weighted 1 - q in the mixture.
     u = (lam * ((log_part + log_s[0]) - log_total_a),
          lam * ((log_part + log_s[1] - params.delta_ab) - np.log(total_ab)),
-         -lam * (softplus_neg_d + danb))
+         -lam * (_softplus(-d) + danb))
     top = np.maximum(np.maximum(u[0], u[1]), u[2])
     e = [np.exp(u_k - top) for u_k in u]
     part = np.stack(e, axis=-1) * ((1 - qc) / (e[0] + e[1] + e[2]))[..., None]
