@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
-from .models import LOG2, ModelId, ModelParams, PredictionTable, _clip_prior, predict_table
+from .models import (LOG2, ModelId, ModelParams, PredictionTable, _clip_prior, _expit,
+                     predict_table)
 
 #: Bisection tolerance on region endpoints.
 ENDPOINT_TOL = 1e-6
@@ -85,7 +85,7 @@ def bwrsa_antiexh_threshold(params: ModelParams) -> float:
     limit; values above 1 mean anti-exhaustivity at every wonkiness prior.
     """
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
-    f = lambda x: expit(lam * x)  # noqa: E731
+    f = lambda x: _expit(lam * x)  # noqa: E731
     return f(dab) / (f(dab) - f(dab - LOG2) + f(danb - LOG2))
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 NEG_INF = float("-inf")
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -100,6 +99,35 @@ class GenericScenario:
 def _safe_log(x: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(x)
+
+
+def logsumexp(a, axis=None, keepdims: bool = False):
+    """``log(sum(exp(a)))`` over ``axis`` (None for all axes, an int or a
+    tuple), bit for bit scipy 1.17's ``scipy.special.logsumexp`` on float64
+    input, without loading scipy.
+
+    As there, the largest entries of a slice (``m`` of them, at ``top``) are
+    taken out of the shifted sum ``s``, and the result is ``log1p(s / m) +
+    log(m) + top``, with the same reductions over the same layout.  Where
+    ``top`` is not finite scipy falls back on the direct ``log(sum(exp(a)))``,
+    which is then ``top`` itself: -inf on an all-(-inf) or empty slice, +inf,
+    or nan."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if axis is None:
+        axis = tuple(range(a.ndim))
+    top = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+    at_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+        shifted = a - top
+        shifted[at_top] = -np.inf
+        s = np.sum(np.exp(shifted), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+    out = np.where(np.isfinite(out), out, top)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 def log_literal_listener_table(truth: np.ndarray, world_prior: np.ndarray) -> np.ndarray:

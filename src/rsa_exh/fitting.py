@@ -30,6 +30,11 @@ CPU), and collects the results, exceptions and warnings in model order.  It
 fits them in the calling process, in turn, where only one worker is
 possible, where that process is a daemon, or where the platform cannot fork.
 Each fit is the same in either case, so the results are too, bit for bit.
+
+The fits take ``log_ndtr``, ``expit`` and ``logit`` from ``scipy.special``,
+which is imported on the first fit or likelihood call (:func:`_special`), not
+with this module: the predictions and every subcommand but ``fit`` and
+``compare`` run without loading scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, logit
 
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
 from .models import MissingParameter, ModelId, ModelParams, XI_MODELS, _each, predict_table
@@ -172,6 +176,16 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call and kept, so that its
+    import, which also loads ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma``, is paid by the fits alone."""
+    import scipy.special
+
+    return scipy.special
+
+
 @dataclass(frozen=True)
 class _SliderResponses:
     """Slider responses, reordered by censoring for scoring.
@@ -215,7 +229,7 @@ class _SliderResponses:
         t = self.n_tails
         out = np.empty(x.shape)
         # (0 - x) / sigma below, -(1 - x) / sigma above: the tail masses
-        out[..., :t] = log_ndtr((self.bound - x[..., :t]) * self.sign / scale[..., :t])
+        out[..., :t] = _special().log_ndtr((self.bound - x[..., :t]) * self.sign / scale[..., :t])
         z = (self.interior - x[..., t:]) / scale[..., t:]
         log_scale = np.where(self.first[t:], _each(math.log, sigma_first),
                              _each(math.log, sigma_second))
@@ -386,7 +400,7 @@ class _ParamSpec:
         each row of a (K, d) stack of points: ``high * _rounded_clip((1 +
         2c) expit(t) - c)`` with c = ``OVERSHOOT``, exactly 0 or ``high``
         wherever the stretched logistic passes a bound by ``_CORNER``."""
-        values = self.highs * _rounded_clip((1 + 2 * OVERSHOOT) * expit(t) - OVERSHOOT)
+        values = self.highs * _rounded_clip((1 + 2 * OVERSHOOT) * _special().expit(t) - OVERSHOOT)
         if values.ndim == 2:
             values = np.ascontiguousarray(values.T)[:, :, None]
         return dict(zip(self.names, values))
@@ -403,13 +417,18 @@ class _ParamSpec:
         upper = 1 + _CORNER - 2 * np.sqrt(_CORNER * (1 - ratio))
         r = np.where(ratio < _CORNER, lower, np.where(ratio > 1 - _CORNER, upper, ratio))
         r = np.where(ratio == 0.0, -1.5 * _CORNER, np.where(ratio == 1.0, 1 + 1.5 * _CORNER, r))
-        return logit((r + OVERSHOOT) / (1 + 2 * OVERSHOOT))
+        return _special().logit((r + OVERSHOOT) / (1 + 2 * OVERSHOOT))
 
     def split(self, t: np.ndarray) -> tuple[ModelParams, NoiseParams]:
         """Model and noise parameters at a point ``t`` (floats) or at each
         row of a (K, d) stack of points ((K, 1) columns); raises ValueError
         where an entry is out of range."""
-        values = self.decode(t)
+        return self.assemble(self.decode(t))
+
+    @staticmethod
+    def assemble(values: dict) -> tuple[ModelParams, NoiseParams]:
+        """Model and noise parameters from the values of :meth:`decode`,
+        floats or (K, 1) columns; raises ValueError as :meth:`split` does."""
         if "delta" in values:
             values["delta_ab"] = values["delta_anb"] = values["delta"]
         params = ModelParams(lam=values["lambda"], delta_ab=values["delta_ab"],
@@ -445,8 +464,9 @@ def _rounded_clip(r: np.ndarray) -> np.ndarray:
     there, at which Nelder-Mead can stall: both restarts of a WRSA fit on
     2 of 300 fit-compare datasets stopped 11-13 nats short of the optimum.
     """
-    below = np.clip(r + _CORNER, 0.0, 2 * _CORNER)
-    above = np.clip(1 + _CORNER - r, 0.0, 2 * _CORNER)
+    # np.clip's bounds, without its Python-level wrapper
+    below = np.minimum(np.maximum(r + _CORNER, 0.0), 2 * _CORNER)
+    above = np.minimum(np.maximum(1 + _CORNER - r, 0.0), 2 * _CORNER)
     return np.where(r < _CORNER, below * below / (4 * _CORNER),
                     np.where(r > 1 - _CORNER, 1 - above * above / (4 * _CORNER), r))
 
@@ -467,29 +487,24 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
 
 def _objective(points: np.ndarray, model: ModelId, spec: _ParamSpec,
                packed: _PackedData) -> np.ndarray:
-    """Negated log-likelihoods at a (K, d) stack of unconstrained points, all
-    scored in one batched call: inf where lambda or a noise scale decodes to
-    0, or where an observation gets probability 0.  A lone point is scored
-    with float parameters, which gives the same bits as a batch of one at
-    less cost."""
-    one = len(points) == 1
-    try:
-        params, noise = spec.split(points[0] if one else points)
-    except ValueError:  # lambda or a noise scale decoded to 0 somewhere
-        scores = np.full(len(points), np.inf)
-        ok = np.array([not one and _valid(spec, t) for t in points])
-        if ok.any():
-            scores[ok] = _objective(points[ok], model, spec, packed)
-        return scores
-    return -_packed_logliks(model, params, noise, packed)[0]
-
-
-def _valid(spec: _ParamSpec, t: np.ndarray) -> bool:
-    try:
-        spec.split(t)
-    except ValueError:
-        return False
-    return True
+    """Negated log-likelihoods at a (K, d) stack of unconstrained points: inf
+    where lambda or a noise scale decodes to 0, or where an observation gets
+    probability 0.  The points are decoded once, and the others scored in one
+    batched call; a lone one is scored with float parameters, which gives the
+    same bits as a batch of one at less cost."""
+    values = spec.decode(points)
+    # the values that ModelParams and NoiseParams reject at 0; the others may be 0
+    live = np.flatnonzero((values["lambda"] > 0) & (values["sigma_a"] > 0)
+                          & (values["sigma_ab"] > 0))
+    scores = np.full(len(points), np.inf)
+    if live.size == 1:
+        values = {name: v[live[0], 0] for name, v in values.items()}
+    elif live.size < len(points):
+        values = {name: v[live] for name, v in values.items()}
+    if live.size:
+        params, noise = spec.assemble(values)
+        scores[live] = -_packed_logliks(model, params, noise, packed)[0]
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +563,8 @@ def _nelder_mead(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
         return values
 
     def sort(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        return sim.take(ind, 0), fsim.take(ind, 0)
 
     try:
         fsim[:] = yield from evaluate(sim)
@@ -560,8 +575,8 @@ def _nelder_mead(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
     iterations = 1
     while nfev < maxfev and iterations < maxiter:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = (1 + rho) * xbar - rho * sim[-1]
@@ -603,7 +618,7 @@ def _nelder_mead(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
             pass
         sim, fsim = sort(sim, fsim)
     status = 1 if nfev >= maxfev else 2 if iterations >= maxiter else 0
-    return _SimplexResult(sim[0], np.min(fsim), iterations, nfev, status)
+    return _SimplexResult(sim[0], fsim.min(), iterations, nfev, status)
 
 
 def _lockstep(objective, starts, budget: int) -> list:
@@ -723,7 +738,8 @@ def compare(
     from concurrent.futures import ProcessPoolExecutor
 
     # fork: the workers inherit the loaded modules, which a fresh interpreter
-    # would take 0.5-0.8 s each to import
+    # would take 0.5-0.8 s each to import; scipy.special among them
+    _special()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         return _ranked(models, pool.map(row, models))

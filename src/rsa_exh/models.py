@@ -39,11 +39,15 @@ The mixtures (lexical uncertainty, Bayesian wonky) sum four logistics, whose
 exact where ``|A - B| >= 4 eps max(A, B)`` (``eps = 2^-52``).  The scores
 carry the rounding of ``log p`` and ``log1p(-p)``.
 
-The two-way speaker rows (:func:`_two_way_rows`, seven variants) and SVRSA's
-total-QUD row take each logistic pair from :func:`_logistic_pair`: scipy's
-``expit`` formula on numpy's vector ``exp``, with the overflow rule stated
-there.  The logistics inside the likelihoods of ``A`` keep scipy's ``expit``,
-so the posteriors are those that the order-exact scans were checked on.
+Every logistic is scipy's ``expit`` formula, ``1 / (1 + exp(-x))``, and no
+scipy module is loaded to predict.  The two-way speaker rows
+(:func:`_two_way_rows`, seven variants) and SVRSA's total-QUD row take each
+logistic pair from :func:`_logistic_pair`, and the likelihoods of ``A`` their
+one-sided logistics from :func:`_logistic`: the formula on numpy's vector
+``exp``, with the overflow rule stated in :func:`_logistic_pair`.  A term that
+depends on the parameters alone (a float, or a (K, 1) column of a batch) is
+formed by :func:`_expit` on ``math.exp``, which gives ``expit``'s bits on the
+same libm ``exp`` and the same bits in a batched row as in a float call.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
 from .engine import _safe_log
 from .scenario import ModelParams, everywhere, somewhere
@@ -122,7 +125,8 @@ class PredictionTable:
 
 
 def _clip_prior(p) -> np.ndarray:
-    return np.clip(np.asarray(p, dtype=float), P_EPS, 1.0 - P_EPS)
+    # np.clip's bounds, without its Python-level wrapper
+    return np.minimum(np.maximum(np.asarray(p, dtype=float), P_EPS), 1.0 - P_EPS)
 
 
 def _keep_prior_ends(table: PredictionTable, p: np.ndarray) -> PredictionTable:
@@ -186,11 +190,39 @@ def _each(fn, x):
     loops may round them differently in the last bit."""
     if not isinstance(x, np.ndarray):
         return fn(x)
-    return np.array([fn(v) for v in x.ravel()]).reshape(x.shape)
+    return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _log_weight(w: float) -> float:
     return math.log(w) if w > 0 else -math.inf
+
+
+def _expit(x: float) -> float:
+    """``sigma(x)`` of a float by ``expit``'s formula on ``math.exp``: 0
+    where ``exp(-x)`` overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def _scaled_expit(w, c):
+    """``w sigma(c)`` for a weight and a score that depend on the parameters
+    alone, floats or (K, 1) columns, by :func:`_expit`; 0.0 where ``w`` is
+    the float 0 (the baseline's and the lexical intentions' constants)."""
+    if isinstance(w, float) and w == 0:
+        return 0.0
+    return w * _each(_expit, c)
+
+
+def _logistic(x, w=1.0):
+    """``w sigma(x)`` as ``w / (1 + exp(-x))`` on numpy's vector ``exp``:
+    exactly 0 where ``exp`` overflows, which the caller ignores (see
+    :func:`_logistic_pair`).  One division rounds where ``w * sigma(x)``
+    would round twice."""
+    e = np.exp(-x)
+    e += 1.0
+    return w / e
 
 
 def _pick(x, where: np.ndarray) -> np.ndarray:
@@ -207,11 +239,11 @@ def _log_mixture(w, z: np.ndarray, k) -> np.ndarray:
     the value finite where ``sigma(z)`` underflows."""
     keep = k >= TINY
     if everywhere(keep):
-        return np.log(w * expit(z) + k)
+        return np.log(_logistic(z, w) + k)
     out = (_each(_log_weight, w) + np.minimum(z, 0.0)) - np.log1p(np.exp(-np.abs(z)))
     if somewhere(keep):
         with np.errstate(divide="ignore"):
-            out = np.where(keep, np.log(w * expit(z) + k), out)
+            out = np.where(keep, np.log(_logistic(z, w) + k), out)
     return out
 
 
@@ -224,7 +256,7 @@ def _logistic_split(z):
     size = np.abs(z)
     mid = size <= 1.0
     step = np.where(mid, 0.5, z > 0)
-    tail = np.where(mid, 0.5 * np.tanh(0.5 * z), -np.sign(z) * expit(-size))
+    tail = np.where(mid, 0.5 * np.tanh(0.5 * z), -np.sign(z) * _logistic(-size))
     return step, tail
 
 
@@ -233,7 +265,7 @@ def _logistic_gap(a, b):
     ``+-sigma(hi) sigma(-lo) (1 - exp(lo - hi))`` over the ordered pair (so
     that ``expm1`` cannot overflow)."""
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return np.sign(a - b) * expit(hi) * expit(-lo) * -np.expm1(lo - hi)
+    return np.sign(a - b) * _logistic(hi) * _logistic(-lo) * -np.expm1(lo - hi)
 
 
 def _mixture_gap(rho, z_ab, z_a, c_ab, c_a, where):
@@ -276,6 +308,7 @@ def _mixture_gap(rho, z_ab, z_a, c_ab, c_a, where):
     return diff, side
 
 
+@np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
 def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0, c_a=0.0):
     """Listener posterior on ``World.AB`` after ``A`` by Bayes' rule (see the
     module docstring), and the log posteriors on ``World.AB`` and ``World.A``.
@@ -291,8 +324,8 @@ def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0
     the neighbour of ``pc`` on the side of ``A - B``.
     """
     rho_lit, rho_exh, rho_anti = rho
-    log_wab = log_pc + _log_mixture(rho_lit, z_ab, rho_anti * expit(c_ab))
-    log_wa = log_qc + _log_mixture(rho_lit, z_a, rho_exh * expit(c_a))
+    log_wab = log_pc + _log_mixture(rho_lit, z_ab, _scaled_expit(rho_anti, c_ab))
+    log_wa = log_qc + _log_mixture(rho_lit, z_a, _scaled_expit(rho_exh, c_a))
     # np.logaddexp(log_wab, log_wa) spelled out, which takes half the time
     denom = np.maximum(log_wab, log_wa) + np.log1p(np.exp(-np.abs(log_wab - log_wa)))
     log_ab, log_a = log_wab - denom, log_wa - denom
@@ -311,7 +344,7 @@ def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0
         up = gap > 0
         delta = np.exp(np.where(up, log_ab[one], log_a[one]))
         delta *= q - up
-        delta *= expit(-np.minimum(a, b))
+        delta *= _logistic(-np.minimum(a, b))
         delta *= np.expm1(-np.abs(gap))
         post[one] = _off_prior(q, delta, side)
     mix = near & ~one
@@ -342,7 +375,7 @@ def _logistic_pair(x, pos, neg):
     overflows (``|x|`` beyond about 709.78, ``x = +-inf``) the logistic is
     exactly 0; ``x`` is not clamped, so ``x = -inf`` (a posterior rounded to
     1) gives 0, not a tiny number.  The caller ignores the overflow, with one
-    ``np.errstate`` per table."""
+    ``np.errstate`` around the function that forms the table or the rows."""
     e = np.exp(-x)
     e += 1.0
     np.divide(1.0, e, out=pos)
@@ -351,6 +384,7 @@ def _logistic_pair(x, pos, neg):
     np.divide(1.0, e, out=neg)
 
 
+@np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
 def _two_way_rows(x_wa, x_wab):
     """Speaker rows over (A, A_AND_B, A_AND_NOT_B) for a choice between ``A``
     and the explicit message: ``[sigma(x_wa), 0, sigma(-x_wa)]`` in
@@ -358,9 +392,8 @@ def _two_way_rows(x_wa, x_wab):
     by :func:`_logistic_pair`."""
     prod_wa, prod_wab = np.empty((2,) + x_wa.shape + (3,))
     prod_wa[..., 1] = prod_wab[..., 2] = 0.0
-    with np.errstate(over="ignore"):
-        _logistic_pair(x_wa, prod_wa[..., 0], prod_wa[..., 2])
-        _logistic_pair(x_wab, prod_wab[..., 0], prod_wab[..., 1])
+    _logistic_pair(x_wa, prod_wa[..., 0], prod_wa[..., 2])
+    _logistic_pair(x_wab, prod_wab[..., 0], prod_wab[..., 1])
     return prod_wa, prod_wab
 
 
@@ -381,6 +414,7 @@ def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a):
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
 def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     """Wonky-prior listener: joint inference over world and background.
 
@@ -392,10 +426,10 @@ def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     omega = params.xi
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
     pc = _clip_prior(p)
-    wab_mass = (pc * (1 - omega) * expit(lam * (np.log(pc) + dab))
-                + 0.5 * omega * expit(lam * (dab - LOG2)))
-    wa_mass = ((1 - pc) * (1 - omega) * expit(lam * (np.log1p(-pc) + danb))
-               + 0.5 * omega * expit(lam * (danb - LOG2)))
+    wab_mass = (_logistic(lam * (np.log(pc) + dab), pc * (1 - omega))
+                + _scaled_expit(0.5 * omega, lam * (dab - LOG2)))
+    wa_mass = (_logistic(lam * (np.log1p(-pc) + danb), (1 - pc) * (1 - omega))
+               + _scaled_expit(0.5 * omega, lam * (danb - LOG2)))
     post_a = wab_mass / (wab_mass + wa_mass)
     log_ab = _safe_log(post_a)
     with np.errstate(divide="ignore"):
@@ -426,6 +460,7 @@ def _softplus_pair(z):
     return np.maximum(z, 0.0) + tail, np.maximum(-z, 0.0) + tail
 
 
+@np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
 def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
     """Level-1 listener and level-2 speakers over the four (world, QUD) cells
     ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
@@ -461,7 +496,7 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     # never exceeds 1).  At high rationality post_ab can round to 1 + 2^-52
     # (exact: <= 1); a complement form would lose its relative accuracy at
     # small p.
-    total_a = (1 - qc) * s[0] + (1 - pc) * qc * expit(x)
+    total_a = (1 - qc) * s[0] + _logistic(x, (1 - pc) * qc)
     total_ab = (1 - qc) * s[1] + pc * qc
     post_a = pc * ((1 - qc) * s[0] / total_a)
     post_ab = np.minimum(pc * (((1 - qc) * s[1] + qc) / total_ab), 1.0)
@@ -482,8 +517,7 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     prod_wa, prod_wab = np.empty((2,) + y.shape + (3,))
     prod_wa[..., 1] = prod_wab[..., 0] = prod_wab[..., 2] = 0.0
     prod_wab[..., 1] = 1.0
-    with np.errstate(over="ignore"):
-        _logistic_pair(y, prod_wa[..., 0], prod_wa[..., 2])
+    _logistic_pair(y, prod_wa[..., 0], prod_wa[..., 2])
     if model is ModelId.SVRSA2:
         return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
 

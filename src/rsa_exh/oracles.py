@@ -15,10 +15,9 @@ Everything is vectorized over the prior (a leading batch axis).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .engine import (GenericScenario, _safe_log, iterate, log_joint_listener_table,
-                     log_softmax, log_speaker_table)
+                     log_softmax, log_speaker_table, logsumexp)
 from .models import CHI, FIXED_RHO, ModelId, ModelParams, PredictionTable, _clip_prior, require_xi
 from .scenario import INTERPRETATIONS, MESSAGES, WORLDS, Interpretation, Qud, truth_value
 

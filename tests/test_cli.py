@@ -372,28 +372,56 @@ def test_invalid_prior_value_is_usage_error():
 # ---------------------------------------------------------------------------
 
 
-def _loaded_by_cli_import(prefix):
-    """The modules named ``prefix...`` that a fresh ``import rsa_exh.cli`` loads."""
+def _fresh_process(probe):
+    """The stdout of ``python -c probe`` in a fresh interpreter that finds
+    this package."""
     src = str(Path(rsa_exh.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, rsa_exh.cli; "
-        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
-    )
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the import time; nothing in the CLI needs it
-    assert _loaded_by_cli_import("scipy.stats") == "[]"
+def _loaded_by_cli_import(prefix):
+    """The modules named ``prefix...`` that a fresh ``import rsa_exh.cli`` loads."""
+    return _fresh_process(
+        "import sys, rsa_exh.cli; "
+        f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
+    )
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the fits run their own Nelder-Mead; scipy.optimize would load some 250
-    # more modules
-    assert _loaded_by_cli_import("scipy.optimize") == "[]"
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special's import also loads numpy.f2py, numpy.testing and
+    # numpy.ma; only the fits need it
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_only_the_fits_load_scipy(tmp_path):
+    # sweep, check, simulate and synth predict on numpy alone; fit loads
+    # scipy.special on its first likelihood call
+    data = tmp_path / "data.csv"
+    common = ["--model", "wrsa", "--lambda", "3", "--cost-ab", "0.5", "--cost-anb", "1",
+              "--xi", "0.3"]
+    commands = [
+        ["sweep", *common, "--grid", "9"],
+        ["check", *common],
+        ["simulate", *common, "--p", "0.7"],
+        ["synth", *common, "--sigma-a", "0.3", "--sigma-ab", "0.2", "--epsilon", "0.02",
+         "--out", str(data)],
+    ]
+    fit = ["fit", "--model", "base", "--data", str(data), "--restarts", "1"]
+    probe = (
+        "import contextlib, io, sys\n"
+        "from rsa_exh.cli import run\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [run(argv) for argv in {commands!r}]\n"
+        "    before = scipy_loaded()\n"
+        f"    codes.append(run({fit!r}))\n"
+        "print(codes, before, 'scipy.special' in scipy_loaded())\n"
+    )
+    assert _fresh_process(probe) == "[0, 0, 0, 0, 0] [] True"
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from rsa_exh.engine import (
     log_literal_listener_table,
     log_softmax,
     log_speaker_table,
+    logsumexp,
 )
 from rsa_exh.models import ModelId, predict_table
 from rsa_exh.oracles import canonical_scenario
@@ -293,3 +295,42 @@ def test_batched_tables_match_per_entry_reference():
             np.testing.assert_allclose(
                 np.exp(log_l1[m]), weights / math.fsum(weights.ravel()), atol=1e-12
             )
+
+
+def _logsumexp_inputs(rng):
+    """Float arrays of one to four axes: random scales, ties, slices that are
+    all -inf, +inf and nan entries, and strided and transposed views."""
+    for trial in range(400):
+        shape = tuple(rng.integers(1, 5, rng.integers(1, 5)))
+        a = rng.standard_normal(shape) * rng.choice([1.0, 30.0, 1e3])
+        if trial % 2:
+            a = np.round(a)  # ties at the max
+        if trial % 3 == 0:
+            a[..., : max(1, shape[-1] // 2)] = -np.inf  # slices all -inf across the other axes
+        if trial % 7 == 0:
+            a.flat[rng.integers(a.size)] = np.inf
+        if trial % 11 == 0:
+            a.flat[rng.integers(a.size)] = np.nan
+        if trial % 4 == 1 and a.ndim > 1:
+            a = np.moveaxis(a, 0, -1)
+        if trial % 5 == 2:
+            a = a[..., ::2]
+        yield a
+    yield np.full((3, 4), -np.inf)
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    # the one log-sum-exp of the engine and oracles, which keeps the
+    # oracle references and simulate's output byte for byte
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(4)
+    for a in _logsumexp_inputs(rng):
+        axes = [None, *range(-a.ndim, a.ndim),
+                *(axes for r in range(1, a.ndim + 1)
+                  for axes in itertools.combinations(range(a.ndim), r))]
+        for axis in axes:
+            for keepdims in (False, True):
+                ours = logsumexp(a, axis=axis, keepdims=keepdims)
+                ref = special.logsumexp(a, axis=axis, keepdims=keepdims)
+                assert type(ours) is type(ref) and np.shape(ours) == np.shape(ref)
+                assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes(), (a, axis)

@@ -14,6 +14,9 @@ from rsa_exh.models import (
     NEAR_PRIOR,
     TINY,
     ModelId,
+    _expit,
+    _logistic,
+    _scaled_expit,
     _softplus,
     _softplus_pair,
     _two_way_rows,
@@ -714,10 +717,10 @@ def _ulps(a, b):
 
 
 def test_logistic_pair_matches_expit():
-    # sigma(x) and sigma(-x) from numpy's exp: exactly 0 and 1 where expit
-    # is, also where exp overflows (|x| > 709.78, x = +-inf), without a
-    # warning; elsewhere within 4 ulps of expit and, above TINY, within 3
-    # ulps of a 50-digit value
+    # sigma(x) and sigma(-x) from numpy's exp, in pairs and one-sided:
+    # exactly 0 and 1 where expit is, also where exp overflows (|x| >
+    # 709.78, x = +-inf), without a warning from the rows; elsewhere within
+    # 4 ulps of expit and, above TINY, within 3 ulps of a 50-digit value
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(16)
     x = np.concatenate([
@@ -728,10 +731,12 @@ def test_logistic_pair_matches_expit():
     x = np.concatenate([x, -x])
     prod_wa, prod_wab = _two_way_rows(x, -x)
     assert prod_wa[:, 1].tolist() == prod_wab[:, 2].tolist() == [0.0] * x.size
+    with np.errstate(over="ignore"):  # as the tables that call it do
+        one_sided = _logistic(x)
     mp = mpmath.mp.clone()
     mp.dps = 50
     for ours, arg in ((prod_wa[:, 0], x), (prod_wa[:, 2], -x),
-                      (prod_wab[:, 0], -x), (prod_wab[:, 1], x)):
+                      (prod_wab[:, 0], -x), (prod_wab[:, 1], x), (one_sided, x)):
         ref = expit(arg)
         ends = (ref == 0.0) | (ref == 1.0)
         assert ours[ends].tobytes() == ref[ends].tobytes()
@@ -742,6 +747,27 @@ def test_logistic_pair_matches_expit():
                 assert abs(value - exact) <= 3 * math.ulp(float(exact)), v
     assert prod_wa[x == -np.inf, 0].tolist() == [0.0]
     assert prod_wa[x == np.inf, 0].tolist() == [1.0]
+    assert one_sided[x == -np.inf].tolist() == [0.0]
+    assert one_sided[x == np.inf].tolist() == [1.0]
+
+
+def test_parameter_logistics_are_expit_bit_for_bit():
+    # the terms that depend on the parameters alone, floats or (K, 1)
+    # columns, are scipy's expit to the bit, 0 where exp(-x) overflows
+    rng = np.random.default_rng(19)
+    c = np.concatenate([rng.standard_normal(3000), 30 * rng.standard_normal(3000),
+                        rng.uniform(-760, 760, 3000),
+                        [0.0, -0.0, 709.78, -709.78, -709.79, -745.2, -800.0, np.inf, -np.inf]])
+    ref = expit(c)
+    assert np.array([_expit(v) for v in c.tolist()]).tobytes() == ref.tobytes()
+    for w in (1.0, 0.5, 1 / 3, rng.uniform(size=(c.size, 1))):
+        column = _scaled_expit(w, c[:, None])
+        assert column.shape == (c.size, 1)
+        assert column.tobytes() == (w * ref[:, None]).tobytes()
+        floats = [_scaled_expit(np.ravel(w)[k % np.size(w)], v) for k, v in enumerate(c.tolist())]
+        assert np.array(floats).tobytes() == column.tobytes()
+    # a float weight of 0 drops the term, as 0 * expit(c) would
+    assert _scaled_expit(0.0, c[:, None]) == 0.0
 
 
 def test_speaker_row_is_exactly_zero_where_the_posterior_rounds_to_one():
