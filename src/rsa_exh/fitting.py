@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import traceback
 import warnings
 from dataclasses import dataclass
@@ -49,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
-from .models import MissingParameter, ModelId, ModelParams, XI_MODELS, _each, predict_table
+from .models import (MissingParameter, ModelId, ModelParams, XI_MODELS, _each, _usable_cpus,
+                     predict_table)
 from .scenario import everywhere
 
 
@@ -745,15 +745,6 @@ def compare(
         return _ranked(models, pool.map(row, models))
     finally:
         pool.shutdown(cancel_futures=True)  # waits for the running fits; joins the workers
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, where the platform
-    has one, or else every CPU of the machine."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on macOS and Windows
-        return os.cpu_count() or 1
 
 
 class _RemoteTraceback(Exception):

@@ -13,11 +13,15 @@ up to the fitting bound (1e3) neither overflow nor underflow destructively.
 :func:`predict_table` is the one prediction surface, and :func:`lu_predict`
 reaches the lexical-uncertainty form under any interpretation prior.  Each
 form is pinned against the brute-force references of :mod:`rsa_exh.oracles`
-(the recursion of :func:`rsa_exh.engine.iterate`).  Both entry points evaluate
-a grid longer than :data:`BLOCK` priors one block at a time into the output
-arrays, so a call's peak memory stays within 1.5 times its table's bytes; every
-entry depends on its own prior alone, so the blocked table is bit for bit the
-one-piece table.
+(the recursion of :func:`rsa_exh.engine.iterate`).  Both entry points allocate
+the output table once, and each form writes its fields straight into a slice of
+it.  A grid longer than :data:`BLOCK` priors is cut into blocks that the calling
+thread and helper threads, one per further usable CPU, started and joined within
+the call, take in turn; numpy's loops release the interpreter lock, so the
+blocks overlap.  The forms drop each block-sized temporary after its last use,
+so that a call's peak memory stays within 1.5 times its table's bytes.
+Every entry depends on its own prior alone, so the table is bit for bit the
+one-piece table whatever the blocks and threads.
 
 Six variants update the measured prior by Bayes' rule (baseline, Bayesian
 wonky, both lexical-uncertainty and both lexical-intentions variants), and
@@ -52,7 +56,10 @@ same libm ``exp`` and the same bits in a batched row as in a float call.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -129,45 +136,89 @@ def _clip_prior(p) -> np.ndarray:
     return np.minimum(np.maximum(np.asarray(p, dtype=float), P_EPS), 1.0 - P_EPS)
 
 
-def _keep_prior_ends(table: PredictionTable, p: np.ndarray) -> PredictionTable:
-    """``table`` with its posterior after ``A`` set to the prior where that is
+def _keep_prior_ends(out: PredictionTable) -> None:
+    """Set the posterior after ``A`` in ``out`` to the prior where that is
     exactly 0 or 1 (see :func:`predict_table`)."""
-    table.post_a[..., p <= 0.0] = 0.0
-    table.post_a[..., p >= 1.0] = 1.0
-    return table
+    out.post_a[..., out.p <= 0.0] = 0.0
+    out.post_a[..., out.p >= 1.0] = 1.0
 
 
 #: Priors per block of a long grid (see :func:`predict_table`).  On a 2-vCPU
-#: Xeon VM with 2 MB of L2 per core, the nine models' 1e6-point calls at three
-#: parameter draws took, in the median of interleaved repeats, 0.77-0.84 of
-#: their unblocked time with this block, 0.83-0.90 with 8192 priors, 0.91 with
-#: 4096 and 0.84 with 65536: a block's temporaries (128 KB each) stay near the
-#: core, where longer ones stream memory and shorter ones pay numpy's per-call
-#: cost.  Much longer blocks would also lift a call's peak memory past 1.5
-#: times its table's bytes, the bound that the tests hold.
+#: AMD EPYC VM, the nine models' 1e6-point calls at three parameter draws took,
+#: in the median of interleaved repeats on two threads, 0.12 s per draw with
+#: this block, 0.16 s with 8192 priors and 0.26 s with 4096, where the threads
+#: spend more time handing the interpreter lock over than in numpy's loops; on
+#: one thread they took 0.20 s.  32768 and 65536 priors gained 2-4% but double
+#: a block's temporaries (128 KB each here), which would lift a call on two
+#: threads past 1.5 times its table's bytes, the bound that the tests hold.
 BLOCK = 16384
 
-#: The prior axis of each field of a PredictionTable, from the end.
-_PRIOR_AXIS = {"post_a": -1, "post_ab": -1, "prod_wa": -2, "prod_wab": -2}
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform
+    has one, or else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
 
 
-def _blocked(table_of, p: np.ndarray) -> PredictionTable:
-    """``table_of(p)``, evaluated on consecutive slices of at most BLOCK
-    priors where ``p`` is longer and copied into one table over all of ``p``."""
-    n = len(p)
+def _empty_table(p: np.ndarray, params: ModelParams, with_xi: bool = False) -> PredictionTable:
+    """An unfilled table over the priors ``p``, shaped as :func:`predict_table`
+    describes by the parameters that the form reads (``xi`` where
+    ``with_xi``)."""
+    used = (params.lam, params.delta_ab, params.delta_anb) + ((params.xi,) if with_xi else ())
+    shape = np.broadcast(p, *used).shape
+    rows = shape + (3,)
+    return PredictionTable(p, np.empty(shape), np.empty(shape), np.empty(rows), np.empty(rows))
+
+
+def _blocked(fill, table: PredictionTable) -> PredictionTable:
+    """``table`` once ``fill`` has written every field of it; ``fill`` takes
+    a table whose arrays are views of one block of ``table``'s.
+
+    A grid of at most BLOCK priors is one block, which this thread fills.  A
+    longer grid is cut into blocks of BLOCK priors that this thread and
+    ``_usable_cpus() - 1`` helper threads take in turn from a shared counter.
+    The helpers are started and joined within the call, each in a copy of the
+    caller's context, so that the caller's ``np.errstate`` governs every
+    block.  The first exception raised in a block stops the handing out of
+    blocks and is re-raised here once every helper has been joined."""
+    n = len(table.p)
     if n <= BLOCK:
-        return table_of(p)
-    out = {}
-    for start in range(0, n, BLOCK):
-        block = table_of(p[start:start + BLOCK])
-        for name, axis in _PRIOR_AXIS.items():
-            value = getattr(block, name)
-            if name not in out:
-                shape = list(value.shape)
-                shape[axis] = n
-                out[name] = np.empty(shape)
-            np.moveaxis(out[name], axis, 0)[start:start + BLOCK] = np.moveaxis(value, axis, 0)
-    return PredictionTable(p, **out)
+        fill(table)
+        return table
+    starts = range(0, n, BLOCK)
+    blocks, lock = iter(starts), threading.Lock()
+    errors = []
+
+    def work():
+        while True:
+            with lock:
+                start = None if errors else next(blocks, None)
+            if start is None:
+                return
+            block = slice(start, start + BLOCK)
+            try:
+                fill(PredictionTable(table.p[block], table.post_a[..., block],
+                                     table.post_ab[..., block], table.prod_wa[..., block, :],
+                                     table.prod_wab[..., block, :]))
+            except BaseException as exc:  # re-raised in the caller
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), len(starts)) - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +304,11 @@ def _logistic_split(z):
     ``+-sigma(-|z|)`` beyond, so that sums of logistics cancel in the steps
     (exactly) rather than in the tails."""
     z = np.asarray(z, dtype=float)
-    size = np.abs(z)
-    mid = size <= 1.0
+    mid = np.abs(z) <= 1.0
     step = np.where(mid, 0.5, z > 0)
-    tail = np.where(mid, 0.5 * np.tanh(0.5 * z), -np.sign(z) * _logistic(-size))
+    tail = _logistic(-np.abs(z))
+    tail *= -np.sign(z)
+    tail[mid] = 0.5 * np.tanh(0.5 * z[mid])
     return step, tail
 
 
@@ -285,12 +337,15 @@ def _mixture_gap(rho, z_ab, z_a, c_ab, c_a, where):
     """
     rho_lit, rho_exh, rho_anti = rho
     z_ab, z_a, w_lit = _pick(z_ab, where), _pick(z_a, where), _pick(rho_lit, where)
-    (s_ab, s_a), (t_ab, t_a) = _logistic_split(np.stack([z_ab, z_a]))
+    (s_ab, t_ab), (s_a, t_a) = _logistic_split(z_ab), _logistic_split(z_a)
+    step_gap, tail_gap = s_ab - s_a, t_ab - t_a  # the steps differ by 0 exactly where they agree
+    del s_ab, s_a, t_ab, t_a
     (s_anti, s_exh), (t_anti, t_exh) = _logistic_split(np.stack(np.broadcast_arrays(c_ab, c_a)))
-    lit = np.where(s_ab == s_a, _logistic_gap(z_ab, z_a), t_ab - t_a)
+    lit = np.where(step_gap == 0, _logistic_gap(z_ab, z_a), tail_gap)
+    del tail_gap
     const = np.where((rho_anti == rho_exh) & (s_anti == s_exh),
                      rho_anti * _logistic_gap(c_ab, c_a), rho_anti * t_anti - rho_exh * t_exh)
-    steps = w_lit * (s_ab - s_a) + _pick(rho_anti * s_anti - rho_exh * s_exh, where)
+    steps = w_lit * step_gap + _pick(rho_anti * s_anti - rho_exh * s_exh, where)
     diff = steps + (w_lit * lit + _pick(const, where))
     side = np.sign(diff)
     tie = np.abs(diff) < 1e-290
@@ -309,9 +364,11 @@ def _mixture_gap(rho, z_ab, z_a, c_ab, c_a, where):
 
 
 @np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
-def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0, c_a=0.0):
-    """Listener posterior on ``World.AB`` after ``A`` by Bayes' rule (see the
-    module docstring), and the log posteriors on ``World.AB`` and ``World.A``.
+def _bayes_listener(post, pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0,
+                    c_a=0.0):
+    """Write the listener posterior on ``World.AB`` after ``A`` by Bayes'
+    rule (see the module docstring) into ``post``; return the log posteriors
+    on ``World.AB`` and ``World.A``.
 
     ``pc`` is the clamped prior, ``log_pc = log(pc)``, ``log_qc =
     log1p(-pc)``.  The likelihoods of ``A`` are ``A = rho_lit sigma(z_ab) +
@@ -329,10 +386,11 @@ def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0
     # np.logaddexp(log_wab, log_wa) spelled out, which takes half the time
     denom = np.maximum(log_wab, log_wa) + np.log1p(np.exp(-np.abs(log_wab - log_wa)))
     log_ab, log_a = log_wab - denom, log_wa - denom
-    post = np.exp(log_ab)
+    del log_wab, log_wa
+    np.exp(log_ab, out=post)
     near = np.abs(log_ab - log_pc) <= NEAR_PRIOR
     if not near.any():
-        return post, log_ab, log_a
+        return log_ab, log_a
     one = near & (rho_exh == 0) & (rho_anti == 0)
     if one.any():
         # one pair: (A - B) / max(A, B) = +-sigma(-lo) (1 - exp(lo - hi)), and
@@ -354,7 +412,7 @@ def _bayes_listener(pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0
         # the floor keeps a total that has underflowed from dividing by zero
         delta = q * (1 - q) * diff / np.maximum(np.exp(denom[mix]), 5e-324)
         post[mix] = _off_prior(q, delta, side)
-    return post, log_ab, log_a
+    return log_ab, log_a
 
 
 def _off_prior(q, delta, side):
@@ -385,27 +443,27 @@ def _logistic_pair(x, pos, neg):
 
 
 @np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
-def _two_way_rows(x_wa, x_wab):
-    """Speaker rows over (A, A_AND_B, A_AND_NOT_B) for a choice between ``A``
-    and the explicit message: ``[sigma(x_wa), 0, sigma(-x_wa)]`` in
-    ``World.A`` and ``[sigma(x_wab), sigma(-x_wab), 0]`` in ``World.AB``,
-    by :func:`_logistic_pair`."""
-    prod_wa, prod_wab = np.empty((2,) + x_wa.shape + (3,))
+def _two_way_rows(x_wa, x_wab, out: PredictionTable) -> None:
+    """Write speaker rows over (A, A_AND_B, A_AND_NOT_B) for a choice between
+    ``A`` and the explicit message into ``out``: ``[sigma(x_wa), 0,
+    sigma(-x_wa)]`` in ``World.A`` and ``[sigma(x_wab), sigma(-x_wab), 0]`` in
+    ``World.AB``, by :func:`_logistic_pair`."""
+    prod_wa, prod_wab = out.prod_wa, out.prod_wab
     prod_wa[..., 1] = prod_wab[..., 2] = 0.0
     _logistic_pair(x_wa, prod_wa[..., 0], prod_wa[..., 2])
     _logistic_pair(x_wab, prod_wab[..., 0], prod_wab[..., 1])
-    return prod_wa, prod_wab
 
 
-def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a):
-    """Level-2 speaker rows from the level-1 posteriors after ``A``.
+def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable) -> None:
+    """Level-2 speaker rows from the level-1 posteriors after ``A``, written
+    into ``out``.
 
     In ``World.A`` the choice is between ``A`` (scored by the listener's
     residual w_a posterior) and the explicit ``A_AND_NOT_B``; in ``World.AB``
     between ``A`` and ``A_AND_B``.  Literally false messages get zero.
     """
     lam = params.lam
-    return _two_way_rows(lam * (log_l1_a + params.delta_anb), lam * (log_l1_ab + params.delta_ab))
+    _two_way_rows(lam * (log_l1_a + params.delta_anb), lam * (log_l1_ab + params.delta_ab), out)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +473,7 @@ def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a):
 
 
 @np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
-def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
+def _wrsa_table(params: ModelParams, out: PredictionTable) -> None:
     """Wonky-prior listener: joint inference over world and background.
 
     The prior over (world, background) couples them: under the wonky
@@ -425,17 +483,20 @@ def _wrsa_table(params: ModelParams, p: np.ndarray) -> PredictionTable:
     """
     omega = params.xi
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
-    pc = _clip_prior(p)
+    pc = _clip_prior(out.p)
     wab_mass = (_logistic(lam * (np.log(pc) + dab), pc * (1 - omega))
                 + _scaled_expit(0.5 * omega, lam * (dab - LOG2)))
     wa_mass = (_logistic(lam * (np.log1p(-pc) + danb), (1 - pc) * (1 - omega))
                + _scaled_expit(0.5 * omega, lam * (danb - LOG2)))
-    post_a = wab_mass / (wab_mass + wa_mass)
+    del pc
+    post_a = out.post_a
+    np.divide(wab_mass, wab_mass + wa_mass, out=post_a)
+    del wab_mass, wa_mass
     log_ab = _safe_log(post_a)
     with np.errstate(divide="ignore"):
         log_a = np.log1p(-post_a)
-    prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
-    return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
+    out.post_ab[...] = 1.0
+    _two_way_s2(params, log_ab, log_a, out)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +522,7 @@ def _softplus_pair(z):
 
 
 @np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
-def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
+def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None:
     """Level-1 listener and level-2 speakers over the four (world, QUD) cells
     ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
 
@@ -478,7 +539,7 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     """
     # The QUD prior gets the world prior's interior clamp; the endpoint values
     # q in {0, 1} are thereby the continuity limits.
-    qc, pc = _clip_prior(params.xi), _clip_prior(p)
+    qc, pc = _clip_prior(params.xi), _clip_prior(out.p)
     lam, danb = params.lam, params.delta_anb
     # The level-1 partial-QUD speaker: engine.log_softmax's operations on
     # the weights (0, w_ab, w_anb) in its order, its top weight being 0, so
@@ -498,28 +559,32 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     # small p.
     total_a = (1 - qc) * s[0] + _logistic(x, (1 - pc) * qc)
     total_ab = (1 - qc) * s[1] + pc * qc
-    post_a = pc * ((1 - qc) * s[0] / total_a)
-    post_ab = np.minimum(pc * (((1 - qc) * s[1] + qc) / total_ab), 1.0)
+    np.multiply(pc, (1 - qc) * s[0] / total_a, out=out.post_a)
+    np.minimum(pc * (((1 - qc) * s[1] + qc) / total_ab), 1.0, out=out.post_ab)
+    del pc
 
     # Every term of A_AND_NOT_B carries a factor of about exp(-lam delta_anb)
     # or below, and its total underflows once that exponent passes about
     # 745; so it enters through the log-ratio d of its partial mass to its
     # total-QUD mass (1 - p) q sigma(-x).
     log_part, log_wa_total, log_total_a = np.log1p(-qc), log_wa + np.log(qc), np.log(total_a)
+    del log_wa, total_a
     softplus_x, softplus_neg_x = _softplus_pair(x)
+    del x
     d = (log_part + log_s[2]) - (log_wa_total - softplus_x)
     # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
     # that cell, so the choice is two-way, scored by the log posteriors
     # log((1 - p) q sigma(x) / T_A) and -softplus(d) of that cell.
     y = lam * (danb + ((log_wa_total - softplus_neg_x) - log_total_a) + _softplus(d))
-    del softplus_x, softplus_neg_x  # they would lift the call's peak memory
+    del softplus_x, softplus_neg_x, log_wa_total
     # In w_ab the total-QUD speaker says the conjunction.
-    prod_wa, prod_wab = np.empty((2,) + y.shape + (3,))
+    prod_wa, prod_wab = out.prod_wa, out.prod_wab
     prod_wa[..., 1] = prod_wab[..., 0] = prod_wab[..., 2] = 0.0
     prod_wab[..., 1] = 1.0
     _logistic_pair(y, prod_wa[..., 0], prod_wa[..., 2])
+    del y
     if model is ModelId.SVRSA2:
-        return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
+        return
 
     # Level-2 speaker addressing the partial QUD: world-independent, scored
     # by each message's log joint posterior on the partial-QUD cell, all
@@ -527,14 +592,17 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
     u = (lam * ((log_part + log_s[0]) - log_total_a),
          lam * ((log_part + log_s[1] - params.delta_ab) - np.log(total_ab)),
          -lam * (_softplus(-d) + danb))
+    del log_total_a, total_ab, d
     top = np.maximum(np.maximum(u[0], u[1]), u[2])
     e = [np.exp(u_k - top) for u_k in u]
-    part = np.stack(e, axis=-1) * ((1 - qc) / (e[0] + e[1] + e[2]))[..., None]
+    del u, top
+    part = np.stack(e, axis=-1)
+    part *= ((1 - qc) / (e[0] + e[1] + e[2]))[..., None]
+    del e
     q = np.asarray(qc)[..., None]  # against the message axis
     for rows in (prod_wa, prod_wab):
         rows *= q
         rows += part
-    return PredictionTable(p, post_a, post_ab, prod_wa, prod_wab)
 
 
 # ---------------------------------------------------------------------------
@@ -543,20 +611,21 @@ def _svrsa_table(model: ModelId, params: ModelParams, p: np.ndarray) -> Predicti
 # ---------------------------------------------------------------------------
 
 
-def _lu_table(params: ModelParams, p: np.ndarray, rho, shift=0.0) -> PredictionTable:
+def _lu_table(params: ModelParams, out: PredictionTable, rho, shift=0.0) -> None:
     """Listener whose likelihoods of ``A`` mix the literal level-1 speaker
     (weight ``rho[0]``) with prior-free speakers scored ``lam (delta - shift)``
     for whom ``A`` is true only in ``World.A`` (``rho[1]``) or only in
     ``World.AB`` (``rho[2]``)."""
     lam, dab, danb = params.lam, params.delta_ab, params.delta_anb
-    pc = _clip_prior(p)
+    pc = _clip_prior(out.p)
     log_pc, log_qc = np.log(pc), np.log1p(-pc)
-    post_a, log_ab, log_a = _bayes_listener(
-        pc, log_pc, log_qc, lam * (log_pc + dab), lam * (log_qc + danb),
+    log_ab, log_a = _bayes_listener(
+        out.post_a, pc, log_pc, log_qc, lam * (log_pc + dab), lam * (log_qc + danb),
         rho, lam * (dab - shift), lam * (danb - shift),
     )
-    prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
-    return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
+    del pc, log_pc, log_qc
+    out.post_ab[...] = 1.0
+    _two_way_s2(params, log_ab, log_a, out)
 
 
 def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
@@ -570,8 +639,8 @@ def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
     if len(rho) != 3 or not (all(r >= 0 for r in rho) and abs(sum(rho) - 1.0) <= 1e-9):
         raise ValueError("rho must be three nonnegative weights summing to 1")
     rho = tuple(rho)
-    return _blocked(lambda block: _lu_table(params, block, rho),
-                    np.atleast_1d(np.asarray(p, dtype=float)))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    return _blocked(lambda out: _lu_table(params, out, rho), _empty_table(p, params))
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +650,22 @@ def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-def _li_table(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
+def _li_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None:
     lam = params.lam
-    pc = _clip_prior(p)
+    pc = _clip_prior(out.p)
     log_pc, log_qc = np.log(pc), np.log1p(-pc)
     # The marginal level-1 speaker says "A" with probability sigma(x) in
     # World.AB, and with (1 + e) / (1 + e + 2 exp(-lam delta_anb)) = sigma(y)
     # in World.A, e = (1 - p)^lam; its other message takes the rest.
     x = lam * (log_pc + params.delta_ab) - LOG2
     y = (lam * params.delta_anb - LOG2) + np.log1p(np.exp(lam * log_qc))
-    post_a, log_ab, log_a = _bayes_listener(pc, log_pc, log_qc, x, y)
+    log_ab, log_a = _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
+    del pc, log_pc, log_qc
+    out.post_ab[...] = 1.0
     if model is ModelId.RSA_LI1:
-        prod_wa, prod_wab = _two_way_rows(y, x)
+        _two_way_rows(y, x, out)
     else:
-        prod_wa, prod_wab = _two_way_s2(params, log_ab, log_a)
-    return PredictionTable(p, post_a, np.ones_like(post_a), prod_wa, prod_wab)
+        _two_way_s2(params, log_ab, log_a, out)
 
 
 # ---------------------------------------------------------------------------
@@ -617,34 +687,43 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     Bayesian wonky variant, which keep a prior zero as Bayes' rule does:
     there the posterior is the prior itself, 0 or 1.
 
-    A grid longer than :data:`BLOCK` priors is evaluated block by block into
-    the output arrays, so the forms' temporaries stay cache-sized and the
-    call's peak memory is about the table itself (within 1.5 times its bytes
-    at N = 2e5).  Every entry is a function of its own prior alone, so the
-    table is bit for bit the same as one evaluated in a single piece.
+    The output arrays are allocated once and each form writes its fields
+    straight into them.  A grid longer than :data:`BLOCK` priors is cut into
+    blocks, which the calling thread and one helper thread per further usable
+    CPU (its affinity set) take in turn; the helpers are joined before the
+    call returns, run under the caller's ``np.errstate``, and an exception in
+    any block is raised here.  So the forms' temporaries stay cache-sized, and
+    the call's peak memory is about the table itself: within 1.5 times its
+    bytes at N = 2e5 on two threads.  Every entry is a function of its own
+    prior alone, so the table is bit for bit the same as one evaluated in a
+    single piece, whatever the number of threads.
     """
     require_xi(model, params)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return _blocked(lambda block: _table(model, params, block), p)
+    table = _empty_table(p, params, with_xi=model in XI_MODELS)
+    return _blocked(lambda out: _table(model, params, out), table)
 
 
-def _table(model: ModelId, params: ModelParams, p: np.ndarray) -> PredictionTable:
-    """The table of ``model`` over the priors ``p`` in one piece."""
+def _table(model: ModelId, params: ModelParams, out: PredictionTable) -> None:
+    """Write the table of ``model`` over the priors ``out.p`` into ``out``."""
     if model is ModelId.BASE_RSA:
-        return _keep_prior_ends(_lu_table(params, p, (1.0, 0.0, 0.0)), p)
-    if model is ModelId.WRSA:
-        return _wrsa_table(params, p)
-    if model is ModelId.BWRSA:
+        _lu_table(params, out, (1.0, 0.0, 0.0))
+        _keep_prior_ends(out)
+    elif model is ModelId.WRSA:
+        _wrsa_table(params, out)
+    elif model is ModelId.BWRSA:
         # The likelihoods of "A" mix the usual level-1 speaker (measured
         # prior) with the wonky one (uniform prior): the lexical-uncertainty
         # form with weights (1 - xi, xi, xi) and constant scores
         # lam (delta - log 2).
         omega = params.xi
-        return _keep_prior_ends(_lu_table(params, p, (1 - omega, omega, omega), shift=LOG2), p)
-    if model in (ModelId.SVRSA1, ModelId.SVRSA2):
-        return _svrsa_table(model, params, p)
-    if model in (ModelId.FREE_LU, ModelId.EXH_LU):
-        return _lu_table(params, p, FIXED_RHO[model])
-    if model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
-        return _li_table(model, params, p)
-    raise ValueError(f"unknown model {model!r}")
+        _lu_table(params, out, (1 - omega, omega, omega), shift=LOG2)
+        _keep_prior_ends(out)
+    elif model in (ModelId.SVRSA1, ModelId.SVRSA2):
+        _svrsa_table(model, params, out)
+    elif model in (ModelId.FREE_LU, ModelId.EXH_LU):
+        _lu_table(params, out, FIXED_RHO[model])
+    elif model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
+        _li_table(model, params, out)
+    else:
+        raise ValueError(f"unknown model {model!r}")

@@ -1,11 +1,13 @@
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from rsa_exh import models
 from rsa_exh.models import (
     BLOCK,
     FIXED_RHO,
@@ -19,6 +21,7 @@ from rsa_exh.models import (
     _scaled_expit,
     _softplus,
     _softplus_pair,
+    _empty_table,
     _two_way_rows,
     lu_predict,
     predict_table,
@@ -603,31 +606,86 @@ def _block_params(model):
     return [ModelParams(*r) for r in rows] + [ModelParams(*batch)]
 
 
-def _assert_cut_free(table_of, grid):
+def _assert_cut_free(table_of, grid, monkeypatch):
     """``table_of(grid)`` is, bit for bit, its tables on 1000-prior slices
-    put together; the slices do not line up with the blocks."""
-    whole = table_of(grid)
+    put together, with one, two and three threads sharing the blocks; the
+    slices do not line up with the blocks."""
     pieces = [table_of(grid[i:i + 1000]) for i in range(0, grid.size, 1000)]
-    assert whole.p is grid
-    for name in FIELDS:
-        axis = -1 if name.startswith("post") else -2
-        joined = np.concatenate([getattr(t, name) for t in pieces], axis=axis)
-        assert getattr(whole, name).shape == joined.shape, name
-        assert getattr(whole, name).tobytes() == joined.tobytes(), name
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
+        whole = table_of(grid)
+        assert whole.p is grid
+        for name in FIELDS:
+            axis = -1 if name.startswith("post") else -2
+            joined = np.concatenate([getattr(t, name) for t in pieces], axis=axis)
+            assert getattr(whole, name).shape == joined.shape, (name, cpus)
+            assert getattr(whole, name).tobytes() == joined.tobytes(), (name, cpus)
 
 
 @pytest.mark.parametrize("model", list(ModelId))
-def test_predict_table_does_not_depend_on_where_the_grid_is_cut(model):
-    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+def test_predict_table_does_not_depend_on_where_the_grid_is_cut(model, monkeypatch):
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000):
         grid = np.linspace(0.0, 1.0, n)  # exact 0 and 1 at the ends
         for params in _block_params(model):
-            _assert_cut_free(lambda p: predict_table(model, params, p), grid)
+            _assert_cut_free(lambda p: predict_table(model, params, p), grid, monkeypatch)
 
 
-def test_lu_predict_does_not_depend_on_where_the_grid_is_cut():
+def test_lu_predict_does_not_depend_on_where_the_grid_is_cut(monkeypatch):
     grid = np.linspace(0.0, 1.0, 2 * BLOCK + 3)
     for params in _block_params(ModelId.FREE_LU):
-        _assert_cut_free(lambda p: lu_predict(params, p, (0.5, 0.2, 0.3)), grid)
+        _assert_cut_free(lambda p: lu_predict(params, p, (0.5, 0.2, 0.3)), grid, monkeypatch)
+
+
+def _helpers_take_blocks(monkeypatch, form):
+    """Run ``form(model, params, out)`` on every block of a long grid, on two
+    threads that each take at least one block: the first block of each waits
+    until the other thread has taken one."""
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    both, started = threading.Barrier(2, timeout=30), set()
+
+    def fill(model, params, out):
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            both.wait()
+        form(model, params, out)
+
+    monkeypatch.setattr(models, "_table", fill)
+
+
+def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    class Fault(Exception):
+        pass
+
+    def form(model, params, out):
+        if threading.get_ident() != caller:
+            raise Fault("raised in a block")
+
+    caller = threading.get_ident()
+    _helpers_take_blocks(monkeypatch, form)
+    before = threading.active_count()
+    with pytest.raises(Fault, match="raised in a block"):
+        predict_table(ModelId.BASE_RSA, ModelParams(lam=3.9), np.linspace(0.0, 1.0, 4 * BLOCK))
+    assert threading.active_count() == before
+
+
+def test_long_grid_call_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    predict_table(ModelId.WRSA, ModelParams(3.9, 0.2, 0.37, 0.86), np.linspace(0, 1, 5 * BLOCK))
+    assert threading.active_count() == before
+
+
+def test_every_block_runs_under_the_callers_error_state(monkeypatch):
+    seen = []
+
+    def form(model, params, out):
+        seen.append((threading.get_ident(), np.geterr()["divide"]))
+
+    _helpers_take_blocks(monkeypatch, form)
+    with np.errstate(divide="raise"):
+        predict_table(ModelId.BASE_RSA, ModelParams(lam=3.9), np.linspace(0.0, 1.0, 4 * BLOCK))
+    assert len(seen) == 4 and len({ident for ident, _ in seen}) == 2
+    assert {divide for _, divide in seen} == {"raise"}
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -645,6 +703,13 @@ def test_predict_table_peak_memory_is_about_its_table(model):
             tracemalloc.stop()
         size = sum(getattr(table, name).nbytes for name in FIELDS)
         assert peak <= 1.5 * size, (params, peak / size)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_predict_table_peak_memory_is_about_its_table_on_two_threads(model, monkeypatch):
+    # the same bound with two threads sharing the blocks, whatever the CPUs
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    test_predict_table_peak_memory_is_about_its_table(model)
 
 
 def test_predict_requires_xi_where_applicable():
@@ -729,7 +794,9 @@ def test_logistic_pair_matches_expit():
         [0.0, -0.0, 1e-300, 36.7, 37.5, 709.78, 709.79, 710.0, 745.2, 800.0, np.inf],
     ])
     x = np.concatenate([x, -x])
-    prod_wa, prod_wab = _two_way_rows(x, -x)
+    rows = _empty_table(x, ModelParams(lam=1.0))
+    _two_way_rows(x, -x, rows)
+    prod_wa, prod_wab = rows.prod_wa, rows.prod_wab
     assert prod_wa[:, 1].tolist() == prod_wab[:, 2].tolist() == [0.0] * x.size
     with np.errstate(over="ignore"):  # as the tables that call it do
         one_sided = _logistic(x)
