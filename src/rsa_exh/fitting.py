@@ -738,7 +738,9 @@ def compare(
     from concurrent.futures import ProcessPoolExecutor
 
     # fork: the workers inherit the loaded modules, which a fresh interpreter
-    # would take 0.5-0.8 s each to import; scipy.special among them
+    # would take 0.5-0.8 s each to import; scipy.special among them.  No other
+    # thread runs here to fork in a bad state: predict_table joins its helper
+    # threads before it returns.
     _special()
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:

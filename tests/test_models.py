@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -16,12 +17,12 @@ from rsa_exh.models import (
     NEAR_PRIOR,
     TINY,
     ModelId,
+    _empty_table,
     _expit,
     _logistic,
     _scaled_expit,
     _softplus,
     _softplus_pair,
-    _empty_table,
     _two_way_rows,
     lu_predict,
     predict_table,
@@ -656,11 +657,12 @@ def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
     class Fault(Exception):
         pass
 
+    caller = threading.get_ident()
+
     def form(model, params, out):
         if threading.get_ident() != caller:
             raise Fault("raised in a block")
 
-    caller = threading.get_ident()
     _helpers_take_blocks(monkeypatch, form)
     before = threading.active_count()
     with pytest.raises(Fault, match="raised in a block"):
@@ -668,11 +670,31 @@ def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_long_grid_call_leaves_no_thread_running(monkeypatch):
-    monkeypatch.setattr(models, "_usable_cpus", lambda: 3)
-    before = threading.active_count()
-    predict_table(ModelId.WRSA, ModelParams(3.9, 0.2, 0.37, 0.86), np.linspace(0, 1, 5 * BLOCK))
+def test_each_block_is_filled_once_under_contention(monkeypatch):
+    # eight threads, switching often: the shared counter hands out every
+    # block exactly once, and no thread outlives the call
+    grid = np.arange(24 * BLOCK + 5) / (24 * BLOCK + 5)
+    params = ModelParams(25.0, 2.0, 2.2, 0.5)
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
+    serial = predict_table(ModelId.BWRSA, params, grid)
+    form, firsts = models._table, []
+
+    def fill(model, params, out):
+        firsts.append(float(out.p[0]))
+        form(model, params, out)
+
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(models, "_table", fill)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = predict_table(ModelId.BWRSA, params, grid)
+    finally:
+        sys.setswitchinterval(interval)
     assert threading.active_count() == before
+    assert sorted(firsts) == grid[::BLOCK].tolist()
+    for name in FIELDS:
+        assert getattr(shared, name).tobytes() == getattr(serial, name).tobytes(), name
 
 
 def test_every_block_runs_under_the_callers_error_state(monkeypatch):
