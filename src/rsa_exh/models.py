@@ -16,10 +16,12 @@ form is pinned against the brute-force references of :mod:`rsa_exh.oracles`
 (the recursion of :func:`rsa_exh.engine.iterate`).  Both entry points allocate
 the output table once, and each form writes its fields straight into a slice of
 it.  A grid longer than :data:`BLOCK` priors is cut into blocks that the calling
-thread and helper threads, one per further usable CPU, started and joined within
-the call, take in turn; numpy's loops release the interpreter lock, so the
-blocks overlap.  The forms drop each block-sized temporary after its last use,
-so that a call's peak memory stays within 1.5 times its table's bytes.
+thread and helper threads, one per further usable CPU but at most one thread per
+:data:`BLOCKS_PER_THREAD` blocks, started and joined within the call, take in
+turn; numpy's loops release the interpreter lock, so the blocks overlap.  The
+forms drop each block-sized temporary after its last use, and with that cap
+on the threads a call over at least ``BLOCKS_PER_THREAD`` blocks stays within
+1.5 times its table's bytes on any number of CPUs.
 Every entry depends on its own prior alone, so the table is bit for bit the
 one-piece table whatever the blocks and threads.
 
@@ -56,7 +58,6 @@ same libm ``exp`` and the same bits in a batched row as in a float call.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import threading
@@ -149,9 +150,17 @@ def _keep_prior_ends(out: PredictionTable) -> None:
 #: this block, 0.16 s with 8192 priors and 0.26 s with 4096, where the threads
 #: spend more time handing the interpreter lock over than in numpy's loops; on
 #: one thread they took 0.20 s.  32768 and 65536 priors gained 2-4% but double
-#: a block's temporaries (128 KB each here), which would lift a call on two
-#: threads past 1.5 times its table's bytes, the bound that the tests hold.
+#: a block's temporaries (128 KB each here), so a grid would need twice as many
+#: priors per thread to stay within 1.5 times its table's bytes, the bound that
+#: the tests hold.  Above two CPUs the timings are unmeasured.
 BLOCK = 16384
+
+#: Blocks per thread, at least, of a long grid (see :func:`_blocked`).  A
+#: thread holds up to about 21 block-sized temporaries at once (in
+#: _mixture_gap), and the table is 8 arrays of the grid's length, so with
+#: at most one thread per 6 blocks all the threads' temporaries stay below
+#: 21/48 of the table's bytes, however many CPUs there are.
+BLOCKS_PER_THREAD = 6
 
 
 def _usable_cpus() -> int:
@@ -166,7 +175,9 @@ def _usable_cpus() -> int:
 def _empty_table(p: np.ndarray, params: ModelParams, with_xi: bool = False) -> PredictionTable:
     """An unfilled table over the priors ``p``, shaped as :func:`predict_table`
     describes by the parameters that the form reads (``xi`` where
-    ``with_xi``)."""
+    ``with_xi``).  Every form reads ``lam``, ``delta_ab`` and ``delta_anb``,
+    and those of XI_MODELS read ``xi``; the batching test checks that each
+    model's table depends on each of these, so the list and the forms agree."""
     used = (params.lam, params.delta_ab, params.delta_anb) + ((params.xi,) if with_xi else ())
     shape = np.broadcast(p, *used).shape
     rows = shape + (3,)
@@ -178,19 +189,21 @@ def _blocked(fill, table: PredictionTable) -> PredictionTable:
     a table whose arrays are views of one block of ``table``'s.
 
     A grid of at most BLOCK priors is one block, which this thread fills.  A
-    longer grid is cut into blocks of BLOCK priors that this thread and
-    ``_usable_cpus() - 1`` helper threads take in turn from a shared counter.
-    The helpers are started and joined within the call, each in a copy of the
-    caller's context, so that the caller's ``np.errstate`` governs every
-    block.  The first exception raised in a block stops the handing out of
-    blocks and is re-raised here once every helper has been joined."""
+    longer grid is cut into blocks of BLOCK priors that this thread and up to
+    ``_usable_cpus() - 1`` helper threads, one thread per BLOCKS_PER_THREAD
+    blocks at most, take in turn from a shared counter.  The helpers are
+    started and joined within the call, and each block runs under the
+    caller's numpy error state (``np.geterr`` and ``np.geterrcall``: numpy
+    2 keeps it in a context variable, numpy 1 per thread, and a new thread
+    starts from the defaults in both).  The first exception raised in a
+    block stops the handing out of blocks and is re-raised here once every
+    helper has been joined."""
     n = len(table.p)
     if n <= BLOCK:
         fill(table)
         return table
-    starts = range(0, n, BLOCK)
-    blocks, lock = iter(starts), threading.Lock()
-    errors = []
+    blocks, lock = iter(range(0, n, BLOCK)), threading.Lock()
+    errors, state = [], dict(np.geterr(), call=np.geterrcall())
 
     def work():
         while True:
@@ -200,16 +213,17 @@ def _blocked(fill, table: PredictionTable) -> PredictionTable:
                 return
             block = slice(start, start + BLOCK)
             try:
-                fill(PredictionTable(table.p[block], table.post_a[..., block],
-                                     table.post_ab[..., block], table.prod_wa[..., block, :],
-                                     table.prod_wab[..., block, :]))
+                with np.errstate(**state):
+                    fill(PredictionTable(table.p[block], table.post_a[..., block],
+                                         table.post_ab[..., block], table.prod_wa[..., block, :],
+                                         table.prod_wab[..., block, :]))
             except BaseException as exc:  # re-raised in the caller
                 errors.append(exc)
 
     helpers = []
     try:
-        for _ in range(min(_usable_cpus(), len(starts)) - 1):
-            helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(min(_usable_cpus(), n // (BLOCKS_PER_THREAD * BLOCK)) - 1):
+            helper = threading.Thread(target=work)
             helper.start()
             helpers.append(helper)
         work()
@@ -690,11 +704,13 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     The output arrays are allocated once and each form writes its fields
     straight into them.  A grid longer than :data:`BLOCK` priors is cut into
     blocks, which the calling thread and one helper thread per further usable
-    CPU (its affinity set) take in turn; the helpers are joined before the
-    call returns, run under the caller's ``np.errstate``, and an exception in
-    any block is raised here.  So the forms' temporaries stay cache-sized, and
+    CPU (its affinity set) take in turn, with at most one thread per
+    :data:`BLOCKS_PER_THREAD` blocks; the helpers are joined before the call
+    returns, run under the caller's ``np.errstate``, and an exception in any
+    block is raised here.  So the forms' temporaries stay cache-sized, and
     the call's peak memory is about the table itself: within 1.5 times its
-    bytes at N = 2e5 on two threads.  Every entry is a function of its own
+    bytes on a grid of at least ``BLOCKS_PER_THREAD`` blocks, on any number
+    of CPUs.  Every entry is a function of its own
     prior alone, so the table is bit for bit the same as one evaluated in a
     single piece, whatever the number of threads.
     """

@@ -590,6 +590,18 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
             one = getattr(single, name)
             assert getattr(batched, name)[k].shape == one.shape
             assert getattr(batched, name)[k].tobytes() == one.tobytes(), (name, params)
+    # the table's shape is set before any form runs (models._empty_table),
+    # from the parameters that it lists: each model's table must depend on
+    # each of them, so that a column of any one gives rows that differ
+    lam, dab, danb, xi = BLOCK_ROWS[0]
+    xi = xi if model in XI_MODELS else None
+    for i, name in enumerate(("lam", "delta_ab", "delta_anb", "xi")[:4 if xi else 3]):
+        pair = [lam, dab, danb, xi]
+        pair[i] = np.array([[pair[i]], [pair[i] / 2]])
+        table = predict_table(model, ModelParams(*pair), priors)
+        assert table.post_a.shape == (2, priors.size), name
+        assert any((getattr(table, f)[0] != getattr(table, f)[1]).any()
+                   for f in ("post_a", "post_ab", "prod_wa", "prod_wab")), name
 
 
 FIELDS = ("post_a", "post_ab", "prod_wa", "prod_wab")
@@ -609,10 +621,12 @@ def _block_params(model):
 
 def _assert_cut_free(table_of, grid, monkeypatch):
     """``table_of(grid)`` is, bit for bit, its tables on 1000-prior slices
-    put together, with one, two and three threads sharing the blocks; the
+    put together, with one, two and three threads sharing the blocks of a
+    grid longer than BLOCK (each thread may take a single block here); the
     slices do not line up with the blocks."""
     pieces = [table_of(grid[i:i + 1000]) for i in range(0, grid.size, 1000)]
-    for cpus in (1, 2, 3):
+    monkeypatch.setattr(models, "BLOCKS_PER_THREAD", 1)
+    for cpus in (1, 2, 3) if grid.size > BLOCK else (1,):
         monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
         whole = table_of(grid)
         assert whole.p is grid
@@ -642,6 +656,7 @@ def _helpers_take_blocks(monkeypatch, form):
     threads that each take at least one block: the first block of each waits
     until the other thread has taken one."""
     monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(models, "BLOCKS_PER_THREAD", 1)
     both, started = threading.Barrier(2, timeout=30), set()
 
     def fill(model, params, out):
@@ -684,6 +699,7 @@ def test_each_block_is_filled_once_under_contention(monkeypatch):
         form(model, params, out)
 
     monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(models, "BLOCKS_PER_THREAD", 1)
     monkeypatch.setattr(models, "_table", fill)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -731,6 +747,14 @@ def test_predict_table_peak_memory_is_about_its_table(model):
 def test_predict_table_peak_memory_is_about_its_table_on_two_threads(model, monkeypatch):
     # the same bound with two threads sharing the blocks, whatever the CPUs
     monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    test_predict_table_peak_memory_is_about_its_table(model)
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_predict_table_peak_memory_is_about_its_table_on_eight_cpus(model, monkeypatch):
+    # more CPUs than the grid has room for: BLOCKS_PER_THREAD caps the
+    # threads, and with them the temporaries held at once
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
     test_predict_table_peak_memory_is_about_its_table(model)
 
 
