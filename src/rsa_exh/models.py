@@ -155,11 +155,11 @@ def _keep_prior_ends(out: PredictionTable) -> None:
 #: the tests hold.  Above two CPUs the timings are unmeasured.
 BLOCK = 16384
 
-#: Blocks per thread, at least, of a long grid (see :func:`_blocked`).  A
-#: thread holds up to about 21 block-sized temporaries at once (in
-#: _mixture_gap), and the table is 8 arrays of the grid's length, so with
-#: at most one thread per 6 blocks all the threads' temporaries stay below
-#: 21/48 of the table's bytes, however many CPUs there are.
+#: The fewest blocks of a long grid per thread that shares them (see
+#: :func:`_blocked`).  A thread holds up to about 21 block-sized temporaries
+#: at once (in _mixture_gap), and the table is 8 arrays of the grid's length,
+#: so with at most one thread per 6 blocks all the threads' temporaries stay
+#: below 21/48 of the table's bytes, however many CPUs there are.
 BLOCKS_PER_THREAD = 6
 
 
@@ -710,9 +710,9 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     block is raised here.  So the forms' temporaries stay cache-sized, and
     the call's peak memory is about the table itself: within 1.5 times its
     bytes on a grid of at least ``BLOCKS_PER_THREAD`` blocks, on any number
-    of CPUs.  Every entry is a function of its own
-    prior alone, so the table is bit for bit the same as one evaluated in a
-    single piece, whatever the number of threads.
+    of CPUs.  Every entry is a function of its own prior alone, so the table
+    is bit for bit the same as one evaluated in a single piece, whatever the
+    number of threads.
     """
     require_xi(model, params)
     p = np.atleast_1d(np.asarray(p, dtype=float))

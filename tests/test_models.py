@@ -743,18 +743,13 @@ def test_predict_table_peak_memory_is_about_its_table(model):
         assert peak <= 1.5 * size, (params, peak / size)
 
 
+@pytest.mark.parametrize("cpus", [2, 8])
 @pytest.mark.parametrize("model", list(ModelId))
-def test_predict_table_peak_memory_is_about_its_table_on_two_threads(model, monkeypatch):
-    # the same bound with two threads sharing the blocks, whatever the CPUs
-    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-    test_predict_table_peak_memory_is_about_its_table(model)
-
-
-@pytest.mark.parametrize("model", list(ModelId))
-def test_predict_table_peak_memory_is_about_its_table_on_eight_cpus(model, monkeypatch):
-    # more CPUs than the grid has room for: BLOCKS_PER_THREAD caps the
-    # threads, and with them the temporaries held at once
-    monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
+def test_predict_table_peak_memory_is_about_its_table_on_two_threads(model, cpus, monkeypatch):
+    # the same bound with two threads sharing the blocks, whatever the CPUs:
+    # on eight, BLOCKS_PER_THREAD caps this grid's threads at two, and with
+    # them the temporaries held at once
+    monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
     test_predict_table_peak_memory_is_about_its_table(model)
 
 
