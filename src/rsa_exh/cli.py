@@ -296,24 +296,30 @@ def _simulate_svrsa_rows(model, params, p, depth, parser) -> list[dict]:
     return rows
 
 
+def _fit_rows(results) -> list[dict]:
+    """The serialized rows of ``results``; each fit with a parameter on a
+    bound is named on stderr, with those parameters' values."""
+    rows = [fit_result_row(result) for result in results]
+    for result, row in zip(results, rows):
+        if result.at_bounds:
+            print(f"note: {result.model.value} fit at bound for: "
+                  f"{', '.join(f'{name}={row[name]:g}' for name in result.at_bounds)}",
+                  file=sys.stderr)
+    return rows
+
+
 def _cmd_fit(args, parser) -> str:
-    model = ModelId(args.model)
     options = FitOptions(restarts=args.restarts, seed=args.seed)
     dataset = _load_dataset(args)
-    result = fit(model, dataset, options=options, equal_costs=args.equal_costs)
-    row = fit_result_row(result)
-    if result.at_bounds:
-        print(f"note: {model.value} fit at bound for: "
-              f"{', '.join(f'{name}={row[name]:g}' for name in result.at_bounds)}",
-              file=sys.stderr)
-    return _write_rows([row], FIT_COLUMNS, args.format)
+    result = fit(ModelId(args.model), dataset, options=options, equal_costs=args.equal_costs)
+    return _write_rows(_fit_rows([result]), FIT_COLUMNS, args.format)
 
 
 def _cmd_compare(args, parser) -> str:
     options = FitOptions(restarts=args.restarts, seed=args.seed)
     dataset = _load_dataset(args)
     results = compare(args.models, dataset, options=options, equal_costs=args.equal_costs)
-    return _write_rows([fit_result_row(r) for r in results], FIT_COLUMNS, args.format)
+    return _write_rows(_fit_rows(results), FIT_COLUMNS, args.format)
 
 
 def _cmd_synth(args, parser) -> str:

@@ -10,18 +10,23 @@ lexical-intentions variant which uses its marginal level-1 speaker.
 The expressions here are direct transcriptions of each variant's algebra,
 evaluated through logistic/log-sum-exp primitives so that rationality values
 up to the fitting bound (1e3) neither overflow nor underflow destructively.
-:func:`predict_table` is the one prediction surface, and :func:`lu_predict`
-reaches the lexical-uncertainty form under any interpretation prior.  Each
-form is pinned against the brute-force references of :mod:`rsa_exh.oracles`
-(the recursion of :func:`rsa_exh.engine.iterate`).  Both entry points allocate
-the output table once, and each form writes its fields straight into a slice of
-it.  A grid longer than :data:`BLOCK` priors is cut into blocks that the calling
-thread and helper threads, one per further usable CPU but at most one thread per
-:data:`BLOCKS_PER_THREAD` blocks, started and joined within the call, take in
-turn; numpy's loops release the interpreter lock, so the blocks overlap.  The
-forms drop each block-sized temporary after its last use, and with that cap
-on the threads a call over at least ``BLOCKS_PER_THREAD`` blocks stays within
-1.5 times its table's bytes on any number of CPUs.
+:func:`predict_table` is the one prediction surface, :func:`predict_field`
+gives one field of its table, and :func:`lu_predict` reaches the
+lexical-uncertainty form under any interpretation prior.  Each form is pinned
+against the brute-force references of :mod:`rsa_exh.oracles` (the recursion
+of :func:`rsa_exh.engine.iterate`).  The entry points allocate the output
+table once, and each form writes the fields that the table holds straight
+into a slice of it.  A table of :func:`predict_field` holds one field alone:
+the listener posterior's correction near the prior (:func:`_bayes_listener`)
+runs only for ``post_a``, and speaker rows are formed only for ``prod_wa``
+and ``prod_wab``.  A grid longer than :data:`BLOCK` priors is cut into blocks
+that the calling thread and helper threads, one per further usable CPU but at
+most one thread per :data:`BLOCKS_PER_THREAD` blocks, started and joined
+within the call, take in turn; numpy's loops release the interpreter lock, so
+the blocks overlap.  The forms drop each block-sized temporary after its last
+use, and with that cap on the threads a call over at least
+``BLOCKS_PER_THREAD`` blocks stays within 1.5 times the full table's bytes on
+any number of CPUs.
 Every entry depends on its own prior alone, so the table is bit for bit the
 one-piece table whatever the blocks and threads.
 
@@ -122,14 +127,19 @@ class PredictionTable:
     The posteriors have shape (N,) and the production rows (N, 3); for a
     batch of K parameter sets (see :class:`ModelParams`) they have shape
     (K, N) and (K, N, 3).  ``p`` is the grid, shape (N,).  The production
-    rows are distributions over ``(A, A_AND_B, A_AND_NOT_B)``.
+    rows are distributions over ``(A, A_AND_B, A_AND_NOT_B)``.  A table of
+    :func:`predict_field` holds ``None`` for each field but its own.
     """
 
     p: np.ndarray
-    post_a: np.ndarray  # (N,) or (K, N)
-    post_ab: np.ndarray  # (N,) or (K, N)
-    prod_wa: np.ndarray  # (N, 3) or (K, N, 3)
-    prod_wab: np.ndarray  # (N, 3) or (K, N, 3)
+    post_a: np.ndarray | None  # (N,) or (K, N)
+    post_ab: np.ndarray | None  # (N,) or (K, N)
+    prod_wa: np.ndarray | None  # (N, 3) or (K, N, 3)
+    prod_wab: np.ndarray | None  # (N, 3) or (K, N, 3)
+
+
+#: The fields of a :class:`PredictionTable` after ``p``, in its order.
+FIELDS = ("post_a", "post_ab", "prod_wa", "prod_wab")
 
 
 def _clip_prior(p) -> np.ndarray:
@@ -139,7 +149,9 @@ def _clip_prior(p) -> np.ndarray:
 
 def _keep_prior_ends(out: PredictionTable) -> None:
     """Set the posterior after ``A`` in ``out`` to the prior where that is
-    exactly 0 or 1 (see :func:`predict_table`)."""
+    exactly 0 or 1 (see :func:`predict_table`), where ``out`` holds it."""
+    if out.post_a is None:
+        return
     out.post_a[..., out.p <= 0.0] = 0.0
     out.post_a[..., out.p >= 1.0] = 1.0
 
@@ -172,8 +184,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _empty_table(p: np.ndarray, params: ModelParams, with_xi: bool = False) -> PredictionTable:
-    """An unfilled table over the priors ``p``, shaped as :func:`predict_table`
+def _empty_table(p: np.ndarray, params: ModelParams, with_xi: bool = False,
+                 field: str | None = None) -> PredictionTable:
+    """An unfilled table over the priors ``p``, of every field or of
+    ``field`` alone (``None`` for the others), shaped as :func:`predict_table`
     describes by the parameters that the form reads (``xi`` where
     ``with_xi``).  Every form reads ``lam``, ``delta_ab`` and ``delta_anb``,
     and those of XI_MODELS read ``xi``; the batching test checks that each
@@ -181,12 +195,28 @@ def _empty_table(p: np.ndarray, params: ModelParams, with_xi: bool = False) -> P
     used = (params.lam, params.delta_ab, params.delta_anb) + ((params.xi,) if with_xi else ())
     shape = np.broadcast(p, *used).shape
     rows = shape + (3,)
-    return PredictionTable(p, np.empty(shape), np.empty(shape), np.empty(rows), np.empty(rows))
+    if field is None:
+        return PredictionTable(p, np.empty(shape), np.empty(shape), np.empty(rows), np.empty(rows))
+    one = np.empty(rows if field.startswith("prod") else shape)
+    return PredictionTable(p, *(one if name == field else None for name in FIELDS))
+
+
+def _block_of(table: PredictionTable, block: slice) -> PredictionTable:
+    """Views of the priors ``block`` of each array that ``table`` holds."""
+    post_a, post_ab, prod_wa, prod_wab = table.post_a, table.post_ab, table.prod_wa, table.prod_wab
+    return PredictionTable(
+        table.p[block],
+        None if post_a is None else post_a[..., block],
+        None if post_ab is None else post_ab[..., block],
+        None if prod_wa is None else prod_wa[..., block, :],
+        None if prod_wab is None else prod_wab[..., block, :],
+    )
 
 
 def _blocked(fill, table: PredictionTable) -> PredictionTable:
-    """``table`` once ``fill`` has written every field of it; ``fill`` takes
-    a table whose arrays are views of one block of ``table``'s.
+    """``table`` once ``fill`` has written every array it holds; ``fill``
+    takes a table whose arrays are views of one block of ``table``'s (see
+    :func:`_block_of`).
 
     A grid of at most BLOCK priors is one block, which this thread fills.  A
     longer grid is cut into blocks of BLOCK priors that this thread and up to
@@ -211,12 +241,9 @@ def _blocked(fill, table: PredictionTable) -> PredictionTable:
                 start = None if errors else next(blocks, None)
             if start is None:
                 return
-            block = slice(start, start + BLOCK)
             try:
                 with np.errstate(**state):
-                    fill(PredictionTable(table.p[block], table.post_a[..., block],
-                                         table.post_ab[..., block], table.prod_wa[..., block, :],
-                                         table.prod_wab[..., block, :]))
+                    fill(_block_of(table, slice(start, start + BLOCK)))
             except BaseException as exc:  # re-raised in the caller
                 errors.append(exc)
 
@@ -381,8 +408,9 @@ def _mixture_gap(rho, z_ab, z_a, c_ab, c_a, where):
 def _bayes_listener(post, pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_ab=0.0,
                     c_a=0.0):
     """Write the listener posterior on ``World.AB`` after ``A`` by Bayes'
-    rule (see the module docstring) into ``post``; return the log posteriors
-    on ``World.AB`` and ``World.A``.
+    rule (see the module docstring) into ``post``, unless that is ``None``;
+    return the log posteriors on ``World.AB`` and ``World.A``, which the
+    correction within ``NEAR_PRIOR`` of the prior below does not touch.
 
     ``pc`` is the clamped prior, ``log_pc = log(pc)``, ``log_qc =
     log1p(-pc)``.  The likelihoods of ``A`` are ``A = rho_lit sigma(z_ab) +
@@ -401,6 +429,8 @@ def _bayes_listener(post, pc, log_pc, log_qc, z_ab, z_a, rho=(1.0, 0.0, 0.0), c_
     denom = np.maximum(log_wab, log_wa) + np.log1p(np.exp(-np.abs(log_wab - log_wa)))
     log_ab, log_a = log_wab - denom, log_wa - denom
     del log_wab, log_wa
+    if post is None:
+        return log_ab, log_a
     np.exp(log_ab, out=post)
     near = np.abs(log_ab - log_pc) <= NEAR_PRIOR
     if not near.any():
@@ -459,25 +489,31 @@ def _logistic_pair(x, pos, neg):
 @np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
 def _two_way_rows(x_wa, x_wab, out: PredictionTable) -> None:
     """Write speaker rows over (A, A_AND_B, A_AND_NOT_B) for a choice between
-    ``A`` and the explicit message into ``out``: ``[sigma(x_wa), 0,
-    sigma(-x_wa)]`` in ``World.A`` and ``[sigma(x_wab), sigma(-x_wab), 0]`` in
-    ``World.AB``, by :func:`_logistic_pair`."""
+    ``A`` and the explicit message into those of ``out`` that it holds:
+    ``[sigma(x_wa), 0, sigma(-x_wa)]`` in ``World.A`` and ``[sigma(x_wab),
+    sigma(-x_wab), 0]`` in ``World.AB``, by :func:`_logistic_pair`.  The
+    score of a row that ``out`` does not hold is not read."""
     prod_wa, prod_wab = out.prod_wa, out.prod_wab
-    prod_wa[..., 1] = prod_wab[..., 2] = 0.0
-    _logistic_pair(x_wa, prod_wa[..., 0], prod_wa[..., 2])
-    _logistic_pair(x_wab, prod_wab[..., 0], prod_wab[..., 1])
+    if prod_wa is not None:
+        prod_wa[..., 1] = 0.0
+        _logistic_pair(x_wa, prod_wa[..., 0], prod_wa[..., 2])
+    if prod_wab is not None:
+        prod_wab[..., 2] = 0.0
+        _logistic_pair(x_wab, prod_wab[..., 0], prod_wab[..., 1])
 
 
 def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable) -> None:
     """Level-2 speaker rows from the level-1 posteriors after ``A``, written
-    into ``out``.
+    into those of ``out`` that it holds.
 
     In ``World.A`` the choice is between ``A`` (scored by the listener's
     residual w_a posterior) and the explicit ``A_AND_NOT_B``; in ``World.AB``
     between ``A`` and ``A_AND_B``.  Literally false messages get zero.
     """
     lam = params.lam
-    _two_way_rows(lam * (log_l1_a + params.delta_anb), lam * (log_l1_ab + params.delta_ab), out)
+    x_wa = None if out.prod_wa is None else lam * (log_l1_a + params.delta_anb)
+    x_wab = None if out.prod_wab is None else lam * (log_l1_ab + params.delta_ab)
+    _two_way_rows(x_wa, x_wab, out)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +539,16 @@ def _wrsa_table(params: ModelParams, out: PredictionTable) -> None:
     wa_mass = (_logistic(lam * (np.log1p(-pc) + danb), (1 - pc) * (1 - omega))
                + _scaled_expit(0.5 * omega, lam * (danb - LOG2)))
     del pc
-    post_a = out.post_a
-    np.divide(wab_mass, wab_mass + wa_mass, out=post_a)
+    # the speaker rows read the posterior, also where out does not hold it
+    post_a = np.divide(wab_mass, wab_mass + wa_mass, out=out.post_a)
     del wab_mass, wa_mass
+    if out.post_ab is not None:
+        out.post_ab[...] = 1.0
+    if out.prod_wa is None and out.prod_wab is None:
+        return
     log_ab = _safe_log(post_a)
     with np.errstate(divide="ignore"):
         log_a = np.log1p(-post_a)
-    out.post_ab[...] = 1.0
     _two_way_s2(params, log_ab, log_a, out)
 
 
@@ -573,9 +612,18 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
     # small p.
     total_a = (1 - qc) * s[0] + _logistic(x, (1 - pc) * qc)
     total_ab = (1 - qc) * s[1] + pc * qc
-    np.multiply(pc, (1 - qc) * s[0] / total_a, out=out.post_a)
-    np.minimum(pc * (((1 - qc) * s[1] + qc) / total_ab), 1.0, out=out.post_ab)
+    if out.post_a is not None:
+        np.multiply(pc, (1 - qc) * s[0] / total_a, out=out.post_a)
+    if out.post_ab is not None:
+        np.minimum(pc * (((1 - qc) * s[1] + qc) / total_ab), 1.0, out=out.post_ab)
     del pc
+    # In w_ab the total-QUD speaker says the conjunction.
+    prod_wa, prod_wab = out.prod_wa, out.prod_wab
+    if prod_wab is not None:
+        prod_wab[..., 0] = prod_wab[..., 2] = 0.0
+        prod_wab[..., 1] = 1.0
+    if prod_wa is None and (prod_wab is None or model is ModelId.SVRSA2):
+        return
 
     # Every term of A_AND_NOT_B carries a factor of about exp(-lam delta_anb)
     # or below, and its total underflows once that exponent passes about
@@ -586,23 +634,22 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
     softplus_x, softplus_neg_x = _softplus_pair(x)
     del x
     d = (log_part + log_s[2]) - (log_wa_total - softplus_x)
-    # Level-2 speaker for (w_a, total): the conjunction has zero posterior on
-    # that cell, so the choice is two-way, scored by the log posteriors
-    # log((1 - p) q sigma(x) / T_A) and -softplus(d) of that cell.
-    y = lam * (danb + ((log_wa_total - softplus_neg_x) - log_total_a) + _softplus(d))
+    if prod_wa is not None:
+        # Level-2 speaker for (w_a, total): the conjunction has zero posterior
+        # on that cell, so the choice is two-way, scored by the log posteriors
+        # log((1 - p) q sigma(x) / T_A) and -softplus(d) of that cell.
+        y = lam * (danb + ((log_wa_total - softplus_neg_x) - log_total_a) + _softplus(d))
+        prod_wa[..., 1] = 0.0
+        _logistic_pair(y, prod_wa[..., 0], prod_wa[..., 2])
+        del y
     del softplus_x, softplus_neg_x, log_wa_total
-    # In w_ab the total-QUD speaker says the conjunction.
-    prod_wa, prod_wab = out.prod_wa, out.prod_wab
-    prod_wa[..., 1] = prod_wab[..., 0] = prod_wab[..., 2] = 0.0
-    prod_wab[..., 1] = 1.0
-    _logistic_pair(y, prod_wa[..., 0], prod_wa[..., 2])
-    del y
     if model is ModelId.SVRSA2:
         return
 
     # Level-2 speaker addressing the partial QUD: world-independent, scored
     # by each message's log joint posterior on the partial-QUD cell, all
-    # finite: the softmax of u below, weighted 1 - q in the mixture.
+    # finite: the softmax of u below, weighted 1 - q in the mixture of each
+    # row that out holds.
     u = (lam * ((log_part + log_s[0]) - log_total_a),
          lam * ((log_part + log_s[1] - params.delta_ab) - np.log(total_ab)),
          -lam * (_softplus(-d) + danb))
@@ -615,8 +662,9 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
     del e
     q = np.asarray(qc)[..., None]  # against the message axis
     for rows in (prod_wa, prod_wab):
-        rows *= q
-        rows += part
+        if rows is not None:
+            rows *= q
+            rows += part
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +686,8 @@ def _lu_table(params: ModelParams, out: PredictionTable, rho, shift=0.0) -> None
         rho, lam * (dab - shift), lam * (danb - shift),
     )
     del pc, log_pc, log_qc
-    out.post_ab[...] = 1.0
+    if out.post_ab is not None:
+        out.post_ab[...] = 1.0
     _two_way_s2(params, log_ab, log_a, out)
 
 
@@ -673,13 +722,18 @@ def _li_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None
     # in World.A, e = (1 - p)^lam; its other message takes the rest.
     x = lam * (log_pc + params.delta_ab) - LOG2
     y = (lam * params.delta_anb - LOG2) + np.log1p(np.exp(lam * log_qc))
-    log_ab, log_a = _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
-    del pc, log_pc, log_qc
-    out.post_ab[...] = 1.0
     if model is ModelId.RSA_LI1:
+        # its speaker rows read x and y alone
+        if out.post_a is not None:
+            _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
+        del pc, log_pc, log_qc
         _two_way_rows(y, x, out)
     else:
+        log_ab, log_a = _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
+        del pc, log_pc, log_qc
         _two_way_s2(params, log_ab, log_a, out)
+    if out.post_ab is not None:
+        out.post_ab[...] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +748,7 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     production rows (N, 3).  Parameters that are (K, 1) columns (see
     :class:`ModelParams`) give (K, N) and (K, N, 3) arrays whose row k is,
     bit for bit, the table of a call with the floats of parameter set k.
+    The table holds all four fields; :func:`predict_field` computes one.
 
     Every form is evaluated at the prior clamped to ``[P_EPS, 1 - P_EPS]``,
     so at the exact endpoints p in {0, 1} it gives its continuity limit.  The
@@ -708,15 +763,32 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     :data:`BLOCKS_PER_THREAD` blocks; the helpers are joined before the call
     returns, run under the caller's ``np.errstate``, and an exception in any
     block is raised here.  So the forms' temporaries stay cache-sized, and
-    the call's peak memory is about the table itself: within 1.5 times its
-    bytes on a grid of at least ``BLOCKS_PER_THREAD`` blocks, on any number
-    of CPUs.  Every entry is a function of its own prior alone, so the table
-    is bit for bit the same as one evaluated in a single piece, whatever the
-    number of threads.
+    the call's peak memory is about the table itself: within 1.5 times the
+    full table's bytes on a grid of at least ``BLOCKS_PER_THREAD`` blocks, on
+    any number of CPUs.  Every entry is a function of its own prior alone, so
+    the table is bit for bit the same as one evaluated in a single piece,
+    whatever the number of threads.
     """
     require_xi(model, params)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     table = _empty_table(p, params, with_xi=model in XI_MODELS)
+    return _blocked(lambda out: _table(model, params, out), table)
+
+
+def predict_field(model: ModelId, params: ModelParams, p, field: str) -> PredictionTable:
+    """The table of :func:`predict_table` with only ``field``, one of
+    :data:`FIELDS`: that array has the bits of the full table's, and the
+    other fields are ``None``.  A posterior after ``A`` that is not asked
+    for skips its correction near the prior, and speaker rows are formed
+    only for the row asked for, so a caller that reads one field (a region
+    scan, see :mod:`rsa_exh.analysis`) pays for that field alone.  Any
+    other ``field`` raises ``ValueError``.
+    """
+    if field not in FIELDS:
+        raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
+    require_xi(model, params)
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    table = _empty_table(p, params, with_xi=model in XI_MODELS, field=field)
     return _blocked(lambda out: _table(model, params, out), table)
 
 

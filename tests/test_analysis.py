@@ -7,6 +7,7 @@ import pytest
 from rsa_exh import analysis
 from rsa_exh.analysis import (
     ENDPOINT_TOL,
+    PREDICATE_FIELDS,
     Predicate,
     RegionReport,
     SWEEP_COLUMNS,
@@ -18,7 +19,8 @@ from rsa_exh.analysis import (
     sweep,
 )
 from rsa_exh.engine import iterate
-from rsa_exh.models import P_EPS, XI_MODELS, ModelId, _clip_prior, predict_table
+from rsa_exh.models import (P_EPS, XI_MODELS, ModelId, _clip_prior, predict_field,
+                            predict_table)
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import ModelParams
 
@@ -252,30 +254,62 @@ SCAN_DRAWS = [
 @pytest.mark.parametrize("model", list(ModelId))
 def test_scan_refines_boundaries_as_the_serial_bisection(model, monkeypatch):
     # the batched replay ends each boundary on the serial loop's endpoint,
-    # bit for bit, in at most 1 + ceil(13 / BISECT_LEVELS) calls per scan:
-    # a bracket of either grid step takes 13 halvings, and at the step 0.008
+    # bit for bit, in at most 1 + ceil(13 / BISECT_LEVELS) calls per scan,
+    # each of which asks for the one field that the predicate reads: a
+    # bracket of either grid step takes 13 halvings, and at the step 0.008
     # the last one is 0.98 ENDPOINT_TOL wide
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return predict_table(*args)
+    def counted(model, params, p, field):
+        calls.append(field)
+        return predict_field(model, params, p, field)
 
     for lam, dab, danb, xi in SCAN_DRAWS:
         params = ModelParams(lam, dab, danb, xi if model in XI_MODELS else None)
         for predicate, grid_step in itertools.product(Predicate, (0.005, 0.008)):
             expected = serial_intervals(model, params, predicate, grid_step)
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "predict_table", counted)
+                patch.setattr(analysis, "predict_field", counted)
                 calls.clear()
                 report = scan_regions(model, params, predicate, grid_step)
             assert report.intervals == expected, (params, predicate, grid_step)
             assert len(calls) <= 1 + math.ceil(13 / analysis.BISECT_LEVELS)
+            assert set(calls) == {PREDICATE_FIELDS[predicate]}
     if model is ModelId.BASE_RSA:
         # the near-grid cases are what they say
         ends = [scan_regions(model, ModelParams(*draw[:3]), Predicate.LISTENER_ANTI_EXH)
                 .intervals[0][0] for draw in SCAN_DRAWS[3:]]
         assert 0 < ends[0] - 0.5 < ENDPOINT_TOL and 0 < 0.7 - ends[1] < ENDPOINT_TOL
+
+
+@pytest.mark.parametrize("model", list(ModelId))
+def test_each_predicate_reads_only_its_field(model):
+    # a table of the one field that a predicate reads gives the values of
+    # the full table, also on the band-heavy draws, where post_a is formed
+    # near the prior, and at the ends of the clamp
+    priors = _clip_prior(np.concatenate([[0.0, 1e-9], np.linspace(0.0, 1.0, 401), [1.0]]))
+    for lam, dab, danb in ((25.0, 2.0, 2.2), (100.0, 3.0, 3.1), (1e3, 2.0, 2.1), (3.0, 1.0, 1.2)):
+        params = ModelParams(lam, dab, danb, 0.5 if model in XI_MODELS else None)
+        full = predict_table(model, params, priors)
+        for predicate in Predicate:
+            one = predict_field(model, params, priors, PREDICATE_FIELDS[predicate])
+            expected = analysis._predicate_values(full, predicate)
+            assert analysis._predicate_values(one, predicate).tolist() == expected.tolist()
+
+
+def test_scan_grid_is_built_once_per_step_and_cannot_be_written():
+    grid, inner = analysis._scan_grid(200)
+    assert analysis._scan_grid(200)[0] is grid
+    assert grid.tolist() == np.linspace(0.0, 1.0, 201).tolist()
+    assert inner.tolist() == _clip_prior(np.linspace(0.0, 1.0, 201)).tolist()
+    for array in (grid, inner):
+        with pytest.raises(ValueError):
+            array[1] = 0.5
+    params = ModelParams(lam=3.0, delta_ab=1.0, delta_anb=1.2, xi=0.1)
+    first = scan_regions(ModelId.WRSA, params, Predicate.LISTENER_ANTI_EXH)
+    assert scan_regions(ModelId.WRSA, params, Predicate.LISTENER_ANTI_EXH) == first
+    assert first.intervals == serial_intervals(ModelId.WRSA, params,
+                                               Predicate.LISTENER_ANTI_EXH, 0.005)
 
 
 def test_region_report_validates_intervals():

@@ -263,6 +263,21 @@ def test_compare_subset_sorted_by_aic(capsys, synth_file):
     assert aics == sorted(aics)
 
 
+def test_compare_notes_each_fit_at_a_bound_as_fit_does(capsys, synth_file):
+    # one note per ranked model with a parameter on a bound, in rank order,
+    # each the line that fit prints for that model
+    options = ["--data", str(synth_file), "--restarts", "3", "--seed", "1", "--equal-costs"]
+    code, out, err = invoke(capsys, "compare", "--models", "base,wrsa", *options)
+    assert code == 0
+    notes = []
+    for row in rows_of(out):
+        fit_code, fit_out, fit_err = invoke(capsys, "fit", "--model", row["model"], *options)
+        assert fit_code == 0 and rows_of(fit_out) == [row]
+        notes.append(fit_err)
+    assert err == "".join(notes)
+    assert "note: base fit at bound for: delta_ab=0, delta_anb=0\n" in notes
+
+
 def test_out_writes_file_and_keeps_stdout_clean(capsys, tmp_path):
     target = tmp_path / "sweep.csv"
     code, out, _ = invoke(

@@ -11,6 +11,7 @@ from scipy.special import expit
 from rsa_exh import models
 from rsa_exh.models import (
     BLOCK,
+    FIELDS,
     FIXED_RHO,
     LOG2,
     MissingParameter,
@@ -25,6 +26,7 @@ from rsa_exh.models import (
     _softplus_pair,
     _two_way_rows,
     lu_predict,
+    predict_field,
     predict_table,
     XI_MODELS,
 )
@@ -575,7 +577,8 @@ def _batch_rows():
 @pytest.mark.parametrize("model", list(ModelId))
 def test_predict_table_batched_over_params_matches_single_calls(model):
     # one call on (K, 1) columns of parameter sets gives, row for row, the
-    # bits of a loop of single calls with float parameters
+    # bits of a loop of single calls with float parameters; a batched
+    # predict_field gives its field's bits and None for the others
     priors = np.concatenate([[0.0, 1e-12, 1e-9], GRID_199, [1 - 1e-9, 1.0]])
     rows = [(lam, dab, danb, xi if model in XI_MODELS else None)
             for lam, dab, danb, xi in _batch_rows()]
@@ -590,6 +593,13 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
             one = getattr(single, name)
             assert getattr(batched, name)[k].shape == one.shape
             assert getattr(batched, name)[k].tobytes() == one.tobytes(), (name, params)
+    for field in FIELDS:
+        part = predict_field(model, ModelParams(*columns), priors, field)
+        for name in FIELDS:
+            if name == field:
+                assert getattr(part, name).tobytes() == getattr(batched, name).tobytes(), name
+            else:
+                assert getattr(part, name) is None, (name, field)
     # the table's shape is set before any form runs (models._empty_table),
     # from the parameters that it lists: each model's table must depend on
     # each of them, so that a column of any one gives rows that differ
@@ -604,37 +614,41 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
                    for f in ("post_a", "post_ab", "prod_wa", "prod_wab")), name
 
 
-FIELDS = ("post_a", "post_ab", "prod_wa", "prod_wab")
-
 #: (lam, delta_ab, delta_anb, xi): a fitted point, the band-heavy point
-#: (most priors within NEAR_PRIOR of the posterior) and a low-rationality one.
-BLOCK_ROWS = [(3.9, 0.2, 0.37, 0.86), (25.0, 2.0, 2.2, 0.5), (0.7, 1.1, 0.4, 0.3)]
-
+#: (most priors within NEAR_PRIOR of the posterior), a low-rationality one and
+#: the two high-rationality points of the order test.
+BLOCK_ROWS = [(3.9, 0.2, 0.37, 0.86), (25.0, 2.0, 2.2, 0.5), (0.7, 1.1, 0.4, 0.3),
+              (100.0, 3.0, 3.1, 0.5), (1e3, 2.0, 2.1, 0.5)]
 
 def _block_params(model):
-    """Float parameters for each row of BLOCK_ROWS, then all three as a batch."""
+    """Float parameters for each row of BLOCK_ROWS, then all of them as a batch."""
     rows = [(lam, dab, danb, xi if model in XI_MODELS else None)
             for lam, dab, danb, xi in BLOCK_ROWS]
     batch = [None if r[0] is None else np.array(r, dtype=float)[:, None] for r in zip(*rows)]
     return [ModelParams(*r) for r in rows] + [ModelParams(*batch)]
 
 
-def _assert_cut_free(table_of, grid, monkeypatch):
-    """``table_of(grid)`` is, bit for bit, its tables on 1000-prior slices
-    put together, with one, two and three threads sharing the blocks of a
-    grid longer than BLOCK (each thread may take a single block here); the
+def _assert_cut_free(table_of, grid, monkeypatch, fields=(None,)):
+    """``table_of(grid, field)`` holds, bit for bit, the full tables on
+    1000-prior slices put together (``field`` None, see ``table_of(p,
+    None)``), or their ``field`` alone and ``None`` for the others, for each
+    of ``fields``: with one, two and three threads sharing the blocks of a
+    grid longer than BLOCK (each thread may take a single block here).  The
     slices do not line up with the blocks."""
-    pieces = [table_of(grid[i:i + 1000]) for i in range(0, grid.size, 1000)]
+    pieces = [table_of(grid[i:i + 1000], None) for i in range(0, grid.size, 1000)]
     monkeypatch.setattr(models, "BLOCKS_PER_THREAD", 1)
-    for cpus in (1, 2, 3) if grid.size > BLOCK else (1,):
+    for cpus, field in itertools.product((1, 2, 3) if grid.size > BLOCK else (1,), fields):
         monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
-        whole = table_of(grid)
+        whole = table_of(grid, field)
         assert whole.p is grid
         for name in FIELDS:
+            if field not in (None, name):
+                assert getattr(whole, name) is None, (name, field)
+                continue
             axis = -1 if name.startswith("post") else -2
             joined = np.concatenate([getattr(t, name) for t in pieces], axis=axis)
-            assert getattr(whole, name).shape == joined.shape, (name, cpus)
-            assert getattr(whole, name).tobytes() == joined.tobytes(), (name, cpus)
+            assert getattr(whole, name).shape == joined.shape, (name, cpus, field)
+            assert getattr(whole, name).tobytes() == joined.tobytes(), (name, cpus, field)
 
 
 @pytest.mark.parametrize("model", list(ModelId))
@@ -642,13 +656,16 @@ def test_predict_table_does_not_depend_on_where_the_grid_is_cut(model, monkeypat
     for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000):
         grid = np.linspace(0.0, 1.0, n)  # exact 0 and 1 at the ends
         for params in _block_params(model):
-            _assert_cut_free(lambda p: predict_table(model, params, p), grid, monkeypatch)
+            _assert_cut_free(lambda p, field: (predict_table(model, params, p) if field is None
+                                               else predict_field(model, params, p, field)),
+                             grid, monkeypatch, (None, *FIELDS))
 
 
 def test_lu_predict_does_not_depend_on_where_the_grid_is_cut(monkeypatch):
     grid = np.linspace(0.0, 1.0, 2 * BLOCK + 3)
     for params in _block_params(ModelId.FREE_LU):
-        _assert_cut_free(lambda p: lu_predict(params, p, (0.5, 0.2, 0.3)), grid, monkeypatch)
+        _assert_cut_free(lambda p, field: lu_predict(params, p, (0.5, 0.2, 0.3)), grid,
+                         monkeypatch)
 
 
 def _helpers_take_blocks(monkeypatch, form):
@@ -751,6 +768,12 @@ def test_predict_table_peak_memory_is_about_its_table_on_two_threads(model, cpus
     # them the temporaries held at once
     monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
     test_predict_table_peak_memory_is_about_its_table(model)
+
+
+def test_predict_field_rejects_anything_but_one_field():
+    for field in ("", "p", "post_b", ("post_a",), ["post_a", "prod_wa"], None):
+        with pytest.raises(ValueError, match="field"):
+            predict_field(ModelId.BASE_RSA, ModelParams(lam=1.0), 0.5, field)
 
 
 def test_predict_requires_xi_where_applicable():
