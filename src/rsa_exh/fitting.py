@@ -24,12 +24,30 @@ call and one batched tobit and production scoring
 batched score is bit-identical to a single one, so the optima are those of
 running the restarts one after another.
 
-:func:`compare` fits its models in parallel, one fit per task, in a pool of
-worker processes forked for the call (at most one per model and per usable
-CPU), and collects the results, exceptions and warnings in model order.  It
-fits them in the calling process, in turn, where only one worker is
-possible, where that process is a daemon, or where the platform cannot fork.
-Each fit is the same in either case, so the results are too, bit for bit.
+A family is the set of models that share a closed form
+(``models.FAMILIES``): base, BWRSA, free-LU and exh-LU share the
+lexical-uncertainty form, SVRSA1 and SVRSA2 the supervaluationist one, LI1
+and LI2 the lexical-intentions one, and WRSA is a family of its own.  The
+lockstep runs the restarts of all the models of a family together
+(:func:`_restarts`): at each step every model decodes its own searches'
+points, and all of them are scored in one batched call, whose sets each take
+their own model's constants (``models._family_table``).  A step's cost is
+mostly paid per call, not per point, so a family's lockstep costs little
+more than that of its longest-running model.  Each set's score in a mixed
+batch has the bits of its own model's single call, so every search, and
+every fit, is the one that fitting its model alone gives: :func:`fit` is the
+one-model case of the same lockstep.
+
+:func:`compare` fits its models in a pool of worker processes forked for the
+call (at most one per usable CPU and per task), and collects the results,
+exceptions and warnings in model order.  Each model is a task, except where
+the workers are fewer than the models and at most two (``GROUPED_WORKERS``):
+there each family is a task, the longest-running first, as a family's
+lockstep takes less time than its models' fits one after another but more
+than the longest of them.  It runs the tasks in the calling process, in turn,
+where only one worker is possible, where that process is a daemon, or where
+the platform cannot fork.  Every fit is the same in each case, so the results
+are too, bit for bit.
 
 The fits take ``log_ndtr``, ``expit`` and ``logit`` from ``scipy.special``,
 which is imported on the first fit or likelihood call (:func:`_special`), not
@@ -48,8 +66,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
-from .models import (MissingParameter, ModelId, ModelParams, XI_MODELS, _each, _usable_cpus,
-                     predict_table)
+from .models import (FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS, _each,
+                     _family_table, _usable_cpus, predict_table)
 from .scenario import everywhere
 
 
@@ -292,18 +310,21 @@ class _PackedData:
 
 
 def _packed_logliks(
-    model: ModelId, params: ModelParams, noise: NoiseParams, packed: _PackedData
+    model, params: ModelParams, noise: NoiseParams, packed: _PackedData
 ) -> tuple[np.ndarray, list]:
     """Joint log-likelihoods of K parameter sets, scored together.
 
-    ``params`` and ``noise`` hold floats (K = 1) or (K, 1) columns.  Returns
-    the K log-likelihoods and, for each set, the label of the first
-    production row it gives probability 0, or None; such a set scores -inf.
-    Set k's score is bit-identical to that of a K = 1 call with its floats:
-    the picks are contiguous, each condition's rows are summed alone and in
-    row order, and per-set scalars are taken as a single call takes them.
+    ``params`` and ``noise`` hold floats (K = 1) or (K, 1) columns, and
+    ``model`` is one model, or a tuple of one family's models, one per set
+    (see ``models._family_table``).  Returns the K log-likelihoods and, for
+    each set, the label of the first production row it gives probability 0,
+    or None; such a set scores -inf.  Set k's score is bit-identical to that
+    of a K = 1 call with its floats and its model: the picks are contiguous,
+    each condition's rows are summed alone and in row order, and per-set
+    scalars are taken as a single call takes them.
     """
-    table = predict_table(model, params, packed.priors)
+    table = (predict_table(model, params, packed.priors) if isinstance(model, ModelId)
+             else _family_table(model, params, packed.priors))
     k = np.size(params.lam)
     totals = np.zeros(k)
     # float parameters give 1-d posteriors, K parameter sets (K, N) ones
@@ -376,24 +397,40 @@ _PARAMS = {
 }
 
 
+#: Every model's parameters, in the order in which a step of the lockstep
+#: decodes the points of all its searches at once (see :func:`_objective`).
+_LAYOUT = ("lambda", "delta_ab", "delta_anb", "xi", "sigma_a", "sigma_ab", "epsilon")
+
+
 @dataclass(frozen=True)
 class _ParamSpec:
     """The free parameters of one fit, in order, with their rows of
-    ``_PARAMS``; the only code that knows the parameter layout."""
+    ``_PARAMS``; the only code that knows the parameter layout.
+    ``columns`` picks the coordinates of a point that hold the parameters of
+    ``_LAYOUT`` (one cost's twice where the costs are equal; any one where
+    the fit has no xi, whose value then goes unread), or is None where the
+    point holds them in that order."""
 
     names: tuple[str, ...]
     highs: np.ndarray
     init_lo: np.ndarray  # initialization ranges, in parameter space
     init_hi: np.ndarray
     log_init: np.ndarray  # bool: space the initial grid logarithmically
+    columns: np.ndarray | None
 
     @classmethod
     def build(cls, model: ModelId, equal_costs: bool) -> "_ParamSpec":
         costs = ("delta",) if equal_costs else ("delta_ab", "delta_anb")
         extra = ("xi",) if model in XI_MODELS else ()
-        names = ("lambda", *costs, *extra, "sigma_a", "sigma_ab", "epsilon")
+        return cls.of(("lambda", *costs, *extra, "sigma_a", "sigma_ab", "epsilon"))
+
+    @classmethod
+    def of(cls, names: tuple[str, ...]) -> "_ParamSpec":
         highs, lo, hi, log = map(np.array, zip(*(_PARAMS[name] for name in names)))
-        return cls(names, highs, lo, hi, log)
+        alias = {"delta_ab": "delta", "delta_anb": "delta", "xi": "lambda"}
+        columns = [names.index(name if name in names else alias[name]) for name in _LAYOUT]
+        return cls(names, highs, lo, hi, log,
+                   None if names == _LAYOUT else np.array(columns))
 
     def decode(self, t: np.ndarray) -> dict:
         """Parameter values at a point ``t``, or (K, 1) columns of them at
@@ -485,25 +522,49 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - samples) / n
 
 
-def _objective(points: np.ndarray, model: ModelId, spec: _ParamSpec,
-               packed: _PackedData) -> np.ndarray:
-    """Negated log-likelihoods at a (K, d) stack of unconstrained points: inf
-    where lambda or a noise scale decodes to 0, or where an observation gets
-    probability 0.  The points are decoded once, and the others scored in one
-    batched call; a lone one is scored with float parameters, which gives the
-    same bits as a batch of one at less cost."""
-    values = spec.decode(points)
+def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedData,
+               size: int) -> np.ndarray:
+    """Negated log-likelihoods at the points that searches ask for, in the
+    order of ``asked``: pairs of a search's index i and the (m, d) stack of
+    points it asks for, in the coordinates of ``owners[i]``, a (model,
+    ``_ParamSpec``) pair.  inf where lambda or a noise scale decodes to 0, or
+    where an observation gets probability 0.
+
+    The points are decoded at once, in the parameters of ``_LAYOUT``
+    (``layout``), and the live ones scored together, in batched calls of at
+    most ``size`` sets: by ``predict_table`` where a call's sets are of one
+    model, by ``models._family_table`` where they mix a family's models.  A
+    lone set is scored with float parameters, which gives the same bits as
+    a batch of one at less cost."""
+    runs: list = []  # the (model, spec) and stacks of consecutive searches of one model
+    for i, points in asked:
+        if runs and runs[-1][0] is owners[i]:
+            runs[-1][1].append(points)
+        else:
+            runs.append((owners[i], [points]))
+    parts, models = [], []
+    for (model, spec), stacks in runs:
+        points = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        parts.append(points if spec.columns is None else points[:, spec.columns])
+        models += [model] * len(points)
+    values = layout.decode(parts[0] if len(parts) == 1 else np.concatenate(parts))
     # the values that ModelParams and NoiseParams reject at 0; the others may be 0
     live = np.flatnonzero((values["lambda"] > 0) & (values["sigma_a"] > 0)
                           & (values["sigma_ab"] > 0))
-    scores = np.full(len(points), np.inf)
-    if live.size == 1:
-        values = {name: v[live[0], 0] for name, v in values.items()}
-    elif live.size < len(points):
-        values = {name: v[live] for name, v in values.items()}
-    if live.size:
-        params, noise = spec.assemble(values)
-        scores[live] = -_packed_logliks(model, params, noise, packed)[0]
+    scores = np.full(len(models), np.inf)
+    for start in range(0, live.size, size):
+        sets = live[start:start + size]
+        if sets.size == 1:
+            chunk = {name: v[sets[0], 0] for name, v in values.items()}
+        else:
+            chunk = values if sets.size == len(models) else {
+                name: v[sets] for name, v in values.items()}
+        of = models if sets.size == len(models) else [models[k] for k in sets.tolist()]
+        model = of[0] if of.count(of[0]) == len(of) else tuple(of)
+        if isinstance(model, ModelId) and model not in XI_MODELS:
+            chunk["xi"] = None
+        params, noise = _ParamSpec.assemble(chunk)
+        scores[sets] = -_packed_logliks(model, params, noise, packed)[0]
     return scores
 
 
@@ -621,12 +682,15 @@ def _nelder_mead(x0, xatol: float, fatol: float, maxiter: int, maxfev: int):
     return _SimplexResult(sim[0], fsim.min(), iterations, nfev, status)
 
 
-def _lockstep(objective, starts, budget: int) -> list:
+def _lockstep(objective, starts, budgets) -> list:
     """Nelder-Mead from every start, the searches run together: each step
-    stacks the points that all unfinished searches ask for and evaluates them
-    with one call of ``objective``.  Each stops at ``XATOL`` and ``FATOL`` or
-    at ``budget`` iterations or evaluations.  Returns them in start order."""
-    searches = [_nelder_mead(x0, XATOL, FATOL, budget, budget) for x0 in starts]
+    passes the points that all unfinished searches ask for to one call of
+    ``objective``, as (search index, (m, d) stack) pairs in start order, and
+    takes their values back in that order.  Search i stops at ``XATOL`` and
+    ``FATOL`` or at ``budgets[i]`` iterations or evaluations.  Returns the
+    searches' results in start order."""
+    searches = [_nelder_mead(x0, XATOL, FATOL, budget, budget)
+                for x0, budget in zip(starts, budgets)]
     results: list = [None] * len(searches)
     pending: dict[int, np.ndarray] = {}
 
@@ -641,8 +705,7 @@ def _lockstep(objective, starts, budget: int) -> list:
         advance(i, None)
     while pending:
         asked = list(pending.items())
-        values = objective(asked[0][1] if len(asked) == 1 else
-                           np.concatenate([points for _, points in asked]))
+        values = objective(asked)
         start = 0
         for i, points in asked:
             advance(i, values[start:start + len(points)])
@@ -650,37 +713,31 @@ def _lockstep(objective, starts, budget: int) -> list:
     return results
 
 
-def fit(
-    model: ModelId,
-    dataset: Dataset,
-    options: FitOptions | None = None,
-    equal_costs: bool = False,
-) -> FitResult:
-    """Maximize the joint likelihood by multi-start Nelder-Mead.
-
-    Starts are a Latin-hypercube over sensible parameter ranges, mapped to an
-    unconstrained space by clipped-logit transforms onto the box below
-    ``LAM_MAX``, ``DELTA_MAX``, ``SIGMA_MAX`` and 1 (xi and epsilon; see
-    ``OVERSHOOT``), which reach each bound at a finite point; the best
-    restart wins, the first of equals.  ``options`` sets the restart
-    count, the seed of the starts and the evaluation budget of a restart.
-    The restarts run in lockstep: each step scores the points that all
-    unfinished restarts ask for with one batched likelihood call, and each
-    restart walks its own simplex down to the tolerances ``XATOL`` and
-    ``FATOL``, so the result is that of running them one by one.  Every
-    parameter of the result that lies exactly on a bound of the box, 0 or
-    its upper bound, is named in ``at_bounds``.  Free-parameter count: model
-    parameters (rationality, one or two costs, the extra prior where the
-    model has one) plus the three noise parameters.
-    """
-    options = options or FitOptions()
-    spec = _ParamSpec.build(model, equal_costs)
+def _restarts(models, dataset: Dataset, options: FitOptions, equal_costs: bool) -> list:
+    """The restarts of each of ``models``, a family's (see ``FAMILIES``),
+    searched in one lockstep: for each model, in order, its ``_ParamSpec``
+    and its restarts' results in start order."""
     packed = _PackedData.from_dataset(dataset)
-    results = _lockstep(
-        lambda points: _objective(points, model, spec, packed),
-        spec.initial_points(options.restarts, options.seed),
-        options.maxiter or EVALS_PER_PARAM * len(spec.names),
-    )
+    specs = [_ParamSpec.build(model, equal_costs) for model in models]
+    layout, owners, starts, budgets = _ParamSpec.of(_LAYOUT), [], [], []
+    for model, spec in zip(models, specs):
+        points = spec.initial_points(options.restarts, options.seed)
+        owners += [(model, spec)] * len(points)
+        starts.extend(points)
+        budgets += [options.maxiter or EVALS_PER_PARAM * len(spec.names)] * len(points)
+    # no call scores more sets than one model's initial simplexes, the
+    # largest step of its fit alone, whose memory bounds the family's
+    size = options.restarts * max(len(spec.names) + 1 for spec in specs)
+    results = _lockstep(lambda asked: _objective(asked, owners, layout, packed, size),
+                        starts, budgets)
+    n = options.restarts
+    return [(spec, results[j * n:(j + 1) * n]) for j, spec in enumerate(specs)]
+
+
+def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list) -> FitResult:
+    """The fit of ``model`` from its restarts' results: the best restart, the
+    first of equals.  Warns ``NoConvergence`` where no restart met the
+    tolerances."""
     best = min(results, key=lambda res: res.fun)
     if not any(res.success for res in results):
         warnings.warn(
@@ -702,6 +759,35 @@ def fit(
     )
 
 
+def fit(
+    model: ModelId,
+    dataset: Dataset,
+    options: FitOptions | None = None,
+    equal_costs: bool = False,
+) -> FitResult:
+    """Maximize the joint likelihood by multi-start Nelder-Mead.
+
+    Starts are a Latin-hypercube over sensible parameter ranges, mapped to an
+    unconstrained space by clipped-logit transforms onto the box below
+    ``LAM_MAX``, ``DELTA_MAX``, ``SIGMA_MAX`` and 1 (xi and epsilon; see
+    ``OVERSHOOT``), which reach each bound at a finite point; the best
+    restart wins, the first of equals.  ``options`` sets the restart
+    count, the seed of the starts and the evaluation budget of a restart.
+    The restarts run in lockstep: each step scores the points that all
+    unfinished restarts ask for with one batched likelihood call, and each
+    restart walks its own simplex down to the tolerances ``XATOL`` and
+    ``FATOL``, so the result is that of running them one by one.  This is
+    the one-model case of the lockstep in which :func:`compare` fits a
+    family of models; the result is the same bit for bit.  Every
+    parameter of the result that lies exactly on a bound of the box, 0 or
+    its upper bound, is named in ``at_bounds``.  Free-parameter count: model
+    parameters (rationality, one or two costs, the extra prior where the
+    model has one) plus the three noise parameters.
+    """
+    ((spec, results),) = _restarts((model,), dataset, options or FitOptions(), equal_costs)
+    return _best_fit(model, equal_costs, spec, results)
+
+
 def compare(
     models,
     dataset: Dataset,
@@ -710,14 +796,26 @@ def compare(
 ) -> list[FitResult]:
     """Fit each model and rank ascending by AIC; failures become inf-AIC rows.
 
-    Each model is fitted by :func:`fit` with the same ``options`` and
-    ``equal_costs``.  The models are fitted in parallel, each in a worker
-    process of a pool of ``min(len(models), usable CPUs)`` forked from this
-    one, which is shut down and joined before ``compare`` returns or raises.  It runs the same
-    fits in this process, one after another, where only one worker is
-    possible, where this process is a daemon (which may not have children),
-    or where the platform cannot fork.  Either way the results are the same
-    bit for bit, and so are the warnings, re-issued here in model order.
+    Each model gets the fit that :func:`fit` gives it with the same
+    ``options`` and ``equal_costs``, bit for bit.  The fits run as tasks in
+    a pool of worker processes forked from this one, at most one per usable
+    CPU and per task, which is shut down and joined before ``compare``
+    returns or raises; the tasks run in this process, one after another,
+    where only one worker is possible, where this process is a daemon
+    (which may not have children), or where the platform cannot fork.  Each
+    distinct model is a task, except where the workers are fewer than the
+    distinct models and at most ``GROUPED_WORKERS``.  There each family
+    (``models.FAMILIES``: the models that share a closed form) of the
+    distinct models is a task, and runs its models' restarts in one
+    lockstep: each step scores the points of all of them in one batched
+    call, which costs little more than the call of one model.  The families
+    with a model that fits xi go first, as their searches run longest, and
+    the larger of those first.  Each restart still
+    walks its own simplex, and every score in a batch has the bits of a
+    score alone, so every fit is the one that :func:`fit` would give.  A
+    family's lockstep that raises or warns is run again model by model, so
+    each model also gets the outcome and warnings of its own fit.  The
+    warnings are re-issued here in model order.
 
     A fit that fails with a ``ValueError`` becomes an inf-AIC row with a
     ``NoConvergence`` warning.  A missing model parameter is a fault of the
@@ -730,11 +828,17 @@ def compare(
     models = list(models)
     if not models:
         raise ValueError("need at least one model to compare")
-    row = functools.partial(_compare_row, dataset, options, equal_costs)
-    workers = min(len(models), _usable_cpus())
-    if (workers == 1 or multiprocessing.current_process().daemon
+    distinct = list(dict.fromkeys(models))
+    workers = min(len(distinct), _usable_cpus())
+    if (multiprocessing.current_process().daemon
             or "fork" not in multiprocessing.get_all_start_methods()):
-        return _ranked(models, map(row, models))
+        workers = 1
+    tasks = _tasks(distinct, workers)
+    place = {model: (t, j) for t, task in enumerate(tasks) for j, model in enumerate(task)}
+    run = functools.partial(_task_rows, dataset, options, equal_costs)
+    if workers == 1:
+        rows = functools.cache(lambda t: run(tasks[t]))
+        return _ranked(models, (rows(t)[j] for t, j in map(place.get, models)))
     from concurrent.futures import ProcessPoolExecutor
 
     # fork: the workers inherit the loaded modules, which a fresh interpreter
@@ -742,11 +846,38 @@ def compare(
     # thread runs here to fork in a bad state: predict_table joins its helper
     # threads before it returns.
     _special()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(min(workers, len(tasks)),
+                               mp_context=multiprocessing.get_context("fork"))
     try:
-        return _ranked(models, pool.map(row, models))
+        futures = [pool.submit(run, task) for task in tasks]
+        return _ranked(models, (futures[t].result()[j] for t, j in map(place.get, models)))
     finally:
         pool.shutdown(cancel_futures=True)  # waits for the running fits; joins the workers
+
+
+# The most workers at which compare fits each family as one task.  A family
+# task is slower than its longest model's fit, so grouping pays only while
+# the workers are too few to run the model tasks side by side.  Timed on one
+# CPU on the six fit-compare datasets of seeds 0 and 9001, and laid out as a
+# pool of w workers takes the tasks, the four family tasks against the nine
+# model tasks take 0.73-0.92x at 2 restarts and 0.95-1.05x at 32 with w = 2,
+# but 0.72-1.06x and 1.03-1.20x with w = 3, and 0.86-2.45x from w = 4 on.
+GROUPED_WORKERS = 2
+
+
+def _tasks(distinct: list, workers: int) -> list[tuple]:
+    """The tasks of a compare of the ``distinct`` models on ``workers``
+    workers: each model alone, or, where the workers are fewer than the
+    models and at most ``GROUPED_WORKERS``, each family of them, the
+    longest-running first."""
+    if workers >= len(distinct) or workers > GROUPED_WORKERS:
+        return [(model,) for model in distinct]
+    # a family's lockstep lasts about as long as its longest searches, those
+    # of a model with xi (one parameter more), and each step costs more the
+    # more models it scores
+    families = (tuple(m for m in family if m in distinct) for family in FAMILIES)
+    return sorted(filter(None, families), reverse=True,
+                  key=lambda task: (any(m in XI_MODELS for m in task), len(task)))
 
 
 class _RemoteTraceback(Exception):
@@ -754,18 +885,38 @@ class _RemoteTraceback(Exception):
     which pickling drops; chained as that exception's cause."""
 
 
-def _compare_row(dataset, options, equal_costs, model):
+def _task_rows(dataset, options, equal_costs, models) -> list:
+    """The outcomes of ``models``, a family's, in order (see
+    :func:`_compare_row`): from one lockstep of all their restarts, or from
+    each model's :func:`fit` where there is one model, or where the
+    lockstep raised or warned (so each model gets what its own fit gives)."""
+    if len(models) > 1:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                runs = _restarts(models, dataset, options or FitOptions(), equal_costs)
+            except Exception:  # refitted model by model below
+                runs = None
+        if runs is not None and not caught:
+            return [_compare_row(model, equal_costs,
+                                 functools.partial(_best_fit, model, equal_costs, *run))
+                    for model, run in zip(models, runs)]
+    return [_compare_row(model, equal_costs,
+                         functools.partial(fit, model, dataset, options, equal_costs))
+            for model in models]
+
+
+def _compare_row(model, equal_costs, fitted):
     """One model's outcome in a compare, the warnings raised on the way, and
     the formatted traceback of an exception outcome (else ``None``).
 
-    The outcome is the model's fit, an inf-AIC row where the fit fails with
-    a ``ValueError`` other than ``MissingParameter``, or else the exception
-    the fit raised.  The warnings are those the filters in force let
-    through, recorded rather than shown, so that ``compare`` can re-issue
-    them, in model order, in the caller's process."""
+    The outcome is the fit that ``fitted()`` returns, an inf-AIC row where
+    that fails with a ``ValueError`` other than ``MissingParameter``, or else
+    the exception it raised.  The warnings are those the filters in force
+    let through, recorded rather than shown, so that ``compare`` can
+    re-issue them, in model order, in the caller's process."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            outcome = fit(model, dataset, options, equal_costs)
+            outcome = fitted()
         except MissingParameter as exc:
             outcome = exc
         except ValueError as exc:  # per-model failure: record, keep comparing

@@ -12,7 +12,10 @@ evaluated through logistic/log-sum-exp primitives so that rationality values
 up to the fitting bound (1e3) neither overflow nor underflow destructively.
 :func:`predict_table` is the one prediction surface, :func:`predict_field`
 gives one field of its table, and :func:`lu_predict` reaches the
-lexical-uncertainty form under any interpretation prior.  Each form is pinned
+lexical-uncertainty form under any interpretation prior.  The models that
+share a form make a family (:data:`FAMILIES`), and the fits score a batch
+that mixes a family's models in one call (:func:`_family_table`), each set
+with the bits of its own model's table.  Each form is pinned
 against the brute-force references of :mod:`rsa_exh.oracles` (the recursion
 of :func:`rsa_exh.engine.iterate`).  The entry points allocate the output
 table once, and each form writes the fields that the table holds straight
@@ -119,6 +122,17 @@ FIXED_RHO = {
     ModelId.EXH_LU: (0.5, 0.5, 0.0),
 }
 
+#: The models of each closed form, largest family first.  The first family
+#: shares the lexical-uncertainty form (:func:`_lu_table`); each form takes
+#: the constants that tell its models apart as (K, 1) columns, so that one
+#: table of K parameter sets may mix them (:func:`_family_table`).
+FAMILIES = (
+    (ModelId.BASE_RSA, ModelId.BWRSA, ModelId.FREE_LU, ModelId.EXH_LU),
+    (ModelId.SVRSA1, ModelId.SVRSA2),
+    (ModelId.RSA_LI1, ModelId.RSA_LI2),
+    (ModelId.WRSA,),
+)
+
 
 @dataclass(frozen=True)
 class PredictionTable:
@@ -147,13 +161,19 @@ def _clip_prior(p) -> np.ndarray:
     return np.minimum(np.maximum(np.asarray(p, dtype=float), P_EPS), 1.0 - P_EPS)
 
 
-def _keep_prior_ends(out: PredictionTable) -> None:
+def _keep_prior_ends(out: PredictionTable, sets=True) -> None:
     """Set the posterior after ``A`` in ``out`` to the prior where that is
-    exactly 0 or 1 (see :func:`predict_table`), where ``out`` holds it."""
+    exactly 0 or 1 (see :func:`predict_table`), where ``out`` holds it: in
+    every parameter set, or in those that the (K, 1) bool column ``sets``
+    selects."""
     if out.post_a is None:
         return
-    out.post_a[..., out.p <= 0.0] = 0.0
-    out.post_a[..., out.p >= 1.0] = 1.0
+    if sets is True:
+        out.post_a[..., out.p <= 0.0] = 0.0
+        out.post_a[..., out.p >= 1.0] = 1.0
+    else:
+        np.copyto(out.post_a, 0.0, where=sets & (out.p <= 0.0))
+        np.copyto(out.post_a, 1.0, where=sets & (out.p >= 1.0))
 
 
 #: Priors per block of a long grid (see :func:`predict_table`).  On a 2-vCPU
@@ -324,18 +344,22 @@ def _pick(x, where: np.ndarray) -> np.ndarray:
 
 
 def _log_mixture(w, z: np.ndarray, k) -> np.ndarray:
-    """``log(w sigma(z) + k)`` for weights ``w, k >= 0``, floats or arrays that
-    broadcast against ``z``.
+    """``log(w sigma(z) + k)`` for weights ``w, k >= 0``: floats, or (K, 1)
+    columns of K parameter sets against the scores ``z``.
 
     Where a constant is below TINY it is dropped; the log-sigmoid then keeps
-    the value finite where ``sigma(z)`` underflows."""
+    the value finite where ``sigma(z)`` underflows.  In a batch whose sets lie
+    on both sides of TINY, each run of consecutive sets takes its own form."""
     keep = k >= TINY
     if everywhere(keep):
         return np.log(_logistic(z, w) + k)
-    out = (_each(_log_weight, w) + np.minimum(z, 0.0)) - np.log1p(np.exp(-np.abs(z)))
-    if somewhere(keep):
-        with np.errstate(divide="ignore"):
-            out = np.where(keep, np.log(_logistic(z, w) + k), out)
+    if not somewhere(keep):
+        return (_each(_log_weight, w) + np.minimum(z, 0.0)) - np.log1p(np.exp(-np.abs(z)))
+    z = np.broadcast_to(z, np.broadcast_shapes(z.shape, k.shape))
+    out = np.empty(z.shape)
+    cuts = [0, *(np.flatnonzero(keep[1:, 0] != keep[:-1, 0]) + 1).tolist(), len(k)]
+    for a, b in zip(cuts, cuts[1:]):
+        out[a:b] = _log_mixture(w[a:b] if isinstance(w, np.ndarray) else w, z[a:b], k[a:b])
     return out
 
 
@@ -510,10 +534,17 @@ def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable) 
     residual w_a posterior) and the explicit ``A_AND_NOT_B``; in ``World.AB``
     between ``A`` and ``A_AND_B``.  Literally false messages get zero.
     """
+    _two_way_rows(*_s2_scores(params, log_l1_ab, log_l1_a, out), out)
+
+
+def _s2_scores(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable):
+    """The level-2 speaker's scores of ``A`` against the explicit message in
+    ``World.A`` and ``World.AB`` (see :func:`_two_way_s2`); ``None`` for a
+    row that ``out`` does not hold."""
     lam = params.lam
     x_wa = None if out.prod_wa is None else lam * (log_l1_a + params.delta_anb)
     x_wab = None if out.prod_wab is None else lam * (log_l1_ab + params.delta_ab)
-    _two_way_rows(x_wa, x_wab, out)
+    return x_wa, x_wab
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +606,7 @@ def _softplus_pair(z):
 
 
 @np.errstate(over="ignore")  # the logistics' overflow (see _logistic_pair)
-def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None:
+def _svrsa_table(params: ModelParams, out: PredictionTable, partial) -> None:
     """Level-1 listener and level-2 speakers over the four (world, QUD) cells
     ((w_a, partial), (w_ab, partial), (w_a, total), (w_ab, total)).
 
@@ -589,6 +620,10 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
     (1 - p) q sigma(x)``, ``T_AB = (1 - q) s[1] + p q`` and ``T_AnB = (1 - q)
     s[2] + (1 - p) q sigma(-x)``.  Each is formed once and shared by
     comprehension and production.
+
+    ``partial`` tells whether the level-2 speaker may also address the
+    partial QUD (SVRSA1) or not (SVRSA2): a bool, or a (K, 1) bool column
+    with one entry per parameter set, whose SVRSA2 sets skip that speaker.
     """
     # The QUD prior gets the world prior's interior clamp; the endpoint values
     # q in {0, 1} are thereby the continuity limits.
@@ -622,7 +657,7 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
     if prod_wab is not None:
         prod_wab[..., 0] = prod_wab[..., 2] = 0.0
         prod_wab[..., 1] = 1.0
-    if prod_wa is None and (prod_wab is None or model is ModelId.SVRSA2):
+    if prod_wa is None and (prod_wab is None or not somewhere(partial)):
         return
 
     # Every term of A_AND_NOT_B carries a factor of about exp(-lam delta_anb)
@@ -643,15 +678,22 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
         _logistic_pair(y, prod_wa[..., 0], prod_wa[..., 2])
         del y
     del softplus_x, softplus_neg_x, log_wa_total
-    if model is ModelId.SVRSA2:
+    if not somewhere(partial):
         return
+    dab, sets = params.delta_ab, None
+    if not everywhere(partial):
+        # the SVRSA1 sets of a batch that mixes the two models
+        sets = np.flatnonzero(partial)
+        lam, dab, danb, qc, log_part, log_total_a, total_ab, d = (
+            a[sets] for a in (lam, dab, danb, qc, log_part, log_total_a, total_ab, d))
+        log_s = tuple(a[sets] for a in log_s)
 
     # Level-2 speaker addressing the partial QUD: world-independent, scored
     # by each message's log joint posterior on the partial-QUD cell, all
     # finite: the softmax of u below, weighted 1 - q in the mixture of each
     # row that out holds.
     u = (lam * ((log_part + log_s[0]) - log_total_a),
-         lam * ((log_part + log_s[1] - params.delta_ab) - np.log(total_ab)),
+         lam * ((log_part + log_s[1] - dab) - np.log(total_ab)),
          -lam * (_softplus(-d) + danb))
     del log_total_a, total_ab, d
     top = np.maximum(np.maximum(u[0], u[1]), u[2])
@@ -662,9 +704,13 @@ def _svrsa_table(model: ModelId, params: ModelParams, out: PredictionTable) -> N
     del e
     q = np.asarray(qc)[..., None]  # against the message axis
     for rows in (prod_wa, prod_wab):
-        if rows is not None:
+        if rows is None:
+            continue
+        if sets is None:
             rows *= q
             rows += part
+        else:
+            rows[sets] = rows[sets] * q + part
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +759,11 @@ def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
 # ---------------------------------------------------------------------------
 
 
-def _li_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None:
+def _li_table(params: ModelParams, out: PredictionTable, li1) -> None:
+    """Listener and speaker rows of the lexical-intentions variants: those of
+    LI1's marginal level-1 speaker where ``li1``, else LI2's level-2 speaker;
+    ``li1`` is a bool, or a (K, 1) bool column with one entry per parameter
+    set."""
     lam = params.lam
     pc = _clip_prior(out.p)
     log_pc, log_qc = np.log(pc), np.log1p(-pc)
@@ -722,7 +772,7 @@ def _li_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None
     # in World.A, e = (1 - p)^lam; its other message takes the rest.
     x = lam * (log_pc + params.delta_ab) - LOG2
     y = (lam * params.delta_anb - LOG2) + np.log1p(np.exp(lam * log_qc))
-    if model is ModelId.RSA_LI1:
+    if li1 is True:
         # its speaker rows read x and y alone
         if out.post_a is not None:
             _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
@@ -731,7 +781,12 @@ def _li_table(model: ModelId, params: ModelParams, out: PredictionTable) -> None
     else:
         log_ab, log_a = _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
         del pc, log_pc, log_qc
-        _two_way_s2(params, log_ab, log_a, out)
+        if li1 is False:
+            _two_way_s2(params, log_ab, log_a, out)
+        else:  # LI2's scores, and LI1's in its sets
+            x_wa, x_wab = _s2_scores(params, log_ab, log_a, out)
+            _two_way_rows(None if x_wa is None else np.where(li1, y, x_wa),
+                          None if x_wab is None else np.where(li1, x, x_wab), out)
     if out.post_ab is not None:
         out.post_ab[...] = 1.0
 
@@ -792,26 +847,75 @@ def predict_field(model: ModelId, params: ModelParams, p, field: str) -> Predict
     return _blocked(lambda out: _table(model, params, out), table)
 
 
-def _table(model: ModelId, params: ModelParams, out: PredictionTable) -> None:
-    """Write the table of ``model`` over the priors ``out.p`` into ``out``."""
-    if model is ModelId.BASE_RSA:
-        _lu_table(params, out, (1.0, 0.0, 0.0))
-        _keep_prior_ends(out)
-    elif model is ModelId.WRSA:
+def _family_table(models: tuple, params: ModelParams, p) -> PredictionTable:
+    """The tables of K parameter sets of several models of one family (see
+    :data:`FAMILIES`), set k being of model ``models[k]``: (K, N) and (K, N,
+    3) arrays whose row k is, bit for bit, the table of
+    ``predict_table(models[k], ...)`` with the floats of set k.  ``params``
+    holds (K, 1) columns; ``xi`` is read in the sets of ``XI_MODELS`` and
+    may hold any value in [0, 1] in the others.  Each form takes its
+    per-model constants as (K, 1) columns, so one call serves every set."""
+    if params.xi is None:
+        for model in set(models):
+            require_xi(model, params)
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    table = _empty_table(p, params, with_xi=params.xi is not None)
+    return _blocked(lambda out: _table(models, params, out), table)
+
+
+def _is(model, member: ModelId):
+    """Whether ``model`` is ``member``: a bool for one model, a (K, 1) bool
+    column for a tuple of one model per parameter set."""
+    if isinstance(model, ModelId):
+        return model is member
+    return np.array([m is member for m in model])[:, None]
+
+
+#: The constants of each model of the lexical-uncertainty form: its weights
+#: (literal, exhaustive, anti-exhaustive), the shift of its constant scores,
+#: whether its posterior keeps the prior's ends (see :func:`_keep_prior_ends`)
+#: and whether its weights are BWRSA's (1 - xi, xi, xi) rather than these.
+_LU_CONSTANTS = {
+    ModelId.BASE_RSA: (1.0, 0.0, 0.0, 0.0, True, False),
+    # The likelihoods of "A" mix the usual level-1 speaker (measured prior)
+    # with the wonky one (uniform prior), whose constant scores are lam
+    # (delta - log 2).
+    ModelId.BWRSA: (1.0, 0.0, 0.0, float(LOG2), True, True),
+    ModelId.FREE_LU: (*FIXED_RHO[ModelId.FREE_LU], 0.0, False, False),
+    ModelId.EXH_LU: (*FIXED_RHO[ModelId.EXH_LU], 0.0, False, False),
+}
+
+
+def _lu_constants(model, xi):
+    """The weights, shift and prior-end sets of ``_LU_CONSTANTS`` for one
+    model (floats and a bool), or (K, 1) columns of them for a tuple of one
+    model per parameter set; BWRSA's weights from ``xi``."""
+    if isinstance(model, ModelId):
+        lit, exh, anti, shift, ends, wonky = _LU_CONSTANTS[model]
+        return ((1 - xi, xi, xi) if wonky else (lit, exh, anti)), shift, ends
+    table = np.array([_LU_CONSTANTS[m] for m in model])
+    lit, exh, anti, shift, ends, wonky = (table[:, j:j + 1] for j in range(6))
+    wonky = wonky == 1.0
+    if somewhere(wonky):
+        lit, exh, anti = np.where(wonky, 1 - xi, lit), np.where(wonky, xi, exh), np.where(wonky, xi, anti)
+    return (lit, exh, anti), shift, ends == 1.0
+
+
+def _table(model, params: ModelParams, out: PredictionTable) -> None:
+    """Write the table of ``model`` over the priors ``out.p`` into ``out``:
+    of one model, or of a tuple of one family's models, one per parameter set
+    (see :func:`_family_table`)."""
+    kind = model[0] if isinstance(model, tuple) else model
+    if kind in FAMILIES[0]:
+        rho, shift, ends = _lu_constants(model, params.xi)
+        _lu_table(params, out, rho, shift)
+        if somewhere(ends):
+            _keep_prior_ends(out, ends)
+    elif kind is ModelId.WRSA:
         _wrsa_table(params, out)
-    elif model is ModelId.BWRSA:
-        # The likelihoods of "A" mix the usual level-1 speaker (measured
-        # prior) with the wonky one (uniform prior): the lexical-uncertainty
-        # form with weights (1 - xi, xi, xi) and constant scores
-        # lam (delta - log 2).
-        omega = params.xi
-        _lu_table(params, out, (1 - omega, omega, omega), shift=LOG2)
-        _keep_prior_ends(out)
-    elif model in (ModelId.SVRSA1, ModelId.SVRSA2):
-        _svrsa_table(model, params, out)
-    elif model in (ModelId.FREE_LU, ModelId.EXH_LU):
-        _lu_table(params, out, FIXED_RHO[model])
-    elif model in (ModelId.RSA_LI1, ModelId.RSA_LI2):
-        _li_table(model, params, out)
+    elif kind in (ModelId.SVRSA1, ModelId.SVRSA2):
+        _svrsa_table(params, out, _is(model, ModelId.SVRSA1))
+    elif kind in (ModelId.RSA_LI1, ModelId.RSA_LI2):
+        _li_table(params, out, _is(model, ModelId.RSA_LI1))
     else:
         raise ValueError(f"unknown model {model!r}")

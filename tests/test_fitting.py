@@ -39,7 +39,7 @@ from rsa_exh.fitting import (
     fit_result_row,
     production_loglik,
 )
-from rsa_exh.models import MissingParameter, ModelId, XI_MODELS, predict_table
+from rsa_exh.models import FAMILIES, MissingParameter, ModelId, XI_MODELS, predict_table
 from rsa_exh.scenario import ModelParams
 
 BASE_PARAMS = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
@@ -389,10 +389,35 @@ def test_fit_propagates_errors_raised_while_scoring(monkeypatch, error):
         fit(ModelId.BASE_RSA, ds, options=FitOptions(restarts=1, seed=0))
 
 
-# A one-model compare runs in the caller's process; two or more models go
-# through the worker pool, which ``pool_of_two`` forces whatever the CPU count.
-one_or_two_models = pytest.mark.parametrize(
-    "models", [[ModelId.BASE_RSA], [ModelId.BASE_RSA, ModelId.WRSA]], ids=["serial", "pooled"])
+# How compare splits its models into tasks, by the usable CPUs: one model runs
+# in the caller's process; two models in a pool of two are a task each; two
+# models of one family on one CPU are one task in the caller's process; and
+# three models in a pool of two are a family task (base and free-LU) and a
+# one-model task (WRSA); four models in a pool of three are a task each,
+# queued.
+TASKINGS = pytest.mark.parametrize("models, cpus", [
+    ([ModelId.BASE_RSA], 1),
+    ([ModelId.BASE_RSA, ModelId.WRSA], 2),
+    ([ModelId.BASE_RSA, ModelId.FREE_LU], 1),
+    ([ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.WRSA], 2),
+    ([ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.EXH_LU, ModelId.WRSA], 3),
+], ids=["serial", "pooled", "serial-family", "pooled-family", "pooled-queue"])
+
+
+def test_compare_groups_the_families_on_few_workers_only():
+    # a family task outlasts its longest model's fit: with more workers than
+    # GROUPED_WORKERS, the models run side by side, a task each
+    models = list(ModelId)
+    singles = [(m,) for m in models]
+    for workers in range(1, fitting.GROUPED_WORKERS + 1):
+        tasks = fitting._tasks(models, workers)
+        assert set(tasks) == set(FAMILIES) and len(tasks) == len(FAMILIES)
+        assert tasks[0] == FAMILIES[0] and tasks[-1] == (ModelId.RSA_LI1, ModelId.RSA_LI2)
+    for workers in range(fitting.GROUPED_WORKERS + 1, len(models) + 1):
+        assert fitting._tasks(models, workers) == singles
+    assert fitting._tasks(models[:2], 2) == singles[:2]
+    assert fitting._tasks([ModelId.FREE_LU, ModelId.BASE_RSA, ModelId.WRSA], 2) == [
+        (ModelId.WRSA,), (ModelId.BASE_RSA, ModelId.FREE_LU)]
 
 
 @pytest.fixture
@@ -423,32 +448,44 @@ def _bits(value):
     return value
 
 
-@one_or_two_models
-def test_compare_propagates_errors_other_than_value_errors(monkeypatch, pool_of_two, models):
+def _faulty_tables(monkeypatch, fault):
+    """Make every table call of the fits, of one model or of a family's
+    mixed sets, run ``fault``."""
+    monkeypatch.setattr(fitting, "predict_table", fault)
+    monkeypatch.setattr(fitting, "_family_table", fault)
+
+
+@TASKINGS
+def test_compare_propagates_errors_other_than_value_errors(monkeypatch, pool_of_two, models,
+                                                           cpus):
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: cpus)
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
-    monkeypatch.setattr(fitting, "predict_table", _raise(TypeError("fault")))
+    _faulty_tables(monkeypatch, _raise(TypeError("fault")))
     with pytest.raises(TypeError, match="fault"):
         compare(models, ds, options=FitOptions(restarts=1, seed=0))
     assert multiprocessing.active_children() == []
 
 
-@one_or_two_models
-def test_compare_keeps_the_traceback_of_a_fault(monkeypatch, pool_of_two, models):
+@TASKINGS
+def test_compare_keeps_the_traceback_of_a_fault(monkeypatch, pool_of_two, models, cpus):
     # pickling drops the frames of an exception raised in a worker; compare
     # chains the worker's formatted traceback as its cause
     def faulty_predict_table(*args, **kwargs):
         raise TypeError("fault")
 
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: cpus)
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
-    monkeypatch.setattr(fitting, "predict_table", faulty_predict_table)
+    _faulty_tables(monkeypatch, faulty_predict_table)
     with pytest.raises(TypeError, match="fault") as raised:
         compare(models, ds, options=FitOptions(restarts=1, seed=0))
     assert "faulty_predict_table" in "".join(traceback.format_exception(raised.value))
 
 
-@one_or_two_models
-def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch, pool_of_two, models):
-    monkeypatch.setattr(fitting, "fit", _raise(NonfiniteLikelihood("row 's0001'")))
+@TASKINGS
+def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch, pool_of_two, models, cpus):
+    # _restarts is the lockstep of a family's models, and of fit's one model
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fitting, "_restarts", _raise(NonfiniteLikelihood("row 's0001'")))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = compare(models, Dataset(()))
@@ -458,35 +495,98 @@ def test_compare_records_a_failed_fit_as_inf_aic_row(monkeypatch, pool_of_two, m
     assert [r.model for r in results] == models
     for result in results:
         assert result.aic == math.inf and result.params is None and not result.converged
+    assert multiprocessing.active_children() == []
 
 
-@one_or_two_models
-def test_compare_propagates_a_missing_parameter(monkeypatch, pool_of_two, models):
+@TASKINGS
+def test_compare_propagates_a_missing_parameter(monkeypatch, pool_of_two, models, cpus):
     # a missing parameter is a fault of the call: compare must not turn it
     # into an inf-AIC row, although MissingParameter is a ValueError
+    monkeypatch.setattr(fitting, "_usable_cpus", lambda: cpus)
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
-    monkeypatch.setattr(fitting, "predict_table", _raise(MissingParameter("xi")))
+    _faulty_tables(monkeypatch, _raise(MissingParameter("xi")))
     with pytest.raises(MissingParameter, match="xi"):
         compare(models, ds, options=FitOptions(restarts=1, seed=0))
     assert multiprocessing.active_children() == []
 
 
-def test_compare_raises_the_first_fault_in_model_order(monkeypatch, pool_of_two):
-    # the later model's fault is found first (its fit fails at once), and
-    # the earlier model's warning comes before the fault, as in a serial loop
-    def faulty(model, *args):
-        if model is ModelId.WRSA:
+@pytest.mark.parametrize("models", [[ModelId.BASE_RSA, ModelId.WRSA],
+                                    [ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.WRSA]],
+                         ids=["task-per-model", "family-task"])
+def test_compare_raises_the_first_fault_in_model_order(monkeypatch, pool_of_two, models):
+    # the later model's fault is found first (its lockstep fails at once),
+    # and the earlier model's warning comes before the fault, as in a serial
+    # loop; the family's lockstep warns and fails, so each of its models is
+    # refitted alone, and base keeps its own warning only
+    def faulty(family, *args):
+        if ModelId.WRSA in family:
             raise TypeError("wrsa fault")
-        warnings.warn(NoConvergence("base warned"))
+        for model in family:
+            warnings.warn(NoConvergence(f"{model.value} warned"))
         time.sleep(0.5)
         raise KeyError("base fault")
 
-    monkeypatch.setattr(fitting, "fit", faulty)
+    monkeypatch.setattr(fitting, "_restarts", faulty)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(KeyError, match="base fault"):
-            compare([ModelId.BASE_RSA, ModelId.WRSA], Dataset(()))
+            compare(models, Dataset(()))
     assert [str(w.message) for w in caught] == ["base warned"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_family_that_fails_or_warns_gives_each_model_its_own_fit(monkeypatch, pool_of_two):
+    # a fault or a warning of the family's lockstep cannot be told apart by
+    # model: each model is refitted alone, and gets what its own fit gives
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
+    options = FitOptions(restarts=1, seed=0)
+    restarts = fitting._restarts
+
+    def shaky(family, *args):
+        if ModelId.BWRSA in family:
+            if len(family) > 1:
+                warnings.warn(UserWarning("mixed step"))
+            else:
+                raise NonfiniteLikelihood("bwrsa alone")
+        return restarts(family, *args)
+
+    monkeypatch.setattr(fitting, "_restarts", shaky)
+    models = [ModelId.BWRSA, ModelId.BASE_RSA, ModelId.WRSA]
+    for run in (compare, functools.partial(_serial_compare, monkeypatch)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run(models, ds, options=options)
+        assert [str(w.message) for w in caught] == ["bwrsa: fit failed: bwrsa alone"]
+        assert _bits(results[:2]) == _bits(sorted((fit(m, ds, options) for m in models[1:]),
+                                                  key=lambda r: r.aic))
+        assert results[2].model is ModelId.BWRSA and results[2].aic == math.inf
+
+
+@pytest.mark.parametrize("equal_costs", [False, True], ids=["two-costs", "equal-costs"])
+@pytest.mark.parametrize("maxiter", [None, 20])
+def test_grouped_compare_is_each_models_own_fit_bit_for_bit(monkeypatch, pool_of_two,
+                                                            equal_costs, maxiter):
+    # fewer workers than models: compare runs each family in one lockstep,
+    # pooled and serially, and every result and warning is that of the
+    # model's own fit, in model order; a duplicated model is fitted once
+    ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NOISE, SMALL_DESIGN, seed=4)
+    options = FitOptions(restarts=2, seed=0, maxiter=maxiter)
+    models = [*ModelId, ModelId.FREE_LU]
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        fits = [fit(m, ds, options, equal_costs) for m in models]
+    expected = sorted(fits, key=lambda r: (r.aic, models.index(r.model)))
+    if maxiter:
+        assert [str(w.message) for w in alone] == [
+            f"{m.value}: no restart met the tolerances" for m in models]
+    for run in (compare, functools.partial(_serial_compare, monkeypatch)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = run(models, ds, options, equal_costs)
+        assert _bits(results) == _bits(expected)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (w.category, str(w.message)) for w in alone]
     assert multiprocessing.active_children() == []
 
 
@@ -625,50 +725,71 @@ def test_nelder_mead_matches_scipy(fn, maxiter, maxfev):
         assert asked[-2:] == [1, 3] and ours.status == 1
 
 
-def test_objective_scores_a_stack_as_its_points_one_by_one():
-    # lambda decodes to 0 at the second point (far past the clip)
+@pytest.mark.parametrize("family", [f for f in FAMILIES], ids=[f[0].value for f in FAMILIES])
+@pytest.mark.parametrize("equal_costs", [False, True], ids=["two-costs", "equal-costs"])
+def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
+    # a step of a family's searches, two per model, scores each point as the
+    # point's own model alone does (a float call), also where the step is cut
+    # into calls of two or three sets; lambda decodes to 0 at one point of
+    # each model (far past the clip), which scores inf
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
-    spec = _ParamSpec.build(ModelId.WRSA, False)
-    points = spec.initial_points(4, 3)
-    points[1, 0] = -800.0
-    stack = _objective(points, ModelId.WRSA, spec, packed)
-    one_by_one = [_objective(t[None], ModelId.WRSA, spec, packed)[0] for t in points]
-    assert stack[1] == math.inf and np.isfinite(stack[[0, 2, 3]]).all()
+    layout = _ParamSpec.of(fitting._LAYOUT)
+    owners, asked = [], []
+    for model in family:
+        spec = _ParamSpec.build(model, equal_costs)
+        points = spec.initial_points(4, 3)
+        points[1, 0] = -800.0
+        owners += [(model, spec)] * 2
+        asked += [(len(owners) - 2, points[:3]), (len(owners) - 1, points[3:])]
+    one_by_one = [_objective([(i, t[None])], owners, layout, packed, 1)[0]
+                  for i, points in asked for t in points]
+    stack = _objective(asked, owners, layout, packed, 4 * len(family))
     assert stack.tobytes() == np.array(one_by_one).tobytes()
+    assert np.isinf(stack).sum() == len(family) and np.isfinite(stack).sum() == 3 * len(family)
+    for size in (2, 3):
+        assert _objective(asked, owners, layout, packed, size).tobytes() == stack.tobytes()
 
 
-@pytest.mark.parametrize("model", [ModelId.BASE_RSA, ModelId.SVRSA1])
-def test_lockstep_restarts_match_sequential_scipy_searches(model):
-    # each restart of a fit, run alone through scipy's Nelder-Mead with the
-    # one-point likelihood, finds the same optimum; the fit keeps the best
+@pytest.mark.parametrize("models, evals_per_param", [
+    ((ModelId.BASE_RSA,), 600), ((ModelId.SVRSA1,), 600),
+    ((ModelId.BWRSA, ModelId.EXH_LU), 600), ((ModelId.BWRSA, ModelId.EXH_LU), 40),
+], ids=["base", "svrsa1", "bwrsa+exh-lu", "bwrsa+exh-lu-out-of-budget"])
+def test_lockstep_restarts_match_sequential_scipy_searches(monkeypatch, models, evals_per_param):
+    # each restart, run alone through scipy's Nelder-Mead with the one-point
+    # likelihood and its own model's budget, walks the same simplex as in the
+    # lockstep, also where that runs two models' restarts together, and where
+    # the budgets (7 and 6 parameters) end the searches; the fit keeps the best
     optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(fitting, "EVALS_PER_PARAM", evals_per_param)
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=9)
     options = FitOptions(restarts=3, seed=2)
-    spec = _ParamSpec.build(model, False)
     packed = _PackedData.from_dataset(ds)
+    for model, (spec, searches) in zip(models, fitting._restarts(models, ds, options, False)):
+        def one_point(t):
+            try:
+                params, noise = spec.split(t)
+            except ValueError:
+                return math.inf
+            try:
+                return -fitting._packed_loglik(model, params, noise, packed)
+            except NonfiniteLikelihood:
+                return math.inf
 
-    def one_point(t):
-        try:
-            params, noise = spec.split(t)
-        except ValueError:
-            return math.inf
-        try:
-            return -fitting._packed_loglik(model, params, noise, packed)
-        except NonfiniteLikelihood:
-            return math.inf
-
-    budget = 600 * len(spec.names)
-    runs = [optimize.minimize(one_point, t0, method="Nelder-Mead", options={
-        "xatol": fitting.XATOL, "fatol": fitting.FATOL, "maxiter": budget, "maxfev": budget})
-        for t0 in spec.initial_points(options.restarts, options.seed)]
-    best = min(runs, key=lambda r: r.fun)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NoConvergence)
-        result = fit(model, ds, options=options)
-    assert result.loglik == -best.fun
-    assert result.params.lam == spec.decode(best.x)["lambda"]
-    assert result.noise.epsilon == spec.decode(best.x)["epsilon"]
-    assert result.converged == bool(best.success)
+        budget = fitting.EVALS_PER_PARAM * len(spec.names)
+        runs = [optimize.minimize(one_point, t0, method="Nelder-Mead", options={
+            "xatol": fitting.XATOL, "fatol": fitting.FATOL, "maxiter": budget, "maxfev": budget})
+            for t0 in spec.initial_points(options.restarts, options.seed)]
+        for ours, ref in zip(searches, runs):
+            assert ours.x.tobytes() == ref.x.tobytes() and ours.fun == ref.fun
+            assert (ours.nfev, ours.nit, ours.success) == (ref.nfev, ref.nit, ref.success)
+        best = min(runs, key=lambda r: r.fun)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoConvergence)
+            result = fit(model, ds, options=options)
+        assert result.loglik == -best.fun
+        assert result.params.lam == spec.decode(best.x)["lambda"]
+        assert result.noise.epsilon == spec.decode(best.x)["epsilon"]
+        assert result.converged == bool(best.success)

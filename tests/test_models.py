@@ -614,6 +614,34 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
                    for f in ("post_a", "post_ab", "prod_wa", "prod_wab")), name
 
 
+@pytest.mark.parametrize("family", [f for f in models.FAMILIES if len(f) > 1],
+                         ids=[f[0].value for f in models.FAMILIES if len(f) > 1])
+def test_family_table_mixing_models_matches_single_calls(family):
+    # a batch whose sets are of different models of one family gives each set
+    # the bits of its own model's call with float parameters, in the full
+    # table and in each predict_field field; xi, read in the sets of
+    # XI_MODELS alone, is any value in [0, 1] in the others
+    priors = np.concatenate([[0.0, 1e-12, 1e-9, 0.005], GRID_199, [0.995, 1 - 1e-9, 1.0]])
+    rows = _batch_rows()
+    rng = np.random.default_rng(11)
+    assignments = [[family[k % len(family)] for k in range(len(rows))],
+                   [family[k * len(family) // len(rows)] for k in range(len(rows))],
+                   list(rng.choice(np.array(family, dtype=object), len(rows)))]
+    for assign in assignments:
+        columns = [np.array(r, dtype=float)[:, None] for r in zip(*rows)]
+        if not any(model in XI_MODELS for model in assign):
+            columns[3] = None
+        table = models._family_table(tuple(assign), ModelParams(*columns), priors)
+        assert table.post_a.shape == (len(rows), priors.size)
+        for k, (model, (lam, dab, danb, xi)) in enumerate(zip(assign, rows)):
+            params = ModelParams(lam, dab, danb, xi if model in XI_MODELS else None)
+            single = predict_table(model, params, priors)
+            for name in FIELDS:
+                one = getattr(single, name).tobytes()
+                assert getattr(table, name)[k].tobytes() == one, (model, name, k)
+                assert getattr(predict_field(model, params, priors, name), name).tobytes() == one
+
+
 #: (lam, delta_ab, delta_anb, xi): a fitted point, the band-heavy point
 #: (most priors within NEAR_PRIOR of the posterior), a low-rationality one and
 #: the two high-rationality points of the order test.
