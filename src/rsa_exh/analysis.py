@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .models import (LOG2, ModelId, ModelParams, PredictionTable, _clip_prior, _expit,
-                     predict_field, predict_table)
+                     _predict, predict_table)
 
 #: Bisection tolerance on region endpoints.
 ENDPOINT_TOL = 1e-6
@@ -92,7 +92,7 @@ def bwrsa_antiexh_threshold(params: ModelParams) -> float:
 
 
 #: The one field of a table that each predicate reads (see
-#: :func:`_predicate_values`), as the ``field`` of ``predict_field``.
+#: :func:`_predicate_values`), as the ``field`` of ``models._predict``.
 PREDICATE_FIELDS = {
     Predicate.LISTENER_ANTI_EXH: "post_a",
     Predicate.SPEAKER_ANTI_EXH: "prod_wab",
@@ -119,9 +119,9 @@ def _predicate_values(table: PredictionTable, predicate: Predicate) -> np.ndarra
     float64 resolution (see :mod:`rsa_exh.models`, also for the limit of the
     mixtures).  It is never rounded onto the prior when the exact posterior
     differs from it, so scans find no spurious sign changes.  That holds
-    whenever the table holds ``post_a``, alone (:func:`predict_field`) or
-    with the others: the correction near the prior that makes it
-    order-exact runs for it.
+    whenever the table holds ``post_a``, alone (a scan's one-field table,
+    see ``models._predict``) or with the others: the correction near the
+    prior that makes it order-exact runs for it.
     """
     if predicate is Predicate.LISTENER_ANTI_EXH:
         return table.post_a > table.p
@@ -131,7 +131,7 @@ def _predicate_values(table: PredictionTable, predicate: Predicate) -> np.ndarra
 
 
 #: Levels of bisection that :func:`scan_regions` replays per
-#: ``predict_field`` call (see :func:`_bisect`): a call evaluates up to
+#: table call (see :func:`_bisect`): a call evaluates up to
 #: ``2**BISECT_LEVELS - 1`` midpoints per open bracket, and a bracket of the
 #: default grid step needs 13 levels, so 7 levels take two calls.  On a
 #: 2-vCPU Xeon VM, the 648 scans of three prior-scan benchmark rounds (seed
@@ -164,7 +164,7 @@ def _bisect(model: ModelId, params: ModelParams, predicate: Predicate,
 
     The serial loop halves a bracket at ``mid = 0.5 * (lo + hi)`` while ``hi
     - lo > ENDPOINT_TOL``, keeps the half whose ends differ and returns the
-    last midpoint.  Here each ``predict_field`` call evaluates the midpoints
+    last midpoint.  Here each table call evaluates the midpoints
     of the next ``BISECT_LEVELS`` levels of every open bracket (see
     :func:`_midpoints`), and each bracket walks its tree with the values.
     Every table entry depends on its own prior alone, so the walks end on
@@ -177,7 +177,7 @@ def _bisect(model: ModelId, params: ModelParams, predicate: Predicate,
         if not trees:
             return [0.5 * (lo + hi) for lo, hi, _ in brackets]
         priors = _clip_prior([mid for _, mids in trees for mid in mids.values()])
-        table = predict_field(model, params, priors, PREDICATE_FIELDS[predicate])
+        table = _predict(model, params, priors, PREDICATE_FIELDS[predicate])
         values = iter(_predicate_values(table, predicate).tolist())
         for b, mids in trees:
             value = dict(zip(mids, values))
@@ -204,6 +204,15 @@ def _scan_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, inner
 
 
+def require_grid_step(grid_step: float) -> None:
+    """Raise ``ValueError`` unless ``grid_step`` is a scan's grid step, in
+    ``[ENDPOINT_TOL, 0.01]``.  A grid finer than the bisection's tolerance
+    refines nothing that the bisection does not, and the floor caps a scan's
+    grid at about 1e6 priors (8 MB per array)."""
+    if not ENDPOINT_TOL <= grid_step <= 0.01:
+        raise ValueError(f"grid step must be in [{ENDPOINT_TOL:g}, 0.01], got {grid_step!r}")
+
+
 def scan_regions(
     model: ModelId,
     params: ModelParams,
@@ -215,14 +224,14 @@ def scan_regions(
     The predicate is evaluated on a regular grid (endpoints included, using
     the models' continuity conventions there), and every sign change is
     refined by bisection to within ``ENDPOINT_TOL``: all of them together,
-    ``BISECT_LEVELS`` levels per ``predict_field`` call, with the serial
-    bisection's endpoints (see :func:`_bisect`).  Each call computes only
-    the field that the predicate reads (:data:`PREDICATE_FIELDS`).
+    ``BISECT_LEVELS`` levels per table call, with the serial bisection's
+    endpoints (see :func:`_bisect`).  Each call computes only the field that
+    the predicate reads (:data:`PREDICATE_FIELDS`).  ``grid_step`` must pass
+    :func:`require_grid_step`.
     """
-    if not 0.0 < grid_step <= 0.01:
-        raise ValueError("grid_step must be in (0, 0.01]")
+    require_grid_step(grid_step)
     grid, inner = _scan_grid(int(round(1.0 / grid_step)))
-    table = predict_field(model, params, inner, PREDICATE_FIELDS[predicate])
+    table = _predict(model, params, inner, PREDICATE_FIELDS[predicate])
     values = _predicate_values(table, predicate)
     # the ends of the runs of True, in order: a run's start is refined from
     # the False before it, its end from the False after it

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Predicate, SWEEP_COLUMNS, bwrsa_antiexh_threshold, scan_regions, sweep
+from .analysis import (Predicate, SWEEP_COLUMNS, bwrsa_antiexh_threshold, require_grid_step,
+                       scan_regions, sweep)
 from .data import SynthDesign, parse_dataset, read_column_map, synth_generate, write_dataset
 from .engine import iterate
 from .fitting import FIT_COLUMNS, FitOptions, NoiseParams, compare, fit, fit_result_row
@@ -225,8 +226,10 @@ def _cmd_sweep(args, parser) -> str:
 def _cmd_check(args, parser) -> str:
     model, params = _model_and_params(args, parser)
     predicate = Predicate(args.predicate)
-    if not 0.0 < args.grid_step <= 0.01:
-        parser.error("--grid-step must be in (0, 0.01]")
+    try:
+        require_grid_step(args.grid_step)
+    except ValueError as exc:
+        parser.error(f"--grid-step: {exc}")
     report = scan_regions(model, params, predicate, args.grid_step)
     threshold = (
         bwrsa_antiexh_threshold(params) if model is ModelId.BWRSA else None

@@ -18,8 +18,8 @@ parameters that land on a bound in ``at_bounds``.
 The restarts of a fit run in lockstep.  Each restart's simplex search is a
 coroutine (:func:`_nelder_mead`) that yields the points it needs and is sent
 their values.  Every step stacks the pending points of all unfinished
-restarts and scores them together: one parameter-batched ``predict_table``
-call and one batched tobit and production scoring
+restarts and scores them together: one parameter-batched table call
+(``models._predict``) and one batched tobit and production scoring
 (:func:`_packed_logliks`).  Each restart still walks its own simplex, and a
 batched score is bit-identical to a single one, so the optima are those of
 running the restarts one after another.
@@ -31,7 +31,7 @@ and LI2 the lexical-intentions one, and WRSA is a family of its own.  The
 lockstep runs the restarts of all the models of a family together
 (:func:`_restarts`): at each step every model decodes its own searches'
 points, and all of them are scored in one batched call, whose sets each take
-their own model's constants (``models._family_table``).  A step's cost is
+their own model's constants (see ``models._predict``).  A step's cost is
 mostly paid per call, not per point, so a family's lockstep costs little
 more than that of its longest-running model.  Each set's score in a mixed
 batch has the bits of its own model's single call, so every search, and
@@ -67,7 +67,7 @@ import numpy as np
 
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
 from .models import (FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS, _each,
-                     _family_table, _usable_cpus, predict_table)
+                     _predict, _usable_cpus)
 from .scenario import everywhere
 
 
@@ -260,8 +260,8 @@ class _PackedData:
     """Column-major view of a preprocessed dataset for fast re-scoring.
 
     ``priors`` holds the raw priors of all rows, grouped by condition in the
-    order UTT_A, UTT_AB, WORLD_A, WORLD_AB, so that one ``predict_table``
-    call serves every condition.  ``sliders`` holds the slider responses of
+    order UTT_A, UTT_AB, WORLD_A, WORLD_AB, so that one table call serves
+    every condition.  ``sliders`` holds the slider responses of
     both comprehension conditions, whose predictions it picks from
     ``post_a`` followed by ``post_ab``; ``choices`` holds the position of
     each produced message in the flattened ``prod_wa`` followed by the
@@ -316,15 +316,14 @@ def _packed_logliks(
 
     ``params`` and ``noise`` hold floats (K = 1) or (K, 1) columns, and
     ``model`` is one model, or a tuple of one family's models, one per set
-    (see ``models._family_table``).  Returns the K log-likelihoods and, for
+    (see ``models._predict``).  Returns the K log-likelihoods and, for
     each set, the label of the first production row it gives probability 0,
     or None; such a set scores -inf.  Set k's score is bit-identical to that
     of a K = 1 call with its floats and its model: the picks are contiguous,
     each condition's rows are summed alone and in row order, and per-set
     scalars are taken as a single call takes them.
     """
-    table = (predict_table(model, params, packed.priors) if isinstance(model, ModelId)
-             else _family_table(model, params, packed.priors))
+    table = _predict(model, params, packed.priors)
     k = np.size(params.lam)
     totals = np.zeros(k)
     # float parameters give 1-d posteriors, K parameter sets (K, N) ones
@@ -532,10 +531,9 @@ def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedDat
 
     The points are decoded at once, in the parameters of ``_LAYOUT``
     (``layout``), and the live ones scored together, in batched calls of at
-    most ``size`` sets: by ``predict_table`` where a call's sets are of one
-    model, by ``models._family_table`` where they mix a family's models.  A
-    lone set is scored with float parameters, which gives the same bits as
-    a batch of one at less cost."""
+    most ``size`` sets, each call on the tuple of its sets' models (see
+    ``models._predict``).  A lone set is scored with float parameters, which
+    gives the same bits as a batch of one at less cost."""
     runs: list = []  # the (model, spec) and stacks of consecutive searches of one model
     for i, points in asked:
         if runs and runs[-1][0] is owners[i]:
@@ -560,11 +558,8 @@ def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedDat
             chunk = values if sets.size == len(models) else {
                 name: v[sets] for name, v in values.items()}
         of = models if sets.size == len(models) else [models[k] for k in sets.tolist()]
-        model = of[0] if of.count(of[0]) == len(of) else tuple(of)
-        if isinstance(model, ModelId) and model not in XI_MODELS:
-            chunk["xi"] = None
         params, noise = _ParamSpec.assemble(chunk)
-        scores[sets] = -_packed_logliks(model, params, noise, packed)[0]
+        scores[sets] = -_packed_logliks(tuple(of), params, noise, packed)[0]
     return scores
 
 
@@ -843,7 +838,7 @@ def compare(
 
     # fork: the workers inherit the loaded modules, which a fresh interpreter
     # would take 0.5-0.8 s each to import; scipy.special among them.  No other
-    # thread runs here to fork in a bad state: predict_table joins its helper
+    # thread runs here to fork in a bad state: a table call joins its helper
     # threads before it returns.
     _special()
     pool = ProcessPoolExecutor(min(workers, len(tasks)),

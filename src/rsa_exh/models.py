@@ -10,17 +10,18 @@ lexical-intentions variant which uses its marginal level-1 speaker.
 The expressions here are direct transcriptions of each variant's algebra,
 evaluated through logistic/log-sum-exp primitives so that rationality values
 up to the fitting bound (1e3) neither overflow nor underflow destructively.
-:func:`predict_table` is the one prediction surface, :func:`predict_field`
-gives one field of its table, and :func:`lu_predict` reaches the
-lexical-uncertainty form under any interpretation prior.  The models that
-share a form make a family (:data:`FAMILIES`), and the fits score a batch
-that mixes a family's models in one call (:func:`_family_table`), each set
-with the bits of its own model's table.  Each form is pinned
+:func:`predict_table` is the one prediction surface, and :func:`lu_predict`
+reaches the lexical-uncertainty form under any interpretation prior.  One
+private builder, :func:`_predict`, makes the tables of ``predict_table``,
+and the fits and the region scans call it directly: it takes one model or a
+tuple of one family's models, one per parameter set (the models that share
+a form make a family, :data:`FAMILIES`), each set with the bits of its own
+model's table, and it builds every field or one alone.  Each form is pinned
 against the brute-force references of :mod:`rsa_exh.oracles` (the recursion
-of :func:`rsa_exh.engine.iterate`).  The entry points allocate the output
+of :func:`rsa_exh.engine.iterate`).  The builder allocates the output
 table once, and each form writes the fields that the table holds straight
-into a slice of it.  A table of :func:`predict_field` holds one field alone:
-the listener posterior's correction near the prior (:func:`_bayes_listener`)
+into a slice of it.  A table of one field holds that field alone: the
+listener posterior's correction near the prior (:func:`_bayes_listener`)
 runs only for ``post_a``, and speaker rows are formed only for ``prod_wa``
 and ``prod_wab``.  A grid longer than :data:`BLOCK` priors is cut into blocks
 that the calling thread and helper threads, one per further usable CPU but at
@@ -125,7 +126,7 @@ FIXED_RHO = {
 #: The models of each closed form, largest family first.  The first family
 #: shares the lexical-uncertainty form (:func:`_lu_table`); each form takes
 #: the constants that tell its models apart as (K, 1) columns, so that one
-#: table of K parameter sets may mix them (:func:`_family_table`).
+#: table of K parameter sets may mix them (see :func:`_predict`).
 FAMILIES = (
     (ModelId.BASE_RSA, ModelId.BWRSA, ModelId.FREE_LU, ModelId.EXH_LU),
     (ModelId.SVRSA1, ModelId.SVRSA2),
@@ -142,7 +143,8 @@ class PredictionTable:
     batch of K parameter sets (see :class:`ModelParams`) they have shape
     (K, N) and (K, N, 3).  ``p`` is the grid, shape (N,).  The production
     rows are distributions over ``(A, A_AND_B, A_AND_NOT_B)``.  A table of
-    :func:`predict_field` holds ``None`` for each field but its own.
+    one field (see :func:`_predict`) holds ``None`` for each field but its
+    own.
     """
 
     p: np.ndarray
@@ -526,21 +528,15 @@ def _two_way_rows(x_wa, x_wab, out: PredictionTable) -> None:
         _logistic_pair(x_wab, prod_wab[..., 0], prod_wab[..., 1])
 
 
-def _two_way_s2(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable) -> None:
-    """Level-2 speaker rows from the level-1 posteriors after ``A``, written
-    into those of ``out`` that it holds.
+def _s2_scores(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable):
+    """The level-2 speaker's scores of ``A`` against the explicit message,
+    from the level-1 posteriors after ``A``, for :func:`_two_way_rows`;
+    ``None`` for a row that ``out`` does not hold.
 
     In ``World.A`` the choice is between ``A`` (scored by the listener's
     residual w_a posterior) and the explicit ``A_AND_NOT_B``; in ``World.AB``
     between ``A`` and ``A_AND_B``.  Literally false messages get zero.
     """
-    _two_way_rows(*_s2_scores(params, log_l1_ab, log_l1_a, out), out)
-
-
-def _s2_scores(params: ModelParams, log_l1_ab, log_l1_a, out: PredictionTable):
-    """The level-2 speaker's scores of ``A`` against the explicit message in
-    ``World.A`` and ``World.AB`` (see :func:`_two_way_s2`); ``None`` for a
-    row that ``out`` does not hold."""
     lam = params.lam
     x_wa = None if out.prod_wa is None else lam * (log_l1_a + params.delta_anb)
     x_wab = None if out.prod_wab is None else lam * (log_l1_ab + params.delta_ab)
@@ -580,7 +576,7 @@ def _wrsa_table(params: ModelParams, out: PredictionTable) -> None:
     log_ab = _safe_log(post_a)
     with np.errstate(divide="ignore"):
         log_a = np.log1p(-post_a)
-    _two_way_s2(params, log_ab, log_a, out)
+    _two_way_rows(*_s2_scores(params, log_ab, log_a, out), out)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +730,7 @@ def _lu_table(params: ModelParams, out: PredictionTable, rho, shift=0.0) -> None
     del pc, log_pc, log_qc
     if out.post_ab is not None:
         out.post_ab[...] = 1.0
-    _two_way_s2(params, log_ab, log_a, out)
+    _two_way_rows(*_s2_scores(params, log_ab, log_a, out), out)
 
 
 def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
@@ -777,16 +773,15 @@ def _li_table(params: ModelParams, out: PredictionTable, li1) -> None:
         if out.post_a is not None:
             _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
         del pc, log_pc, log_qc
-        _two_way_rows(y, x, out)
-    else:
+        x_wa, x_wab = y, x
+    else:  # LI2's scores, and LI1's in its sets of a batch that mixes the two
         log_ab, log_a = _bayes_listener(out.post_a, pc, log_pc, log_qc, x, y)
         del pc, log_pc, log_qc
-        if li1 is False:
-            _two_way_s2(params, log_ab, log_a, out)
-        else:  # LI2's scores, and LI1's in its sets
-            x_wa, x_wab = _s2_scores(params, log_ab, log_a, out)
-            _two_way_rows(None if x_wa is None else np.where(li1, y, x_wa),
-                          None if x_wab is None else np.where(li1, x, x_wab), out)
+        x_wa, x_wab = _s2_scores(params, log_ab, log_a, out)
+        if li1 is not False:
+            x_wa = None if x_wa is None else np.where(li1, y, x_wa)
+            x_wab = None if x_wab is None else np.where(li1, x, x_wab)
+    _two_way_rows(x_wa, x_wab, out)
     if out.post_ab is not None:
         out.post_ab[...] = 1.0
 
@@ -803,7 +798,7 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     production rows (N, 3).  Parameters that are (K, 1) columns (see
     :class:`ModelParams`) give (K, N) and (K, N, 3) arrays whose row k is,
     bit for bit, the table of a call with the floats of parameter set k.
-    The table holds all four fields; :func:`predict_field` computes one.
+    The table holds all four fields.
 
     Every form is evaluated at the prior clamped to ``[P_EPS, 1 - P_EPS]``,
     so at the exact endpoints p in {0, 1} it gives its continuity limit.  The
@@ -824,43 +819,36 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     the table is bit for bit the same as one evaluated in a single piece,
     whatever the number of threads.
     """
-    require_xi(model, params)
+    return _predict(model, params, p)
+
+
+def _predict(model, params: ModelParams, p, field: str | None = None) -> PredictionTable:
+    """The table of :func:`predict_table`, of every field (``field`` None)
+    or of ``field`` alone, one of :data:`FIELDS`, with the full table's bits
+    and ``None`` for the other fields: a posterior after ``A`` that is not
+    asked for skips its correction near the prior, and speaker rows are
+    formed only for the row asked for.
+
+    ``model`` is one model, or a tuple of one family's models (see
+    :data:`FAMILIES`), one per set of the (K, 1) columns of ``params``:
+    row k is then, bit for bit, the table of ``model[k]`` with the floats of
+    set k, each form taking its per-model constants as (K, 1) columns.
+    ``xi`` is read in the sets of ``XI_MODELS`` alone.  A tuple of one model
+    only is a call on that model."""
+    if field not in (None, *FIELDS):
+        raise ValueError(f"field must be None or one of {FIELDS}, got {field!r}")
+    if isinstance(model, tuple) and model.count(model[0]) == len(model):
+        model = model[0]
+    if isinstance(model, ModelId):
+        require_xi(model, params)
+        with_xi = model in XI_MODELS
+    else:
+        for kind in set(model) if params.xi is None else ():
+            require_xi(kind, params)
+        with_xi = params.xi is not None
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    table = _empty_table(p, params, with_xi=model in XI_MODELS)
+    table = _empty_table(p, params, with_xi=with_xi, field=field)
     return _blocked(lambda out: _table(model, params, out), table)
-
-
-def predict_field(model: ModelId, params: ModelParams, p, field: str) -> PredictionTable:
-    """The table of :func:`predict_table` with only ``field``, one of
-    :data:`FIELDS`: that array has the bits of the full table's, and the
-    other fields are ``None``.  A posterior after ``A`` that is not asked
-    for skips its correction near the prior, and speaker rows are formed
-    only for the row asked for, so a caller that reads one field (a region
-    scan, see :mod:`rsa_exh.analysis`) pays for that field alone.  Any
-    other ``field`` raises ``ValueError``.
-    """
-    if field not in FIELDS:
-        raise ValueError(f"field must be one of {FIELDS}, got {field!r}")
-    require_xi(model, params)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    table = _empty_table(p, params, with_xi=model in XI_MODELS, field=field)
-    return _blocked(lambda out: _table(model, params, out), table)
-
-
-def _family_table(models: tuple, params: ModelParams, p) -> PredictionTable:
-    """The tables of K parameter sets of several models of one family (see
-    :data:`FAMILIES`), set k being of model ``models[k]``: (K, N) and (K, N,
-    3) arrays whose row k is, bit for bit, the table of
-    ``predict_table(models[k], ...)`` with the floats of set k.  ``params``
-    holds (K, 1) columns; ``xi`` is read in the sets of ``XI_MODELS`` and
-    may hold any value in [0, 1] in the others.  Each form takes its
-    per-model constants as (K, 1) columns, so one call serves every set."""
-    if params.xi is None:
-        for model in set(models):
-            require_xi(model, params)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    table = _empty_table(p, params, with_xi=params.xi is not None)
-    return _blocked(lambda out: _table(models, params, out), table)
 
 
 def _is(model, member: ModelId):
@@ -904,7 +892,7 @@ def _lu_constants(model, xi):
 def _table(model, params: ModelParams, out: PredictionTable) -> None:
     """Write the table of ``model`` over the priors ``out.p`` into ``out``:
     of one model, or of a tuple of one family's models, one per parameter set
-    (see :func:`_family_table`)."""
+    (see :func:`_predict`)."""
     kind = model[0] if isinstance(model, tuple) else model
     if kind in FAMILIES[0]:
         rho, shift, ends = _lu_constants(model, params.xi)

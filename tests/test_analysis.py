@@ -19,8 +19,7 @@ from rsa_exh.analysis import (
     sweep,
 )
 from rsa_exh.engine import iterate
-from rsa_exh.models import (P_EPS, XI_MODELS, ModelId, _clip_prior, predict_field,
-                            predict_table)
+from rsa_exh.models import P_EPS, XI_MODELS, ModelId, _clip_prior, _predict, predict_table
 from rsa_exh.oracles import canonical_scenario
 from rsa_exh.scenario import ModelParams
 
@@ -149,10 +148,17 @@ def test_bwrsa_threshold_separates_scan_outcomes():
 # ---------------------------------------------------------------------------
 
 
-def test_scan_rejects_bad_step():
+def test_scan_rejects_bad_step(monkeypatch):
+    # a step finer than ENDPOINT_TOL is refused before its grid is built,
+    # which at 1e-9 would hold 1e9 + 1 priors
+    def no_grid(n):
+        raise AssertionError(f"a grid of {n} steps was built")
+
+    monkeypatch.setattr(analysis, "_scan_grid", no_grid)
     params = ModelParams(lam=1.0)
-    with pytest.raises(ValueError):
-        scan_regions(ModelId.BASE_RSA, params, Predicate.LISTENER_ANTI_EXH, 0.05)
+    for step in (0.05, 0.0, -0.005, ENDPOINT_TOL / 10, math.nan):
+        with pytest.raises(ValueError, match="grid step"):
+            scan_regions(ModelId.BASE_RSA, params, Predicate.LISTENER_ANTI_EXH, step)
 
 
 def test_scan_base_single_upper_interval():
@@ -260,16 +266,16 @@ def test_scan_refines_boundaries_as_the_serial_bisection(model, monkeypatch):
     # the last one is 0.98 ENDPOINT_TOL wide
     calls = []
 
-    def counted(model, params, p, field):
+    def counted(model, params, p, field=None):
         calls.append(field)
-        return predict_field(model, params, p, field)
+        return _predict(model, params, p, field)
 
     for lam, dab, danb, xi in SCAN_DRAWS:
         params = ModelParams(lam, dab, danb, xi if model in XI_MODELS else None)
         for predicate, grid_step in itertools.product(Predicate, (0.005, 0.008)):
             expected = serial_intervals(model, params, predicate, grid_step)
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "predict_field", counted)
+                patch.setattr(analysis, "_predict", counted)
                 calls.clear()
                 report = scan_regions(model, params, predicate, grid_step)
             assert report.intervals == expected, (params, predicate, grid_step)
@@ -292,7 +298,7 @@ def test_each_predicate_reads_only_its_field(model):
         params = ModelParams(lam, dab, danb, 0.5 if model in XI_MODELS else None)
         full = predict_table(model, params, priors)
         for predicate in Predicate:
-            one = predict_field(model, params, priors, PREDICATE_FIELDS[predicate])
+            one = _predict(model, params, priors, PREDICATE_FIELDS[predicate])
             expected = analysis._predicate_values(full, predicate)
             assert analysis._predicate_values(one, predicate).tolist() == expected.tolist()
 

@@ -304,6 +304,7 @@ SYNTH = ["synth", "--model", "base", "--lambda", "1", "--sigma-a", "0.3",
     ["compare", "--models", "base,nope", "--data", "data.csv"],
     ["sweep", "--grid", "0", "--model", "base", "--lambda", "1"],
     ["check", "--model", "base", "--lambda", "1", "--grid-step", "0.5"],
+    ["check", "--model", "base", "--lambda", "1", "--grid-step", "0.0000001"],
     ["sweep", "--model", "base", "--lambda", "1", "--cost-ab", "nan"],
     ["sweep", "--model", "base", "--lambda", "inf"],
     ["sweep", "--model", "svrsa1", "--lambda", "1", "--xi", "0.5", "--cost-anb", "inf"],

@@ -384,7 +384,7 @@ def test_fit_propagates_errors_raised_while_scoring(monkeypatch, error):
     # the objective scores inf only for a NonfiniteLikelihood and for a
     # parameter vector that decodes to a zero scale; anything else is a fault
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=6)
-    monkeypatch.setattr(fitting, "predict_table", _raise(error))
+    monkeypatch.setattr(fitting, "_predict", _raise(error))
     with pytest.raises(type(error)):
         fit(ModelId.BASE_RSA, ds, options=FitOptions(restarts=1, seed=0))
 
@@ -451,8 +451,7 @@ def _bits(value):
 def _faulty_tables(monkeypatch, fault):
     """Make every table call of the fits, of one model or of a family's
     mixed sets, run ``fault``."""
-    monkeypatch.setattr(fitting, "predict_table", fault)
-    monkeypatch.setattr(fitting, "_family_table", fault)
+    monkeypatch.setattr(fitting, "_predict", fault)
 
 
 @TASKINGS

@@ -21,12 +21,12 @@ from rsa_exh.models import (
     _empty_table,
     _expit,
     _logistic,
+    _predict,
     _scaled_expit,
     _softplus,
     _softplus_pair,
     _two_way_rows,
     lu_predict,
-    predict_field,
     predict_table,
     XI_MODELS,
 )
@@ -577,8 +577,7 @@ def _batch_rows():
 @pytest.mark.parametrize("model", list(ModelId))
 def test_predict_table_batched_over_params_matches_single_calls(model):
     # one call on (K, 1) columns of parameter sets gives, row for row, the
-    # bits of a loop of single calls with float parameters; a batched
-    # predict_field gives its field's bits and None for the others
+    # bits of a loop of single calls with float parameters
     priors = np.concatenate([[0.0, 1e-12, 1e-9], GRID_199, [1 - 1e-9, 1.0]])
     rows = [(lam, dab, danb, xi if model in XI_MODELS else None)
             for lam, dab, danb, xi in _batch_rows()]
@@ -593,13 +592,6 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
             one = getattr(single, name)
             assert getattr(batched, name)[k].shape == one.shape
             assert getattr(batched, name)[k].tobytes() == one.tobytes(), (name, params)
-    for field in FIELDS:
-        part = predict_field(model, ModelParams(*columns), priors, field)
-        for name in FIELDS:
-            if name == field:
-                assert getattr(part, name).tobytes() == getattr(batched, name).tobytes(), name
-            else:
-                assert getattr(part, name) is None, (name, field)
     # the table's shape is set before any form runs (models._empty_table),
     # from the parameters that it lists: each model's table must depend on
     # each of them, so that a column of any one gives rows that differ
@@ -614,32 +606,54 @@ def test_predict_table_batched_over_params_matches_single_calls(model):
                    for f in ("post_a", "post_ab", "prod_wa", "prod_wab")), name
 
 
-@pytest.mark.parametrize("family", [f for f in models.FAMILIES if len(f) > 1],
-                         ids=[f[0].value for f in models.FAMILIES if len(f) > 1])
-def test_family_table_mixing_models_matches_single_calls(family):
-    # a batch whose sets are of different models of one family gives each set
-    # the bits of its own model's call with float parameters, in the full
-    # table and in each predict_field field; xi, read in the sets of
-    # XI_MODELS alone, is any value in [0, 1] in the others
+def _assert_same_tables(table, other, context):
+    """``table`` and ``other`` hold the same fields, of the same shapes and bits."""
+    for name in FIELDS:
+        mine, theirs = getattr(table, name), getattr(other, name)
+        assert (mine is None) == (theirs is None), (name, context)
+        if mine is not None:
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), (name, context)
+
+
+@pytest.mark.parametrize("family", models.FAMILIES, ids=[f[0].value for f in models.FAMILIES])
+def test_predict_gives_each_set_of_a_family_its_own_models_bits(family):
+    # a batch whose sets are of one family's models gives each set the bits
+    # of its own model's call with float parameters, in the full table and
+    # in each one-field table, which holds None for the other fields; xi,
+    # read in the sets of XI_MODELS alone, is any value in [0, 1] in the
+    # others.  A tuple of one model gives the bits and shapes of a call on
+    # that model, with columns and with floats
     priors = np.concatenate([[0.0, 1e-12, 1e-9, 0.005], GRID_199, [0.995, 1 - 1e-9, 1.0]])
     rows = _batch_rows()
     rng = np.random.default_rng(11)
-    assignments = [[family[k % len(family)] for k in range(len(rows))],
-                   [family[k * len(family) // len(rows)] for k in range(len(rows))],
-                   list(rng.choice(np.array(family, dtype=object), len(rows)))]
+    assignments = [[model] * len(rows) for model in family]
+    if len(family) > 1:
+        assignments += [[family[k % len(family)] for k in range(len(rows))],
+                        [family[k * len(family) // len(rows)] for k in range(len(rows))],
+                        list(rng.choice(np.array(family, dtype=object), len(rows)))]
     for assign in assignments:
         columns = [np.array(r, dtype=float)[:, None] for r in zip(*rows)]
         if not any(model in XI_MODELS for model in assign):
             columns[3] = None
-        table = models._family_table(tuple(assign), ModelParams(*columns), priors)
-        assert table.post_a.shape == (len(rows), priors.size)
+        tables = {field: _predict(tuple(assign), ModelParams(*columns), priors, field)
+                  for field in (None, *FIELDS)}
+        assert tables[None].post_a.shape == (len(rows), priors.size)
+        if len(set(assign)) == 1:
+            for field, table in tables.items():
+                _assert_same_tables(table, _predict(assign[0], ModelParams(*columns), priors,
+                                                    field), (assign[0], field))
         for k, (model, (lam, dab, danb, xi)) in enumerate(zip(assign, rows)):
             params = ModelParams(lam, dab, danb, xi if model in XI_MODELS else None)
             single = predict_table(model, params, priors)
-            for name in FIELDS:
-                one = getattr(single, name).tobytes()
-                assert getattr(table, name)[k].tobytes() == one, (model, name, k)
-                assert getattr(predict_field(model, params, priors, name), name).tobytes() == one
+            if len(set(assign)) == 1 and k < 4:
+                _assert_same_tables(_predict((model,), params, priors), single, (model, k))
+            for field, table in tables.items():
+                for name in FIELDS:
+                    if field not in (None, name):
+                        assert getattr(table, name) is None, (name, field)
+                        continue
+                    one = getattr(single, name).tobytes()
+                    assert getattr(table, name)[k].tobytes() == one, (model, field, name, k)
 
 
 #: (lam, delta_ab, delta_anb, xi): a fitted point, the band-heavy point
@@ -684,9 +698,8 @@ def test_predict_table_does_not_depend_on_where_the_grid_is_cut(model, monkeypat
     for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 100_000):
         grid = np.linspace(0.0, 1.0, n)  # exact 0 and 1 at the ends
         for params in _block_params(model):
-            _assert_cut_free(lambda p, field: (predict_table(model, params, p) if field is None
-                                               else predict_field(model, params, p, field)),
-                             grid, monkeypatch, (None, *FIELDS))
+            _assert_cut_free(lambda p, field: _predict(model, params, p, field), grid,
+                             monkeypatch, (None, *FIELDS))
 
 
 def test_lu_predict_does_not_depend_on_where_the_grid_is_cut(monkeypatch):
@@ -798,16 +811,21 @@ def test_predict_table_peak_memory_is_about_its_table_on_two_threads(model, cpus
     test_predict_table_peak_memory_is_about_its_table(model)
 
 
-def test_predict_field_rejects_anything_but_one_field():
-    for field in ("", "p", "post_b", ("post_a",), ["post_a", "prod_wa"], None):
+def test_predict_builds_the_full_table_or_one_field_and_rejects_anything_else():
+    params = ModelParams(lam=1.0)
+    full = _predict(ModelId.BASE_RSA, params, 0.5, None)
+    assert all(getattr(full, name) is not None for name in FIELDS)
+    for field in ("", "p", "post_b", ("post_a",), ["post_a", "prod_wa"], 1):
         with pytest.raises(ValueError, match="field"):
-            predict_field(ModelId.BASE_RSA, ModelParams(lam=1.0), 0.5, field)
+            _predict(ModelId.BASE_RSA, params, 0.5, field)
 
 
 def test_predict_requires_xi_where_applicable():
     for model in XI_MODELS:
         with pytest.raises(MissingParameter):
             predict_table(model, ModelParams(lam=1.0), 0.5)
+    with pytest.raises(MissingParameter, match="bwrsa"):
+        _predict((ModelId.BASE_RSA, ModelId.BWRSA), ModelParams(np.ones((2, 1))), 0.5)
 
 
 def test_base_prediction_shape_example():
