@@ -177,6 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--prior-mean", type=float, default=SynthDesign.prior_mean)
     p_synth.add_argument("--prior-sd", type=float, default=SynthDesign.prior_sd)
     p_synth.add_argument("--out", default=None)
+    for command_parser in sub.choices.values():  # usage errors show the subcommand's usage
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
@@ -365,7 +367,7 @@ def run(argv=None) -> int:
                 print(f"warning: {message}", file=sys.stderr)
 
             warnings.showwarning = _show
-            text = _COMMANDS[args.command](args, parser)
+            text = _COMMANDS[args.command](args, args.command_parser)
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
         else:

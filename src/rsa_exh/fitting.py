@@ -4,10 +4,24 @@ Comprehension slider responses are scored with a censored-normal (tobit)
 likelihood around the model's posterior prediction, with separate noise
 scales for the bare-message and conjunction conditions; production
 categories are scored with an error-smoothed categorical likelihood.  The
-total log-likelihood is maximized by multi-start Nelder-Mead on a
-box-transformed parameter space, and models are compared by AIC.
+total log-likelihood is maximized over the model parameters and the three
+noise parameters (sigma_a, sigma_ab, epsilon), and models are compared by
+AIC, which counts the noise parameters too.
 
-Each free parameter lies in a box [0, high] and the simplex walks an
+The maximum is found as a profile likelihood (Murphy & van der Vaart 2000).
+Given the model parameters theta = (lambda, the costs, xi), the
+log-likelihood splits into three terms, one per noise parameter: the
+bare-message sliders with sigma_a, the conjunction sliders with sigma_ab, and
+the productions with epsilon.  Each term has one maximum over its box: the
+tobit term is concave in h = 1/sigma (Olsen 1978), and the production term's
+second derivative is <= 0 wherever its first is 0.  So every point theta is
+scored at its best noise, which batched, safeguarded Newton solves find
+(:func:`_profiled_logliks`), and multi-start Nelder-Mead searches theta alone:
+3 or 4 coordinates rather than 6 or 7.  A search over fewer coordinates
+takes fewer steps, which more than pays for the solves; from the same start
+it may end at another local optimum than a search over all seven would.
+
+Each searched parameter lies in a box [0, high] and the simplex walks an
 unconstrained coordinate t of it: a clipped logit (:meth:`_ParamSpec.decode`),
 which keeps the logistic's shape inside the box but reaches each bound at a
 finite t, about +-9.9, and holds it beyond.  Best fits often sit on a bound
@@ -19,10 +33,11 @@ The restarts of a fit run in lockstep.  Each restart's simplex search is a
 coroutine (:func:`_nelder_mead`) that yields the points it needs and is sent
 their values.  Every step stacks the pending points of all unfinished
 restarts and scores them together: one parameter-batched table call
-(``models._predict``) and one batched tobit and production scoring
-(:func:`_packed_logliks`).  Each restart still walks its own simplex, and a
-batched score is bit-identical to a single one, so the optima are those of
-running the restarts one after another.
+(``models._predict``) and one batched set of noise solves.  Each restart
+still walks its own simplex, and a batched score is bit-identical to a
+single one, so the optima are those of running the restarts one after
+another.  A fit reports its best point's solved noise and the exact joint
+log-likelihood there (:func:`_packed_loglik`, as :func:`dataset_loglik`).
 
 A family is the set of models that share a closed form
 (``models.FAMILIES``): base, BWRSA, free-LU and exh-LU share the
@@ -66,8 +81,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
-from .models import (FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS, _each,
-                     _predict, _usable_cpus)
+from .models import (FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS, _predict,
+                     _usable_cpus)
 from .scenario import everywhere
 
 
@@ -105,7 +120,7 @@ SIGMA_MAX = 5.0
 XATOL = 1e-6
 FATOL = 1e-9
 #: Default cap on a restart's iterations and on its objective evaluations,
-#: per free parameter (``FitOptions.maxiter`` overrides the product).
+#: per searched coordinate (``FitOptions.maxiter`` overrides the product).
 EVALS_PER_PARAM = 600
 
 #: Overshoot c of the clipped logit that maps a coordinate t into a box
@@ -125,8 +140,9 @@ class FitOptions:
     """Restart count, RNG seed and evaluation budget of a fit.
 
     All ``restarts`` run together, in lockstep (see the module docstring);
-    ``maxiter`` (default ``EVALS_PER_PARAM`` per free parameter) caps both
-    the iterations and the evaluations of each restart.  Both must be >= 1.
+    ``maxiter`` (default ``EVALS_PER_PARAM`` per searched coordinate: the
+    model parameters, as the noise is solved at each point) caps both the
+    iterations and the evaluations of each restart.  Both must be >= 1.
     """
 
     restarts: int = 32
@@ -187,8 +203,10 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    responses = _SliderResponses.split(np.array([observed]), np.array([0]), np.array([True]))
-    return float(responses.loglik(np.array([pred]), sigma, sigma)[0])
+    responses = _SliderResponses.split(np.array([float(observed)]), np.array([0]),
+                                       np.array([True]))
+    h = np.array([[1.0 / sigma, 1.0]])
+    return float(responses.loglik(h, responses.residuals(np.array([[pred]]))).sum())
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -206,53 +224,81 @@ def _special():
 
 @dataclass(frozen=True)
 class _SliderResponses:
-    """Slider responses, reordered by censoring for scoring.
+    """Slider responses of the two noise scales (group 0: UTT_A, group 1:
+    UTT_AB), laid out for scoring each group's term at h = 1/sigma.
 
-    The order puts the responses at or below 0 and at or above 1 first
-    (``n_tails`` of them; ``bound`` is 0 or 1 and ``sign`` +1 or -1, for the
-    lower or upper tail), then those strictly inside, whose values are
-    ``interior``.  In that order, ``picks`` locates each prediction and
-    ``first`` tells which responses take the first of two noise scales;
-    ``unorder`` restores the response order.
+    The interior responses come first, group by group: their predictions sit
+    at ``inner_picks`` and their values are ``inner``; ``n`` counts them per
+    group.  The censored ones follow, group by group: ``tail_picks`` locates
+    their predictions x, and each one's tail mass is Phi(c h) with c =
+    ``tail_shift`` + ``tail_slope`` x (-x below 0, x - 1 above 1);
+    ``tail_group`` is each one's group.  ``inner_runs`` and ``tail_runs``
+    hold the start of each nonempty group's run and the groups that have one.
     """
 
-    picks: np.ndarray
-    unorder: np.ndarray
-    first: np.ndarray
-    n_tails: int
-    bound: np.ndarray
-    sign: np.ndarray
-    interior: np.ndarray
+    inner_picks: np.ndarray
+    inner: np.ndarray
+    n: np.ndarray
+    inner_runs: tuple
+    tail_picks: np.ndarray
+    tail_shift: np.ndarray
+    tail_slope: np.ndarray
+    tail_group: np.ndarray
+    tail_runs: tuple
 
     @classmethod
     def split(cls, observed: np.ndarray, picks: np.ndarray, first: np.ndarray):
-        """``observed`` responses whose predictions sit at ``picks`` and
-        whose noise scale is the first one where ``first``."""
-        low, high = observed <= 0.0, observed >= 1.0
-        inside = np.flatnonzero(~(low | high))
-        order = np.concatenate([np.flatnonzero(low), np.flatnonzero(high), inside])
-        n_tails = order.size - inside.size
-        upper = high[order[:n_tails]]
-        return cls(picks[order], np.argsort(order), first[order], n_tails,
-                   np.where(upper, 1.0, 0.0), np.where(upper, -1.0, 1.0), observed[inside])
+        """``observed`` responses whose predictions sit at ``picks`` and that
+        belong to group 0 where ``first``."""
+        group = np.where(first, 0, 1)
+        high = observed >= 1.0
+        tail = (observed <= 0.0) | high
+        inner = [np.flatnonzero(~tail & (group == g)) for g in (0, 1)]
+        tails = [np.flatnonzero(tail & (group == g)) for g in (0, 1)]
+        inner_at, tail_at = np.concatenate(inner), np.concatenate(tails)
+        upper = high[tail_at]
+        return cls(picks[inner_at], observed[inner_at],
+                   np.array([len(i) for i in inner], dtype=float), _runs(inner),
+                   picks[tail_at], np.where(upper, -1.0, 0.0), np.where(upper, 1.0, -1.0),
+                   group[tail_at], _runs(tails))
 
-    def loglik(self, pred: np.ndarray, sigma_first, sigma_second) -> np.ndarray:
-        """Per-response tobit log-likelihoods, in response order, from the
-        predictions ``pred`` (along the last axis; one row per parameter set
-        for a (K, n) array); each tail mass and density is evaluated only
-        where it is the score.  The noise scales are floats or (K, 1)
-        columns."""
-        x = np.take(pred, self.picks, axis=-1)
-        scale = np.where(self.first, sigma_first, sigma_second)
-        t = self.n_tails
-        out = np.empty(x.shape)
-        # (0 - x) / sigma below, -(1 - x) / sigma above: the tail masses
-        out[..., :t] = _special().log_ndtr((self.bound - x[..., :t]) * self.sign / scale[..., :t])
-        z = (self.interior - x[..., t:]) / scale[..., t:]
-        log_scale = np.where(self.first[t:], _each(math.log, sigma_first),
-                             _each(math.log, sigma_second))
-        out[..., t:] = -0.5 * z * z - _HALF_LOG_2PI - log_scale
-        return np.take(out, self.unorder, axis=-1)
+    def residuals(self, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (K, 2) summed squared residuals S of each group's interior
+        responses and the (K, m) tail scales c, from K rows of predictions
+        ``posts``."""
+        residual = self.inner - np.take(posts, self.inner_picks, axis=-1)
+        c = self.tail_shift + self.tail_slope * np.take(posts, self.tail_picks, axis=-1)
+        return _group_sums(residual * residual, self.inner_runs), c
+
+    def loglik(self, h: np.ndarray, residuals: tuple) -> np.ndarray:
+        """The (K, 2) tobit log-likelihoods of each group at its h = 1/sigma
+        (a (K, 2) array), from the :meth:`residuals` (S, c) of K rows of
+        predictions: sum log Phi(c h) over the censored responses plus
+        n log h - S h^2 / 2 - n log(2 pi) / 2 over the n interior ones."""
+        s, c = residuals
+        tails = _special().log_ndtr(c * np.take(h, self.tail_group, axis=-1))
+        return (_group_sums(tails, self.tail_runs)
+                + self.n * np.log(h) - 0.5 * s * h * h - self.n * _HALF_LOG_2PI)
+
+
+def _runs(groups: list) -> tuple:
+    """The start of each nonempty group's run in the concatenation of
+    ``groups``, and the indices of those groups."""
+    sizes = [len(g) for g in groups]
+    present = [g for g, size in enumerate(sizes) if size]
+    return np.array([sum(sizes[:g]) for g in present], dtype=np.intp), present
+
+
+def _group_sums(values: np.ndarray, runs: tuple) -> np.ndarray:
+    """(K, 2) sums of the rows of ``values`` (K, m) over each group's run
+    (see :func:`_runs`), 0 for a group without one."""
+    starts, present = runs
+    if len(present) == 2:
+        return np.add.reduceat(values, starts, axis=-1)
+    out = np.zeros(values.shape[:-1] + (2,))
+    if present:
+        out[..., present] = np.add.reduceat(values, starts, axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,20 +307,17 @@ class _PackedData:
 
     ``priors`` holds the raw priors of all rows, grouped by condition in the
     order UTT_A, UTT_AB, WORLD_A, WORLD_AB, so that one table call serves
-    every condition.  ``sliders`` holds the slider responses of
-    both comprehension conditions, whose predictions it picks from
-    ``post_a`` followed by ``post_ab``; ``choices`` holds the position of
-    each produced message in the flattened ``prod_wa`` followed by the
-    flattened ``prod_wab``, and ``labels`` the participant label of each
-    production row.  ``slider_rows`` and ``choice_rows`` slice out the rows
-    of each nonempty condition.
+    every condition.  ``sliders`` holds the slider responses of both
+    comprehension conditions, whose predictions it picks from ``post_a``
+    followed by ``post_ab``; ``choices`` holds the position of each produced
+    message in the flattened ``prod_wa`` followed by the flattened
+    ``prod_wab``, and ``labels`` the participant label of each production
+    row.
     """
 
     priors: np.ndarray
     sliders: _SliderResponses
-    slider_rows: tuple
     choices: np.ndarray
-    choice_rows: tuple
     labels: list
 
     @classmethod
@@ -285,80 +328,42 @@ class _PackedData:
         priors = np.array([r.raw_prior for c in conds for r in rows[c]])
         n, start = priors.size, 0
         responses, picks, first, choices, labels = [], [], [], [], []
-        slider_rows, choice_rows = [], []
         for cond in conds:
             at = np.arange(start, start + len(rows[cond]))
             start += len(rows[cond])
-            if not rows[cond]:
-                continue
             if cond in (Condition.UTT_A, Condition.UTT_AB):
                 responses.extend(r.response_posterior for r in rows[cond])
                 picks.append(at if cond is Condition.UTT_A else n + at)
                 first.extend([cond is Condition.UTT_A] * at.size)
-                slider_rows.append(slice(len(responses) - at.size, len(responses)))
             else:
-                messages = np.array([MODEL_MESSAGES.index(r.response_message) for r in rows[cond]])
+                messages = [MODEL_MESSAGES.index(r.response_message) for r in rows[cond]]
                 offset = 0 if cond is Condition.WORLD_A else 3 * n
-                choices.append(offset + 3 * at + messages)
+                choices.append(offset + 3 * at + np.array(messages, dtype=int))
                 labels.extend(r.participant_id for r in rows[cond])
-                choice_rows.append(slice(len(labels) - at.size, len(labels)))
-        sliders = _SliderResponses.split(np.array(responses, dtype=float),
-                                         np.concatenate(picks or [np.zeros(0, int)]),
+        sliders = _SliderResponses.split(np.array(responses, dtype=float), np.concatenate(picks),
                                          np.array(first, dtype=bool))
-        choices = np.concatenate(choices or [np.zeros(0, int)])
-        return cls(priors, sliders, tuple(slider_rows), choices, tuple(choice_rows), labels)
-
-
-def _packed_logliks(
-    model, params: ModelParams, noise: NoiseParams, packed: _PackedData
-) -> tuple[np.ndarray, list]:
-    """Joint log-likelihoods of K parameter sets, scored together.
-
-    ``params`` and ``noise`` hold floats (K = 1) or (K, 1) columns, and
-    ``model`` is one model, or a tuple of one family's models, one per set
-    (see ``models._predict``).  Returns the K log-likelihoods and, for
-    each set, the label of the first production row it gives probability 0,
-    or None; such a set scores -inf.  Set k's score is bit-identical to that
-    of a K = 1 call with its floats and its model: the picks are contiguous,
-    each condition's rows are summed alone and in row order, and per-set
-    scalars are taken as a single call takes them.
-    """
-    table = _predict(model, params, packed.priors)
-    k = np.size(params.lam)
-    totals = np.zeros(k)
-    # float parameters give 1-d posteriors, K parameter sets (K, N) ones
-    posts = np.concatenate((table.post_a, table.post_ab), axis=-1)
-    scores = packed.sliders.loglik(posts, noise.sigma_a, noise.sigma_ab)
-    for rows in packed.slider_rows:
-        totals += scores[..., rows].sum(axis=-1)
-    flat = table.prod_wa.shape[:-2] + (-1,)
-    probs = np.concatenate((table.prod_wa.reshape(flat), table.prod_wab.reshape(flat)), axis=-1)
-    picked = np.take(probs, packed.choices, axis=-1) + noise.epsilon
-    zero = picked <= 0.0
-    culprits: list = [None] * k
-    if zero.any():
-        zero = zero.reshape(k, -1)
-        for j in np.flatnonzero(zero.any(axis=1)):
-            culprits[j] = packed.labels[int(np.argmax(zero[j]))]
-        picked[zero.reshape(picked.shape)] = 1.0  # the set scores -inf below
-    logs = np.log(picked)
-    smoothing = np.log1p(N_CANDIDATE_MESSAGES * noise.epsilon).reshape(-1)
-    for rows in packed.choice_rows:
-        totals += logs[..., rows].sum(axis=-1) - (rows.stop - rows.start) * smoothing
-    if culprits.count(None) < k:
-        totals[[c is not None for c in culprits]] = -np.inf
-    return totals, culprits
+        return cls(priors, sliders, np.concatenate(choices), labels)
 
 
 def _packed_loglik(
     model: ModelId, params: ModelParams, noise: NoiseParams, packed: _PackedData
 ) -> float:
-    """Joint log-likelihood of one parameter set (float fields)."""
-    (total,), (culprit,) = _packed_logliks(model, params, noise, packed)
-    if culprit is not None:
+    """Joint log-likelihood of one parameter set (float fields).  Raises
+    ``NonfiniteLikelihood``, naming the row, where a production row gets
+    probability 0."""
+    table = _predict(model, params, packed.priors)
+    posts = np.concatenate((table.post_a, table.post_ab))[None]
+    probs = np.concatenate((table.prod_wa.ravel(), table.prod_wab.ravel()))
+    picked = np.take(probs, packed.choices)[None]
+    zero = picked[0] + noise.epsilon <= 0.0
+    if zero.any():
         raise NonfiniteLikelihood(
-            f"row {culprit!r}: observed message has probability 0 and epsilon is 0"
+            f"row {packed.labels[int(np.argmax(zero))]!r}: observed message has "
+            "probability 0 and epsilon is 0"
         )
+    h = np.array([[1.0 / noise.sigma_a, 1.0 / noise.sigma_ab]])
+    total = (packed.sliders.loglik(h, packed.sliders.residuals(posts)).sum()
+             + _production_loglik(picked, np.array([float(noise.epsilon)]))[0])
     return float(total)
 
 
@@ -375,9 +380,139 @@ def dataset_loglik(
 
 
 # ---------------------------------------------------------------------------
-# Parameter-space transform: every free parameter is a clipped logistic of an
-# unconstrained coordinate (see OVERSHOOT), so the simplex search never leaves
-# the box and reaches each of its bounds.
+# Profiled likelihood: the noise parameters solved at each model point
+# ---------------------------------------------------------------------------
+
+
+#: A noise solve stops after a Newton step from a point where the quadratic
+#: model of its term gains at most ``SOLVE_GAIN`` nats, where it cannot move,
+#: or after ``SOLVE_ITERATIONS`` steps.
+SOLVE_GAIN = 1e-10
+SOLVE_ITERATIONS = 100
+#: Where the error-rate solve starts.
+EPSILON_START = 0.02
+
+
+def _profiled_logliks(model, params: ModelParams, packed: _PackedData) -> tuple:
+    """Joint log-likelihoods of K parameter sets, each at its own best noise,
+    and that noise: the (K,) log-likelihoods, the (K, 2) noise scales
+    (sigma_a, sigma_ab) and the (K,) error rates.
+
+    ``params`` hold floats (K = 1) or (K, 1) columns, and ``model`` is one
+    model, or a tuple of one family's models, one per set (see
+    ``models._predict``); one table call serves them all.  Given the
+    predictions, the log-likelihood splits into three terms, each of one
+    noise parameter (see :func:`_tobit_profile` and
+    :func:`_epsilon_profile`), and each term has one maximum over its box,
+    which a safeguarded Newton solve finds.  Every step of a solve acts on
+    each set's own values, and a set stops at its own convergence, so set k
+    gets the same bits as it would in a K = 1 call."""
+    table = _predict(model, params, packed.priors)
+    k = np.size(params.lam)
+    posts = np.concatenate((table.post_a, table.post_ab), axis=-1).reshape(k, -1)
+    probs = np.concatenate((table.prod_wa.reshape(k, -1), table.prod_wab.reshape(k, -1)), axis=-1)
+    tobit, h = _tobit_profile(posts, packed.sliders)
+    production, epsilon = _epsilon_profile(np.take(probs, packed.choices, axis=-1))
+    return tobit + production, 1.0 / h, epsilon
+
+
+def _tobit_profile(posts: np.ndarray, sliders: _SliderResponses) -> tuple:
+    """The slider log-likelihoods of K rows of predictions ``posts``, each
+    group at its best h = 1/sigma, and those (K, 2) h.
+
+    Each part of a group's term (see :meth:`_SliderResponses.loglik`) is
+    concave in h (Olsen 1978), so the term has one maximum on h >=
+    1/``SIGMA_MAX``.  Newton's method finds it, from the uncensored maximum
+    sqrt(n / S) (1 where n or S is 0), with each step kept within [h/2, 2h]
+    and above 1/``SIGMA_MAX``.  A group without responses has a term of 0
+    and keeps h = 1."""
+    s, c = residuals = sliders.residuals(posts)
+    n = sliders.n
+    cc = c * c
+    log_ndtr = _special().log_ndtr
+    h = np.maximum(np.where((n > 0) & (s > 0), np.sqrt(n / np.where(s > 0, s, 1.0)), 1.0),
+                   1.0 / SIGMA_MAX)
+    active = np.ones(h.shape, dtype=bool)
+    for _ in range(SOLVE_ITERATIONS):
+        z = c * np.take(h, sliders.tail_group, axis=-1)
+        mills = np.exp(-0.5 * z * z - _HALF_LOG_2PI - log_ndtr(z))  # phi(z) / Phi(z)
+        slope = _group_sums(c * mills, sliders.tail_runs) + n / h - s * h
+        # d/dz of phi/Phi is -mills (z + mills), in (-1, 0); the curvature is
+        # 0 only for a group without responses, whose slope is 0 too
+        curve = -_group_sums(cc * mills * (z + mills), sliders.tail_runs) - n / (h * h) - s
+        step = slope / -np.where(curve < 0, curve, -1.0)
+        new = np.maximum(np.minimum(np.maximum(h + step, 0.5 * h), 2.0 * h), 1.0 / SIGMA_MAX)
+        done = (0.5 * slope * step <= SOLVE_GAIN) | (new == h)
+        h = np.where(active, new, h)
+        active &= ~done
+        if not active.any():
+            break
+    return sliders.loglik(h, residuals).sum(axis=-1), h
+
+
+def _production_loglik(picked: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
+    """The (K,) production log-likelihoods sum log(S + epsilon) - n log(1 +
+    3 epsilon) of K rows of the probabilities S of the n produced messages,
+    each at its error rate in ``epsilon``."""
+    return (np.log(picked + epsilon[:, None]).sum(axis=-1)
+            - picked.shape[-1] * np.log1p(N_CANDIDATE_MESSAGES * epsilon))
+
+
+def _epsilon_profile(picked: np.ndarray) -> tuple:
+    """The production log-likelihoods of K rows of the probabilities S of
+    the n produced messages, each at its best error rate epsilon in [0, 1],
+    and those (K,) epsilon.
+
+    At a stationary point of the term (see :func:`_production_loglik`), its
+    second derivative, 9n/(1 + 3 epsilon)^2 - sum 1/(S + epsilon)^2, is
+    <= 0 by Cauchy-Schwarz, so the term has one maximum on [0, 1]: at 0
+    where its derivative at 0 is <= 0, at 1 where its derivative at 1 is
+    >= 0, and else where the derivative is 0, which a Newton solve kept
+    inside a shrinking bracket finds."""
+    k, n = picked.shape
+    epsilon = np.zeros(k)
+    if n:
+        floor = 1.0 / (3 * n)  # a smaller S alone makes the derivative at 0 positive
+        rising = ((picked.min(axis=-1) < floor)
+                  | ((1.0 / np.maximum(picked, floor)).sum(axis=-1) > 3 * n))
+        if rising.any():
+            epsilon[rising] = _epsilon_root(picked[rising] if not rising.all() else picked)
+    return _production_loglik(picked, epsilon), epsilon
+
+
+def _epsilon_root(picked: np.ndarray) -> np.ndarray:
+    """The best epsilon of each row of ``picked`` (see
+    :func:`_epsilon_profile`) where the derivative at 0 is positive."""
+    three_n = 3.0 * picked.shape[-1]
+    at_one = (1.0 / (picked + 1.0)).sum(axis=-1) >= three_n / 4
+    lo, hi = np.zeros(len(picked)), np.ones(len(picked))
+    epsilon = np.full(len(picked), EPSILON_START)
+    active = ~at_one
+    for _ in range(SOLVE_ITERATIONS):
+        if not active.any():
+            break
+        inverse = 1.0 / (picked + epsilon[:, None])
+        spread = 1.0 + 3.0 * epsilon
+        slope = inverse.sum(axis=-1) - three_n / spread
+        curve = 3.0 * three_n / (spread * spread) - (inverse * inverse).sum(axis=-1)
+        rising = slope > 0
+        lo, hi = np.where(rising, epsilon, lo), np.where(rising, hi, epsilon)
+        # Newton on epsilon times the slope, which is closer to linear
+        # where a tiny S makes the slope about 1/epsilon
+        turn = slope + epsilon * curve
+        newton = epsilon + epsilon * slope / -np.where(turn < 0, turn, -1.0)
+        newton_ok = (turn < 0) & (newton >= lo) & (newton <= hi)
+        # the quadratic model's gain slope^2 / (2 |curve|) is small
+        done = newton_ok & (slope * slope <= -2.0 * SOLVE_GAIN * curve)
+        epsilon = np.where(active, np.where(newton_ok, newton, 0.5 * (lo + hi)), epsilon)
+        active &= ~done
+    return np.where(at_one, 1.0, epsilon)
+
+
+# ---------------------------------------------------------------------------
+# Parameter-space transform: every searched parameter is a clipped logistic
+# of an unconstrained coordinate (see OVERSHOOT), so the simplex search never
+# leaves the box and reaches each of its bounds.
 # ---------------------------------------------------------------------------
 
 
@@ -390,20 +525,21 @@ _PARAMS = {
     "delta_ab": (DELTA_MAX, 0.01, 5.0, True),
     "delta_anb": (DELTA_MAX, 0.01, 5.0, True),
     "xi": (1.0, 0.05, 0.95, False),
-    "sigma_a": (SIGMA_MAX, 0.05, 1.0, False),
-    "sigma_ab": (SIGMA_MAX, 0.05, 1.0, False),
-    "epsilon": (1.0, 0.002, 0.2, True),
 }
+
+#: The noise parameters, solved at each point rather than searched.  The
+#: starts still draw a column for each (see ``_ParamSpec.initial_points``).
+NOISE_COLUMNS = ("sigma_a", "sigma_ab", "epsilon")
 
 
 #: Every model's parameters, in the order in which a step of the lockstep
 #: decodes the points of all its searches at once (see :func:`_objective`).
-_LAYOUT = ("lambda", "delta_ab", "delta_anb", "xi", "sigma_a", "sigma_ab", "epsilon")
+_LAYOUT = ("lambda", "delta_ab", "delta_anb", "xi")
 
 
 @dataclass(frozen=True)
 class _ParamSpec:
-    """The free parameters of one fit, in order, with their rows of
+    """The searched parameters of one fit, in order, with their rows of
     ``_PARAMS``; the only code that knows the parameter layout.
     ``columns`` picks the coordinates of a point that hold the parameters of
     ``_LAYOUT`` (one cost's twice where the costs are equal; any one where
@@ -421,7 +557,7 @@ class _ParamSpec:
     def build(cls, model: ModelId, equal_costs: bool) -> "_ParamSpec":
         costs = ("delta",) if equal_costs else ("delta_ab", "delta_anb")
         extra = ("xi",) if model in XI_MODELS else ()
-        return cls.of(("lambda", *costs, *extra, "sigma_a", "sigma_ab", "epsilon"))
+        return cls.of(("lambda", *costs, *extra))
 
     @classmethod
     def of(cls, names: tuple[str, ...]) -> "_ParamSpec":
@@ -455,21 +591,20 @@ class _ParamSpec:
         r = np.where(ratio == 0.0, -1.5 * _CORNER, np.where(ratio == 1.0, 1 + 1.5 * _CORNER, r))
         return _special().logit((r + OVERSHOOT) / (1 + 2 * OVERSHOOT))
 
-    def split(self, t: np.ndarray) -> tuple[ModelParams, NoiseParams]:
-        """Model and noise parameters at a point ``t`` (floats) or at each
-        row of a (K, d) stack of points ((K, 1) columns); raises ValueError
-        where an entry is out of range."""
+    def params(self, t: np.ndarray) -> ModelParams:
+        """Model parameters at a point ``t`` (floats) or at each row of a
+        (K, d) stack of points ((K, 1) columns); raises ValueError where an
+        entry is out of range."""
         return self.assemble(self.decode(t))
 
     @staticmethod
-    def assemble(values: dict) -> tuple[ModelParams, NoiseParams]:
-        """Model and noise parameters from the values of :meth:`decode`,
-        floats or (K, 1) columns; raises ValueError as :meth:`split` does."""
+    def assemble(values: dict) -> ModelParams:
+        """Model parameters from the values of :meth:`decode`, floats or
+        (K, 1) columns; raises ValueError as :meth:`params` does."""
         if "delta" in values:
             values["delta_ab"] = values["delta_anb"] = values["delta"]
-        params = ModelParams(lam=values["lambda"], delta_ab=values["delta_ab"],
-                             delta_anb=values["delta_anb"], xi=values.get("xi"))
-        return params, NoiseParams(values["sigma_a"], values["sigma_ab"], values["epsilon"])
+        return ModelParams(lam=values["lambda"], delta_ab=values["delta_ab"],
+                           delta_anb=values["delta_anb"], xi=values.get("xi"))
 
     def at_bounds(self, t: np.ndarray) -> tuple[str, ...]:
         """The parameters whose value at a point ``t`` is exactly 0 or their
@@ -482,7 +617,12 @@ class _ParamSpec:
                      for column in (("delta_ab", "delta_anb") if name == "delta" else (name,)))
 
     def initial_points(self, n: int, seed: int) -> np.ndarray:
-        cube = _latin_hypercube(n, len(self.names), seed)
+        """``n`` starts: a Latin hypercube over the start ranges, drawn with
+        a column for each of ``NOISE_COLUMNS`` too, which are dropped.  So
+        the starts are the model parameters of those of a search over the
+        noise as well, whatever the noise is searched or solved."""
+        d = len(self.names)
+        cube = _latin_hypercube(n, d + len(NOISE_COLUMNS), seed)[:, :d]
         span_lin = self.init_lo + cube * (self.init_hi - self.init_lo)
         span_log = np.exp(
             np.log(self.init_lo) + cube * (np.log(self.init_hi) - np.log(self.init_lo))
@@ -526,14 +666,14 @@ def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedDat
     """Negated log-likelihoods at the points that searches ask for, in the
     order of ``asked``: pairs of a search's index i and the (m, d) stack of
     points it asks for, in the coordinates of ``owners[i]``, a (model,
-    ``_ParamSpec``) pair.  inf where lambda or a noise scale decodes to 0, or
-    where an observation gets probability 0.
+    ``_ParamSpec``) pair.  inf where lambda decodes to 0.
 
     The points are decoded at once, in the parameters of ``_LAYOUT``
     (``layout``), and the live ones scored together, in batched calls of at
     most ``size`` sets, each call on the tuple of its sets' models (see
-    ``models._predict``).  A lone set is scored with float parameters, which
-    gives the same bits as a batch of one at less cost."""
+    ``models._predict``), each set at its own best noise (see
+    :func:`_profiled_logliks`).  A lone set is scored with float parameters,
+    which gives the same bits as a batch of one at less cost."""
     runs: list = []  # the (model, spec) and stacks of consecutive searches of one model
     for i, points in asked:
         if runs and runs[-1][0] is owners[i]:
@@ -546,9 +686,8 @@ def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedDat
         parts.append(points if spec.columns is None else points[:, spec.columns])
         models += [model] * len(points)
     values = layout.decode(parts[0] if len(parts) == 1 else np.concatenate(parts))
-    # the values that ModelParams and NoiseParams reject at 0; the others may be 0
-    live = np.flatnonzero((values["lambda"] > 0) & (values["sigma_a"] > 0)
-                          & (values["sigma_ab"] > 0))
+    # the value that ModelParams rejects at 0; the others may be 0
+    live = np.flatnonzero(values["lambda"] > 0)
     scores = np.full(len(models), np.inf)
     for start in range(0, live.size, size):
         sets = live[start:start + size]
@@ -558,8 +697,7 @@ def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedDat
             chunk = values if sets.size == len(models) else {
                 name: v[sets] for name, v in values.items()}
         of = models if sets.size == len(models) else [models[k] for k in sets.tolist()]
-        params, noise = _ParamSpec.assemble(chunk)
-        scores[sets] = -_packed_logliks(tuple(of), params, noise, packed)[0]
+        scores[sets] = -_profiled_logliks(tuple(of), _ParamSpec.assemble(chunk), packed)[0]
     return scores
 
 
@@ -710,8 +848,8 @@ def _lockstep(objective, starts, budgets) -> list:
 
 def _restarts(models, dataset: Dataset, options: FitOptions, equal_costs: bool) -> list:
     """The restarts of each of ``models``, a family's (see ``FAMILIES``),
-    searched in one lockstep: for each model, in order, its ``_ParamSpec``
-    and its restarts' results in start order."""
+    searched in one lockstep: for each model, in order, its ``_ParamSpec``,
+    its restarts' results in start order and the packed dataset."""
     packed = _PackedData.from_dataset(dataset)
     specs = [_ParamSpec.build(model, equal_costs) for model in models]
     layout, owners, starts, budgets = _ParamSpec.of(_LAYOUT), [], [], []
@@ -726,21 +864,25 @@ def _restarts(models, dataset: Dataset, options: FitOptions, equal_costs: bool) 
     results = _lockstep(lambda asked: _objective(asked, owners, layout, packed, size),
                         starts, budgets)
     n = options.restarts
-    return [(spec, results[j * n:(j + 1) * n]) for j, spec in enumerate(specs)]
+    return [(spec, results[j * n:(j + 1) * n], packed) for j, spec in enumerate(specs)]
 
 
-def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list) -> FitResult:
+def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list,
+              packed: _PackedData) -> FitResult:
     """The fit of ``model`` from its restarts' results: the best restart, the
-    first of equals.  Warns ``NoConvergence`` where no restart met the
-    tolerances."""
+    first of equals, with its best noise, and the log-likelihood there.
+    Warns ``NoConvergence`` where no restart met the tolerances."""
     best = min(results, key=lambda res: res.fun)
     if not any(res.success for res in results):
         warnings.warn(
             NoConvergence(f"{model.value}: no restart met the tolerances")
         )
-    params, noise = spec.split(best.x)
-    loglik = -float(best.fun)
-    k = len(spec.names)
+    params = spec.params(best.x)
+    _, (sigma,), (epsilon,) = _profiled_logliks(model, params, packed)
+    noise = NoiseParams(float(sigma[0]), float(sigma[1]), float(epsilon))
+    loglik = _packed_loglik(model, params, noise, packed)
+    noise_hits = [sigma[0] == SIGMA_MAX, sigma[1] == SIGMA_MAX, epsilon in (0.0, 1.0)]
+    k = len(spec.names) + len(NOISE_COLUMNS)
     return FitResult(
         model=model,
         params=params,
@@ -749,7 +891,8 @@ def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list
         n_params=k,
         aic=2.0 * k - 2.0 * loglik,
         converged=bool(best.success and np.isfinite(loglik)),
-        at_bounds=spec.at_bounds(best.x),
+        at_bounds=spec.at_bounds(best.x) + tuple(
+            name for name, hit in zip(NOISE_COLUMNS, noise_hits) if hit),
         equal_costs=equal_costs,
     )
 
@@ -760,27 +903,40 @@ def fit(
     options: FitOptions | None = None,
     equal_costs: bool = False,
 ) -> FitResult:
-    """Maximize the joint likelihood by multi-start Nelder-Mead.
+    """Maximize the joint likelihood by multi-start Nelder-Mead over the
+    model parameters, with the noise solved at each point.
 
-    Starts are a Latin-hypercube over sensible parameter ranges, mapped to an
+    The simplex searches the model parameters alone: rationality, one or two
+    costs, and the extra prior xi where the model has one, mapped to an
     unconstrained space by clipped-logit transforms onto the box below
-    ``LAM_MAX``, ``DELTA_MAX``, ``SIGMA_MAX`` and 1 (xi and epsilon; see
-    ``OVERSHOOT``), which reach each bound at a finite point; the best
-    restart wins, the first of equals.  ``options`` sets the restart
-    count, the seed of the starts and the evaluation budget of a restart.
-    The restarts run in lockstep: each step scores the points that all
-    unfinished restarts ask for with one batched likelihood call, and each
-    restart walks its own simplex down to the tolerances ``XATOL`` and
-    ``FATOL``, so the result is that of running them one by one.  This is
-    the one-model case of the lockstep in which :func:`compare` fits a
-    family of models; the result is the same bit for bit.  Every
-    parameter of the result that lies exactly on a bound of the box, 0 or
-    its upper bound, is named in ``at_bounds``.  Free-parameter count: model
-    parameters (rationality, one or two costs, the extra prior where the
-    model has one) plus the three noise parameters.
+    ``LAM_MAX``, ``DELTA_MAX`` and 1 (see ``OVERSHOOT``), which reach each
+    bound at a finite point.  Each point is scored at its best sigma_a,
+    sigma_ab in (0, ``SIGMA_MAX``] and epsilon in [0, 1], solved exactly
+    (see the module docstring).  A restart's budget is ``EVALS_PER_PARAM``
+    evaluations per searched coordinate.  The starts are a Latin hypercube
+    over sensible ranges, drawn with a column for each noise parameter as
+    well, whose draws are dropped: so each restart starts where a search
+    over all the parameters would, at the same model parameters, and the
+    starts do not depend on which parameters are solved.  The best restart
+    wins, the first of equals, and the result holds its solved noise and
+    the joint log-likelihood there, which :func:`dataset_loglik` gives too.
+
+    ``options`` sets the restart count, the seed of the starts and the
+    evaluation budget of a restart.  The restarts run in lockstep: each
+    step scores the points that all unfinished restarts ask for with one
+    batched table call and batched noise solves, and each restart walks its
+    own simplex down to the tolerances ``XATOL`` and ``FATOL``, so the
+    result is that of running them one by one.  This is the one-model case
+    of the lockstep in which :func:`compare` fits a family of models; the
+    result is the same bit for bit.  Every parameter of the result that
+    lies exactly on a bound of the box, 0 or its upper bound (epsilon 0 or
+    1, a sigma at ``SIGMA_MAX``), is named in ``at_bounds``.  Free-parameter
+    count: the model parameters plus the three noise parameters, which are
+    estimated, if not searched.
     """
-    ((spec, results),) = _restarts((model,), dataset, options or FitOptions(), equal_costs)
-    return _best_fit(model, equal_costs, spec, results)
+    ((spec, results, packed),) = _restarts((model,), dataset, options or FitOptions(),
+                                           equal_costs)
+    return _best_fit(model, equal_costs, spec, results, packed)
 
 
 def compare(

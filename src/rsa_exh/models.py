@@ -67,6 +67,7 @@ same libm ``exp`` and the same bits in a batched row as in a float call.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -881,12 +882,22 @@ def _lu_constants(model, xi):
     if isinstance(model, ModelId):
         lit, exh, anti, shift, ends, wonky = _LU_CONSTANTS[model]
         return ((1 - xi, xi, xi) if wonky else (lit, exh, anti)), shift, ends
-    table = np.array([_LU_CONSTANTS[m] for m in model])
+    lit, exh, anti, shift, ends, wonky = _lu_columns(model)
+    if wonky is not None:
+        lit, exh, anti = np.where(wonky, 1 - xi, lit), np.where(wonky, xi, exh), np.where(wonky, xi, anti)
+    return (lit, exh, anti), shift, ends
+
+
+@functools.lru_cache(maxsize=64)
+def _lu_columns(models: tuple) -> tuple:
+    """The (K, 1) columns of ``_LU_CONSTANTS`` for a tuple of models, the
+    two flags as bools, and the BWRSA one None where no set is BWRSA's;
+    kept for the tuples that recur as the searches of a lockstep step on,
+    and not to be written to."""
+    table = np.array([_LU_CONSTANTS[m] for m in models])
     lit, exh, anti, shift, ends, wonky = (table[:, j:j + 1] for j in range(6))
     wonky = wonky == 1.0
-    if somewhere(wonky):
-        lit, exh, anti = np.where(wonky, 1 - xi, lit), np.where(wonky, xi, exh), np.where(wonky, xi, anti)
-    return (lit, exh, anti), shift, ends == 1.0
+    return lit, exh, anti, shift, ends == 1.0, wonky if somewhere(wonky) else None
 
 
 def _table(model, params: ModelParams, out: PredictionTable) -> None:

@@ -319,6 +319,19 @@ def test_usage_error_exits_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--model", "base", "--lambda", "1", "--grid-step", "0.0000001"],
+    ["sweep", "--model", "base"],
+    [*SYNTH, "--levels", "0"],
+])
+def test_a_checked_value_error_shows_its_subcommands_usage(capsys, argv):
+    # values checked after parsing are reported with the subcommand's usage
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: rsa-exh {argv[0]} ")
+
+
 @pytest.mark.parametrize("command", [["fit", "--model", "base"], ["compare"]])
 @pytest.mark.parametrize("restarts", ["0", "-1"])
 def test_fewer_than_one_restart_exits_2(capsys, synth_file, command, restarts):

@@ -9,9 +9,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from rsa_exh.data import (
+    MODEL_MESSAGES,
     Condition,
     Dataset,
     ObservationRow,
@@ -260,11 +262,14 @@ def test_true_params_beat_perturbed_in_expectation():
 @pytest.mark.parametrize("model", [ModelId.BASE_RSA, ModelId.WRSA])
 @pytest.mark.parametrize("equal_costs", [False, True])
 def test_initial_points_match_scipy_latin_hypercube(model, equal_costs):
+    # the starts are the model-parameter columns of a hypercube drawn with
+    # a column for each noise parameter too, which the search solves for
     qmc = pytest.importorskip("scipy.stats.qmc")
     spec = _ParamSpec.build(model, equal_costs)
+    d = len(spec.names)
     for n in (1, 2, 10, 32):
         for seed in range(10):
-            cube = qmc.LatinHypercube(d=len(spec.names), seed=seed).random(n)
+            cube = qmc.LatinHypercube(d=d + 3, seed=seed).random(n)[:, :d]
             span_lin = spec.init_lo + cube * (spec.init_hi - spec.init_lo)
             span_log = np.exp(
                 np.log(spec.init_lo) + cube * (np.log(spec.init_hi) - np.log(spec.init_lo))
@@ -303,8 +308,8 @@ def test_clipped_logit_reaches_the_bounds_and_inverts_inside_the_box(model, equa
 
 
 def test_at_bounds_names_the_columns_on_either_bound():
-    spec = _ParamSpec.build(ModelId.WRSA, equal_costs=True)  # lambda delta xi sigmas epsilon
-    t = spec.encode(np.array([2.0, 0.0, 1.0, 0.3, 0.2, 0.01]))
+    spec = _ParamSpec.build(ModelId.WRSA, equal_costs=True)  # lambda delta xi
+    t = spec.encode(np.array([2.0, 0.0, 1.0]))
     assert spec.at_bounds(t) == ("delta_ab", "delta_anb", "xi")
     t[0] = 40.0
     assert spec.at_bounds(t) == ("lambda", "delta_ab", "delta_anb", "xi")
@@ -576,6 +581,8 @@ def test_grouped_compare_is_each_models_own_fit_bit_for_bit(monkeypatch, pool_of
         warnings.simplefilter("always")
         fits = [fit(m, ds, options, equal_costs) for m in models]
     expected = sorted(fits, key=lambda r: (r.aic, models.index(r.model)))
+    for r in fits:  # each fit is scored at its solved noise
+        assert r.loglik == dataset_loglik(r.model, r.params, r.noise, ds)
     if maxiter:
         assert [str(w.message) for w in alone] == [
             f"{m.value}: no restart met the tolerances" for m in models]
@@ -664,6 +671,133 @@ def test_noise_params_validation():
                                        (0.2, np.array([[0.2], [math.nan]]), 0.0)]:
         with pytest.raises(ValueError):
             NoiseParams(sigma_a, sigma_ab, epsilon)
+
+
+# ---------------------------------------------------------------------------
+# the profiled noise: sigma_a, sigma_ab and epsilon solved at each point
+# ---------------------------------------------------------------------------
+
+
+def _draw_box(rng, k, with_xi):
+    """``k`` model parameter sets over the fitting box, as (k, 1) columns:
+    lambda log-uniform over [1e-2, 1e3], each cost 0 one time in ten and
+    else log-uniform over [1e-3, 200], xi uniform over [0, 1] with its ends."""
+    lam = 10.0 ** rng.uniform(-2.0, 3.0, k)
+    costs = [np.where(rng.random(k) < 0.1, 0.0, 10.0 ** rng.uniform(-3.0, math.log10(200.0), k))
+             for _ in range(2)]
+    xi = rng.choice([0.0, 1.0, *rng.random(8)], k) if with_xi else None
+    column = (lambda v: None if v is None else v[:, None])
+    return ModelParams(column(lam), column(costs[0]), column(costs[1]), column(xi))
+
+
+def _dense_max(score, lo, hi, k, zero=False):
+    """The largest of the (k,) values ``score(x)`` over x in [lo, hi] (and 0
+    where ``zero``), one x per row: a 33-point log grid, then 60 golden-section
+    steps between the grid neighbours of each row's best point."""
+    grid = np.concatenate([[0.0] if zero else [], np.geomspace(lo, hi, 33)])
+    values = np.array([score(np.full(k, x)) for x in grid])
+    at = values.argmax(axis=0)
+    a, b = grid[np.maximum(at - 1, 0)], grid[np.minimum(at + 1, grid.size - 1)]
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = score(c), score(d)
+    for _ in range(60):
+        left = fc > fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        c, d = np.where(left, b - ratio * (b - a), d), np.where(left, c, a + ratio * (b - a))
+        fresh = score(np.where(left, c, d))
+        fc, fd = np.where(left, fresh, fd), np.where(left, fc, fresh)
+    return np.maximum(values.max(axis=0), np.maximum(fc, fd))
+
+
+def _check_profile_solves(model, dataset, k, seed):
+    """Each of the three noise solves at ``k`` parameter sets over the box
+    is within 1e-9 nats of a dense bounded search of its term, scored row by
+    row, and the profiled log-likelihood is the joint one at the solved
+    noise; returns the solved noise scales and error rates."""
+    params = _draw_box(np.random.default_rng(seed), k, model in XI_MODELS)
+    total, sigma, epsilon = fitting._profiled_logliks(
+        model, params, _PackedData.from_dataset(dataset))
+    rows = preprocess(dataset).rows
+    table = predict_table(model, params, [r.raw_prior for r in rows])
+    sliders = {cond: [(j, r.response_posterior) for j, r in enumerate(rows) if r.condition is cond]
+               for cond in (Condition.UTT_A, Condition.UTT_AB)}
+    picked = np.stack([
+        (table.prod_wa if r.condition is Condition.WORLD_A else table.prod_wab)[
+            :, j, MODEL_MESSAGES.index(r.response_message)]
+        for j, r in enumerate(rows) if r.survey is Survey.PRODUCTION], axis=-1)
+
+    def tobit(cond, sigma):
+        if not sliders[cond]:
+            return np.zeros(k)
+        at, y = map(np.array, zip(*sliders[cond]))
+        x = (table.post_a if cond is Condition.UTT_A else table.post_ab)[:, at]
+        scale = sigma[:, None]
+        density = -0.5 * ((y - x) / scale) ** 2 - 0.5 * math.log(2 * math.pi) - np.log(scale)
+        return np.where(y <= 0.0, log_ndtr(-x / scale),
+                        np.where(y >= 1.0, log_ndtr((x - 1.0) / scale), density)).sum(axis=-1)
+
+    def production(eps):
+        with np.errstate(divide="ignore"):  # -inf at eps = 0 where a message has S = 0
+            logs = np.log(picked + eps[:, None])
+        return logs.sum(axis=-1) - picked.shape[-1] * np.log1p(3.0 * eps)
+
+    solved = [tobit(Condition.UTT_A, sigma[:, 0]), tobit(Condition.UTT_AB, sigma[:, 1]),
+              production(epsilon)]
+    np.testing.assert_allclose(total, sum(solved), rtol=0, atol=1e-9)
+    best = [_dense_max(lambda s: tobit(Condition.UTT_A, s), 1e-3, fitting.SIGMA_MAX, k),
+            _dense_max(lambda s: tobit(Condition.UTT_AB, s), 1e-3, fitting.SIGMA_MAX, k),
+            _dense_max(production, 1e-12, 1.0, k, zero=True)]
+    for name, got, want in zip(fitting.NOISE_COLUMNS, solved, best):
+        assert np.all(got >= want - 1e-9), (model, name, np.max(want - got))
+    assert np.all((sigma > 0) & (sigma <= fitting.SIGMA_MAX))
+    assert np.all((epsilon >= 0) & (epsilon <= 1))
+    return sigma, epsilon
+
+
+def test_each_noise_solve_finds_the_maximum_of_its_term_over_the_box():
+    # data from the baseline with no production errors, so that epsilon = 0
+    # comes up, and with the conjunction sliders so noisy that most sit at 0
+    # or 1, so that the censored terms weigh
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS,
+                        NoiseParams(sigma_a=0.33, sigma_ab=8.0, epsilon=0.0), SMALL_DESIGN, seed=11)
+    at_zero = 0
+    for j, model in enumerate(ModelId):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, epsilon = _check_profile_solves(model, ds, 1000, seed=j)
+        at_zero += int(np.count_nonzero(epsilon == 0.0))
+    assert at_zero > 0
+
+
+def test_noise_solves_of_a_group_without_rows_or_without_interior_responses():
+    # no conjunction sliders, and every bare-message slider at 0 or 1: the
+    # first group's term only falls with h (each tail's c is <= 0), so
+    # sigma_a is at its bound SIGMA_MAX, and the second group's term is 0 at
+    # any sigma_ab, which stays at 1
+    ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NOISE, SynthDesign(levels=4, comprehension_ab=0), seed=12)
+    rows = tuple(dataclasses.replace(r, response_posterior=float(r.response_posterior >= 0.5))
+                 if r.condition is Condition.UTT_A else r for r in ds.rows)
+    for j, model in enumerate((ModelId.WRSA, ModelId.EXH_LU, ModelId.RSA_LI2)):
+        sigma, _ = _check_profile_solves(model, Dataset(rows), 200, seed=j)
+        assert np.all(sigma[:, 0] == fitting.SIGMA_MAX) and np.all(sigma[:, 1] == 1.0)
+
+
+def test_profiled_scores_of_a_batch_are_its_sets_scored_alone():
+    ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NOISE, SMALL_DESIGN, seed=8)
+    packed = _PackedData.from_dataset(ds)
+    for family in FAMILIES:
+        params = _draw_box(np.random.default_rng(5), 12, True)
+        models = tuple(family[j % len(family)] for j in range(12))
+        batch = fitting._profiled_logliks(models, params, packed)
+        for j, model in enumerate(models):
+            alone = ModelParams(*(float(v[j, 0]) for v in (params.lam, params.delta_ab,
+                                                            params.delta_anb, params.xi)))
+            one = fitting._profiled_logliks(model, alone, packed)
+            for got, want in zip(batch, one):
+                assert got[j].tobytes() == want[0].tobytes(), (model, j)
 
 
 # ---------------------------------------------------------------------------
@@ -757,25 +891,23 @@ def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
 ], ids=["base", "svrsa1", "bwrsa+exh-lu", "bwrsa+exh-lu-out-of-budget"])
 def test_lockstep_restarts_match_sequential_scipy_searches(monkeypatch, models, evals_per_param):
     # each restart, run alone through scipy's Nelder-Mead with the one-point
-    # likelihood and its own model's budget, walks the same simplex as in the
-    # lockstep, also where that runs two models' restarts together, and where
-    # the budgets (7 and 6 parameters) end the searches; the fit keeps the best
+    # profiled likelihood and its own model's budget, walks the same simplex
+    # as in the lockstep, also where that runs two models' restarts together,
+    # and where the budgets (4 and 3 searched parameters) end the searches;
+    # the fit keeps the best, and scores it at its solved noise
     optimize = pytest.importorskip("scipy.optimize")
     monkeypatch.setattr(fitting, "EVALS_PER_PARAM", evals_per_param)
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=9)
     options = FitOptions(restarts=3, seed=2)
     packed = _PackedData.from_dataset(ds)
-    for model, (spec, searches) in zip(models, fitting._restarts(models, ds, options, False)):
+    for model, (spec, searches, _) in zip(models, fitting._restarts(models, ds, options, False)):
         def one_point(t):
             try:
-                params, noise = spec.split(t)
+                params = spec.params(t)
             except ValueError:
                 return math.inf
-            try:
-                return -fitting._packed_loglik(model, params, noise, packed)
-            except NonfiniteLikelihood:
-                return math.inf
+            return -fitting._profiled_logliks(model, params, packed)[0][0]
 
         budget = fitting.EVALS_PER_PARAM * len(spec.names)
         runs = [optimize.minimize(one_point, t0, method="Nelder-Mead", options={
@@ -788,7 +920,10 @@ def test_lockstep_restarts_match_sequential_scipy_searches(monkeypatch, models, 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoConvergence)
             result = fit(model, ds, options=options)
-        assert result.loglik == -best.fun
         assert result.params.lam == spec.decode(best.x)["lambda"]
-        assert result.noise.epsilon == spec.decode(best.x)["epsilon"]
+        _, (sigma,), (epsilon,) = fitting._profiled_logliks(model, result.params, packed)
+        assert (result.noise.sigma_a, result.noise.sigma_ab) == tuple(sigma)
+        assert result.noise.epsilon == epsilon
+        assert result.loglik == dataset_loglik(model, result.params, result.noise, ds)
+        assert result.loglik == pytest.approx(-best.fun, rel=0, abs=1e-9)
         assert result.converged == bool(best.success)

@@ -656,6 +656,24 @@ def test_predict_gives_each_set_of_a_family_its_own_models_bits(family):
                     assert getattr(table, name)[k].tobytes() == one, (model, field, name, k)
 
 
+def test_lu_constants_of_a_model_tuple_are_built_once():
+    # a lockstep step's tuple of models recurs from step to step: its (K, 1)
+    # constant columns are built on its first call and reused, with xi read
+    # afresh in BWRSA's sets
+    models._lu_columns.cache_clear()
+    family = models.FAMILIES[0]
+    assign = [family[k % len(family)] for k in range(32)]
+    first = models._lu_constants(tuple(assign), np.full((32, 1), 0.3))
+    again = models._lu_constants(tuple(assign), np.full((32, 1), 0.6))
+    info = models._lu_columns.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for k, model in enumerate(assign):
+        for xi, (rho, shift, ends) in ((0.3, first), (0.6, again)):
+            lone_rho, lone_shift, lone_ends = models._lu_constants(model, xi)
+            assert [r[k, 0] for r in rho] == list(lone_rho), (model, xi)
+            assert (shift[k, 0], ends[k, 0]) == (lone_shift, lone_ends), model
+
+
 #: (lam, delta_ab, delta_anb, xi): a fitted point, the band-heavy point
 #: (most priors within NEAR_PRIOR of the posterior), a low-rationality one and
 #: the two high-rationality points of the order test.
