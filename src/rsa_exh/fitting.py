@@ -39,16 +39,23 @@ single one, so the optima are those of running the restarts one after
 another.  A fit reports its best point's solved noise and the exact joint
 log-likelihood there (:func:`_packed_loglik`, as :func:`dataset_loglik`).
 
-A family is the set of models that share a closed form
-(``models.FAMILIES``): base, BWRSA, free-LU and exh-LU share the
-lexical-uncertainty form, SVRSA1 and SVRSA2 the supervaluationist one, LI1
-and LI2 the lexical-intentions one, and WRSA is a family of its own.  The
-lockstep runs the restarts of all the models of a family together
-(:func:`_restarts`): at each step every model decodes its own searches'
-points, and all of them are scored in one batched call, whose sets each take
-their own model's constants (see ``models._predict``).  A step's cost is
-mostly paid per call, not per point, so a family's lockstep costs little
-more than that of its longest-running model.  Each set's score in a mixed
+The lockstep runs the restarts of several models together, of any of the
+families (``models.FAMILIES``, the models that share a closed form: base,
+BWRSA, free-LU and exh-LU share the lexical-uncertainty form, SVRSA1 and
+SVRSA2 the supervaluationist one, LI1 and LI2 the lexical-intentions one,
+and WRSA is a family of its own).  At each step every model decodes its own
+searches' points (:func:`_objective`), and all of them are scored in one
+batched call, cut only where it would pass a cap on sets x priors
+(:func:`_sets_per_call`): in it each run of one family's sets fills its rows
+of one table, each set with its own model's constants (see
+``models._predict``), and one batched solve of each noise parameter scores
+them all.  Where steps hold few sets, a step's cost is mostly paid per
+call, not per set: a solve takes 4-5 Newton rounds of 20-40 numpy calls
+whatever the sets.  On the first dataset of fit-compare seed 8301 at 2
+restarts, on one CPU, one lockstep of the nine models made 811 scoring
+calls against 1,928 for a lockstep per family (2.9 sets per call), and took
+0.68x the time; at 32 restarts, whose steps hold hundreds of sets, 0.87x.
+Each set's score in a mixed
 batch has the bits of its own model's single call, so every search, and
 every fit, is the one that fitting its model alone gives: :func:`fit` is the
 one-model case of the same lockstep.
@@ -57,11 +64,12 @@ one-model case of the same lockstep.
 call (at most one per usable CPU and per task), and collects the results,
 exceptions and warnings in model order.  Each model is a task, except where
 the workers are fewer than the models and at most two (``GROUPED_WORKERS``):
-there each family is a task, the longest-running first, as a family's
-lockstep takes less time than its models' fits one after another but more
-than the longest of them.  It runs the tasks in the calling process, in turn,
-where only one worker is possible, where that process is a daemon, or where
-the platform cannot fork.  Every fit is the same in each case, so the results
+there the families are dealt into one task per worker, the longest-running
+first and back and forth, and each task runs one lockstep, as that takes
+less time than its models' fits one after another.  It runs the tasks in
+the calling process, in turn, where only one worker is possible (so one
+task fits every model), where that process is a daemon, or where the
+platform cannot fork.  Every fit is the same in each case, so the results
 are too, bit for bit.
 
 The fits take ``log_ndtr``, ``expit`` and ``logit`` from ``scipy.special``,
@@ -81,8 +89,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
-from .models import (FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS, _predict,
-                     _usable_cpus)
+from .models import (BLOCK, FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS,
+                     _predict, _usable_cpus)
 from .scenario import everywhere
 
 
@@ -206,7 +214,8 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
     responses = _SliderResponses.split(np.array([float(observed)]), np.array([0]),
                                        np.array([True]))
     h = np.array([[1.0 / sigma, 1.0]])
-    return float(responses.loglik(h, responses.residuals(np.array([[pred]]))).sum())
+    posts = np.array([[pred]])  # group 0's; group 1 has no response to pick
+    return float(responses.loglik(h, responses.residuals(posts, posts)).sum())
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -232,15 +241,17 @@ class _SliderResponses:
     group.  The censored ones follow, group by group: ``tail_picks`` locates
     their predictions x, and each one's tail mass is Phi(c h) with c =
     ``tail_shift`` + ``tail_slope`` x (-x below 0, x - 1 above 1);
-    ``tail_group`` is each one's group.  ``inner_runs`` and ``tail_runs``
+    ``tail_group`` is each one's group.  Each of the picks is a pair of
+    positions, in group 0's predictions (``post_a``) and in group 1's
+    (``post_ab``; see :func:`_picked`).  ``inner_runs`` and ``tail_runs``
     hold the start of each nonempty group's run and the groups that have one.
     """
 
-    inner_picks: np.ndarray
+    inner_picks: tuple
     inner: np.ndarray
     n: np.ndarray
     inner_runs: tuple
-    tail_picks: np.ndarray
+    tail_picks: tuple
     tail_shift: np.ndarray
     tail_slope: np.ndarray
     tail_group: np.ndarray
@@ -248,8 +259,8 @@ class _SliderResponses:
 
     @classmethod
     def split(cls, observed: np.ndarray, picks: np.ndarray, first: np.ndarray):
-        """``observed`` responses whose predictions sit at ``picks`` and that
-        belong to group 0 where ``first``."""
+        """``observed`` responses that belong to group 0 where ``first``, and
+        whose predictions sit at ``picks`` in their group's predictions."""
         group = np.where(first, 0, 1)
         high = observed >= 1.0
         tail = (observed <= 0.0) | high
@@ -257,17 +268,17 @@ class _SliderResponses:
         tails = [np.flatnonzero(tail & (group == g)) for g in (0, 1)]
         inner_at, tail_at = np.concatenate(inner), np.concatenate(tails)
         upper = high[tail_at]
-        return cls(picks[inner_at], observed[inner_at],
+        return cls(tuple(picks[at] for at in inner), observed[inner_at],
                    np.array([len(i) for i in inner], dtype=float), _runs(inner),
-                   picks[tail_at], np.where(upper, -1.0, 0.0), np.where(upper, 1.0, -1.0),
-                   group[tail_at], _runs(tails))
+                   tuple(picks[at] for at in tails), np.where(upper, -1.0, 0.0),
+                   np.where(upper, 1.0, -1.0), group[tail_at], _runs(tails))
 
-    def residuals(self, posts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residuals(self, post_a: np.ndarray, post_ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (K, 2) summed squared residuals S of each group's interior
-        responses and the (K, m) tail scales c, from K rows of predictions
-        ``posts``."""
-        residual = self.inner - np.take(posts, self.inner_picks, axis=-1)
-        c = self.tail_shift + self.tail_slope * np.take(posts, self.tail_picks, axis=-1)
+        responses and the (K, m) tail scales c, from K rows of predictions of
+        each group, ``post_a`` and ``post_ab``."""
+        residual = self.inner - _picked((post_a, post_ab), self.inner_picks)
+        c = self.tail_shift + self.tail_slope * _picked((post_a, post_ab), self.tail_picks)
         return _group_sums(residual * residual, self.inner_runs), c
 
     def loglik(self, h: np.ndarray, residuals: tuple) -> np.ndarray:
@@ -279,6 +290,13 @@ class _SliderResponses:
         tails = _special().log_ndtr(c * np.take(h, self.tail_group, axis=-1))
         return (_group_sums(tails, self.tail_runs)
                 + self.n * np.log(h) - 0.5 * s * h * h - self.n * _HALF_LOG_2PI)
+
+
+def _picked(rows: tuple, picks: tuple) -> np.ndarray:
+    """The entries at ``picks[j]`` of each row of ``rows[j]``, concatenated
+    along the last axis in the order of ``rows``: what one pick from the
+    concatenated rows would give, without copying them whole."""
+    return np.concatenate([np.take(row, at, axis=-1) for row, at in zip(rows, picks)], axis=-1)
 
 
 def _runs(groups: list) -> tuple:
@@ -309,15 +327,15 @@ class _PackedData:
     order UTT_A, UTT_AB, WORLD_A, WORLD_AB, so that one table call serves
     every condition.  ``sliders`` holds the slider responses of both
     comprehension conditions, whose predictions it picks from ``post_a``
-    followed by ``post_ab``; ``choices`` holds the position of each produced
-    message in the flattened ``prod_wa`` followed by the flattened
-    ``prod_wab``, and ``labels`` the participant label of each production
-    row.
+    (UTT_A) and ``post_ab`` (UTT_AB); ``choices`` holds the position of each
+    produced message in the flattened ``prod_wa`` (WORLD_A rows) and in the
+    flattened ``prod_wab`` (WORLD_AB rows), a pair for :func:`_picked`, and
+    ``labels`` the participant label of each production row, in that order.
     """
 
     priors: np.ndarray
     sliders: _SliderResponses
-    choices: np.ndarray
+    choices: tuple
     labels: list
 
     @classmethod
@@ -326,23 +344,22 @@ class _PackedData:
         conds = (Condition.UTT_A, Condition.UTT_AB, Condition.WORLD_A, Condition.WORLD_AB)
         rows = {c: [r for r in dataset.rows if r.condition is c] for c in conds}
         priors = np.array([r.raw_prior for c in conds for r in rows[c]])
-        n, start = priors.size, 0
+        start = 0
         responses, picks, first, choices, labels = [], [], [], [], []
         for cond in conds:
             at = np.arange(start, start + len(rows[cond]))
             start += len(rows[cond])
             if cond in (Condition.UTT_A, Condition.UTT_AB):
                 responses.extend(r.response_posterior for r in rows[cond])
-                picks.append(at if cond is Condition.UTT_A else n + at)
+                picks.append(at)
                 first.extend([cond is Condition.UTT_A] * at.size)
             else:
                 messages = [MODEL_MESSAGES.index(r.response_message) for r in rows[cond]]
-                offset = 0 if cond is Condition.WORLD_A else 3 * n
-                choices.append(offset + 3 * at + np.array(messages, dtype=int))
+                choices.append(3 * at + np.array(messages, dtype=int))
                 labels.extend(r.participant_id for r in rows[cond])
         sliders = _SliderResponses.split(np.array(responses, dtype=float), np.concatenate(picks),
                                          np.array(first, dtype=bool))
-        return cls(priors, sliders, np.concatenate(choices), labels)
+        return cls(priors, sliders, tuple(choices), labels)
 
 
 def _packed_loglik(
@@ -352,9 +369,8 @@ def _packed_loglik(
     ``NonfiniteLikelihood``, naming the row, where a production row gets
     probability 0."""
     table = _predict(model, params, packed.priors)
-    posts = np.concatenate((table.post_a, table.post_ab))[None]
-    probs = np.concatenate((table.prod_wa.ravel(), table.prod_wab.ravel()))
-    picked = np.take(probs, packed.choices)[None]
+    picked = _picked((table.prod_wa.reshape(1, -1), table.prod_wab.reshape(1, -1)),
+                     packed.choices)
     zero = picked[0] + noise.epsilon <= 0.0
     if zero.any():
         raise NonfiniteLikelihood(
@@ -362,7 +378,8 @@ def _packed_loglik(
             "probability 0 and epsilon is 0"
         )
     h = np.array([[1.0 / noise.sigma_a, 1.0 / noise.sigma_ab]])
-    total = (packed.sliders.loglik(h, packed.sliders.residuals(posts)).sum()
+    residuals = packed.sliders.residuals(table.post_a[None], table.post_ab[None])
+    total = (packed.sliders.loglik(h, residuals).sum()
              + _production_loglik(picked, np.array([float(noise.epsilon)]))[0])
     return float(total)
 
@@ -399,26 +416,29 @@ def _profiled_logliks(model, params: ModelParams, packed: _PackedData) -> tuple:
     (sigma_a, sigma_ab) and the (K,) error rates.
 
     ``params`` hold floats (K = 1) or (K, 1) columns, and ``model`` is one
-    model, or a tuple of one family's models, one per set (see
-    ``models._predict``); one table call serves them all.  Given the
-    predictions, the log-likelihood splits into three terms, each of one
-    noise parameter (see :func:`_tobit_profile` and
-    :func:`_epsilon_profile`), and each term has one maximum over its box,
-    which a safeguarded Newton solve finds.  Every step of a solve acts on
-    each set's own values, and a set stops at its own convergence, so set k
-    gets the same bits as it would in a K = 1 call."""
+    model, or a tuple of models of any families, one per set (see
+    ``models._predict``); one table call serves them all, and one batched
+    solve of each noise parameter.  Given the predictions, the
+    log-likelihood splits into three terms, each of one noise parameter (see
+    :func:`_tobit_profile` and :func:`_epsilon_profile`), and each term has
+    one maximum over its box, which a safeguarded Newton solve finds.  Every
+    step of a solve acts on each set's own values, and a set stops at its
+    own convergence, so set k gets the same bits as it would in a K = 1
+    call.  The solves read the predictions of the observed rows alone,
+    picked from each field of the table."""
     table = _predict(model, params, packed.priors)
     k = np.size(params.lam)
-    posts = np.concatenate((table.post_a, table.post_ab), axis=-1).reshape(k, -1)
-    probs = np.concatenate((table.prod_wa.reshape(k, -1), table.prod_wab.reshape(k, -1)), axis=-1)
-    tobit, h = _tobit_profile(posts, packed.sliders)
-    production, epsilon = _epsilon_profile(np.take(probs, packed.choices, axis=-1))
+    residuals = packed.sliders.residuals(table.post_a.reshape(k, -1), table.post_ab.reshape(k, -1))
+    tobit, h = _tobit_profile(residuals, packed.sliders)
+    production, epsilon = _epsilon_profile(_picked(
+        (table.prod_wa.reshape(k, -1), table.prod_wab.reshape(k, -1)), packed.choices))
     return tobit + production, 1.0 / h, epsilon
 
 
-def _tobit_profile(posts: np.ndarray, sliders: _SliderResponses) -> tuple:
-    """The slider log-likelihoods of K rows of predictions ``posts``, each
-    group at its best h = 1/sigma, and those (K, 2) h.
+def _tobit_profile(residuals: tuple, sliders: _SliderResponses) -> tuple:
+    """The slider log-likelihoods of K rows of predictions, from their
+    :meth:`_SliderResponses.residuals`, each group at its best h = 1/sigma,
+    and those (K, 2) h.
 
     Each part of a group's term (see :meth:`_SliderResponses.loglik`) is
     concave in h (Olsen 1978), so the term has one maximum on h >=
@@ -426,7 +446,7 @@ def _tobit_profile(posts: np.ndarray, sliders: _SliderResponses) -> tuple:
     sqrt(n / S) (1 where n or S is 0), with each step kept within [h/2, 2h]
     and above 1/``SIGMA_MAX``.  A group without responses has a term of 0
     and keeps h = 1."""
-    s, c = residuals = sliders.residuals(posts)
+    s, c = residuals
     n = sliders.n
     cc = c * c
     log_ndtr = _special().log_ndtr
@@ -847,9 +867,10 @@ def _lockstep(objective, starts, budgets) -> list:
 
 
 def _restarts(models, dataset: Dataset, options: FitOptions, equal_costs: bool) -> list:
-    """The restarts of each of ``models``, a family's (see ``FAMILIES``),
-    searched in one lockstep: for each model, in order, its ``_ParamSpec``,
-    its restarts' results in start order and the packed dataset."""
+    """The restarts of each of ``models``, of any families (see
+    ``FAMILIES``), searched in one lockstep: for each model, in order, its
+    ``_ParamSpec``, its restarts' results in start order and the packed
+    dataset."""
     packed = _PackedData.from_dataset(dataset)
     specs = [_ParamSpec.build(model, equal_costs) for model in models]
     layout, owners, starts, budgets = _ParamSpec.of(_LAYOUT), [], [], []
@@ -858,13 +879,31 @@ def _restarts(models, dataset: Dataset, options: FitOptions, equal_costs: bool) 
         owners += [(model, spec)] * len(points)
         starts.extend(points)
         budgets += [options.maxiter or EVALS_PER_PARAM * len(spec.names)] * len(points)
-    # no call scores more sets than one model's initial simplexes, the
-    # largest step of its fit alone, whose memory bounds the family's
-    size = options.restarts * max(len(spec.names) + 1 for spec in specs)
+    size = _sets_per_call(packed.priors.size)
     results = _lockstep(lambda asked: _objective(asked, owners, layout, packed, size),
                         starts, budgets)
     n = options.restarts
     return [(spec, results[j * n:(j + 1) * n], packed) for j, spec in enumerate(specs)]
+
+
+def _sets_per_call(priors: int) -> int:
+    """The most parameter sets that one scoring call of a lockstep takes:
+    as many as keep sets x ``priors`` within 16 blocks of a long grid
+    (``models.BLOCK``), which bounds a call's table and temporaries however
+    many searches a step holds: 546 sets of 480 priors, whose table takes
+    17 MB.
+
+    Only a lockstep's first steps, the initial simplexes of all its
+    searches, reach it at 32 restarts.  A cap that its later steps reach
+    too costs more than the smaller calls save: glibc's malloc then hands
+    the memory of each full-sized call back to the system and faults it in
+    again on the next, as the largest array it has freed sets its trim
+    threshold.  A 32-restart compare of the nine models on 480 priors, in
+    one task on one CPU, took 0.2-1.0 million page faults and 2.9-3.4 s of
+    CPU with calls of at most 68 sets (2 blocks), against 5-60 thousand and
+    2.4-3.2 s with 546 sets or no cap, and 1-5 thousand for the locksteps
+    of one family each that scored up to 160 sets a call."""
+    return max(1, 16 * BLOCK // max(priors, 1))
 
 
 def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list,
@@ -927,7 +966,7 @@ def fit(
     batched table call and batched noise solves, and each restart walks its
     own simplex down to the tolerances ``XATOL`` and ``FATOL``, so the
     result is that of running them one by one.  This is the one-model case
-    of the lockstep in which :func:`compare` fits a family of models; the
+    of the lockstep in which :func:`compare` fits the models of a task; the
     result is the same bit for bit.  Every parameter of the result that
     lies exactly on a bound of the box, 0 or its upper bound (epsilon 0 or
     1, a sigma at ``SIGMA_MAX``), is named in ``at_bounds``.  Free-parameter
@@ -955,18 +994,22 @@ def compare(
     where only one worker is possible, where this process is a daemon
     (which may not have children), or where the platform cannot fork.  Each
     distinct model is a task, except where the workers are fewer than the
-    distinct models and at most ``GROUPED_WORKERS``.  There each family
+    distinct models and at most ``GROUPED_WORKERS``.  There the families
     (``models.FAMILIES``: the models that share a closed form) of the
-    distinct models is a task, and runs its models' restarts in one
+    distinct models are dealt into one task per worker, so one task on one
+    CPU and two on two, and each task runs its models' restarts in one
     lockstep: each step scores the points of all of them in one batched
-    call, which costs little more than the call of one model.  The families
-    with a model that fits xi go first, as their searches run longest, and
-    the larger of those first.  Each restart still
-    walks its own simplex, and every score in a batch has the bits of a
-    score alone, so every fit is the one that :func:`fit` would give.  A
-    family's lockstep that raises or warns is run again model by model, so
-    each model also gets the outcome and warnings of its own fit.  The
-    warnings are re-issued here in model order.
+    call (or more, past the cap of :func:`_sets_per_call`), with one table
+    and one batched solve of each noise parameter, which, where the steps
+    hold few sets, costs little more than the call of one model.  The
+    families are dealt longest-running first, back and forth (tasks 0, 1,
+    1, 0), to even out the tasks: those with a model that fits xi first, as
+    their searches run longest, and the larger of those first.  Each
+    restart still walks its own simplex, and every score in a batch has the
+    bits of a score alone, so every fit is the one that :func:`fit` would
+    give.  A task's lockstep that raises or warns is run again model by
+    model, so each model also gets the outcome and warnings of its own fit.
+    The warnings are re-issued here in model order.
 
     A fit that fails with a ``ValueError`` becomes an inf-AIC row with a
     ``NoConvergence`` warning.  A missing model parameter is a fault of the
@@ -1006,29 +1049,36 @@ def compare(
         pool.shutdown(cancel_futures=True)  # waits for the running fits; joins the workers
 
 
-# The most workers at which compare fits each family as one task.  A family
-# task is slower than its longest model's fit, so grouping pays only while
-# the workers are too few to run the model tasks side by side.  Timed on one
-# CPU on the six fit-compare datasets of seeds 0 and 9001, and laid out as a
-# pool of w workers takes the tasks, the four family tasks against the nine
-# model tasks take 0.73-0.92x at 2 restarts and 0.95-1.05x at 32 with w = 2,
-# but 0.72-1.06x and 1.03-1.20x with w = 3, and 0.86-2.45x from w = 4 on.
+# The most workers at which compare deals the families into one task per
+# worker.  A task of several families is slower than its longest model's
+# fit, so grouping pays only while the workers are too few to run the model
+# tasks side by side.  Timed on one CPU on the six fit-compare datasets of
+# seeds 0 and 9001, and laid out as a pool of w workers takes the tasks, the
+# w dealt tasks against the nine model tasks take 0.48-0.74x at 2 restarts
+# and 0.90-1.05x at 32 with w = 2, but 0.56-0.80x and 0.93-1.24x with w = 3,
+# and 0.71-0.90x and 1.21-1.56x with w = 4 (the four families, a task each).
 GROUPED_WORKERS = 2
 
 
 def _tasks(distinct: list, workers: int) -> list[tuple]:
     """The tasks of a compare of the ``distinct`` models on ``workers``
     workers: each model alone, or, where the workers are fewer than the
-    models and at most ``GROUPED_WORKERS``, each family of them, the
-    longest-running first."""
+    models and at most ``GROUPED_WORKERS``, the families of them dealt
+    into ``workers`` tasks (or fewer, where there are fewer families),
+    longest-running first and back and forth (tasks 0, 1, 1, 0 on two
+    workers), each task's models family by family."""
     if workers >= len(distinct) or workers > GROUPED_WORKERS:
         return [(model,) for model in distinct]
-    # a family's lockstep lasts about as long as its longest searches, those
-    # of a model with xi (one parameter more), and each step costs more the
-    # more models it scores
-    families = (tuple(m for m in family if m in distinct) for family in FAMILIES)
-    return sorted(filter(None, families), reverse=True,
-                  key=lambda task: (any(m in XI_MODELS for m in task), len(task)))
+    # a family's searches last longest where it has a model with xi (one
+    # parameter more), and each step costs more the more models it scores
+    families = sorted(filter(None, (tuple(m for m in family if m in distinct)
+                                    for family in FAMILIES)),
+                      reverse=True, key=lambda f: (any(m in XI_MODELS for m in f), len(f)))
+    tasks = [()] * min(workers, len(families))
+    for j, family in enumerate(families):
+        lap, seat = divmod(j, len(tasks))
+        tasks[seat if lap % 2 == 0 else -1 - seat] += family
+    return tasks
 
 
 class _RemoteTraceback(Exception):
@@ -1037,7 +1087,7 @@ class _RemoteTraceback(Exception):
 
 
 def _task_rows(dataset, options, equal_costs, models) -> list:
-    """The outcomes of ``models``, a family's, in order (see
+    """The outcomes of ``models``, a task's, in order (see
     :func:`_compare_row`): from one lockstep of all their restarts, or from
     each model's :func:`fit` where there is one model, or where the
     lockstep raised or warned (so each model gets what its own fit gives)."""

@@ -14,9 +14,10 @@ up to the fitting bound (1e3) neither overflow nor underflow destructively.
 reaches the lexical-uncertainty form under any interpretation prior.  One
 private builder, :func:`_predict`, makes the tables of ``predict_table``,
 and the fits and the region scans call it directly: it takes one model or a
-tuple of one family's models, one per parameter set (the models that share
-a form make a family, :data:`FAMILIES`), each set with the bits of its own
-model's table, and it builds every field or one alone.  Each form is pinned
+tuple of models, one per parameter set, each set with the bits of its own
+model's table (each run of sets whose models share a form, a family of
+:data:`FAMILIES`, fills its rows of the table in one batched call of that
+form), and it builds every field or one alone.  Each form is pinned
 against the brute-force references of :mod:`rsa_exh.oracles` (the recursion
 of :func:`rsa_exh.engine.iterate`).  The builder allocates the output
 table once, and each form writes the fields that the table holds straight
@@ -73,6 +74,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,7 +129,8 @@ FIXED_RHO = {
 #: The models of each closed form, largest family first.  The first family
 #: shares the lexical-uncertainty form (:func:`_lu_table`); each form takes
 #: the constants that tell its models apart as (K, 1) columns, so that one
-#: table of K parameter sets may mix them (see :func:`_predict`).
+#: call of the form fills the rows of K parameter sets that mix them (see
+#: :func:`_predict`).
 FAMILIES = (
     (ModelId.BASE_RSA, ModelId.BWRSA, ModelId.FREE_LU, ModelId.EXH_LU),
     (ModelId.SVRSA1, ModelId.SVRSA2),
@@ -830,16 +833,16 @@ def _predict(model, params: ModelParams, p, field: str | None = None) -> Predict
     asked for skips its correction near the prior, and speaker rows are
     formed only for the row asked for.
 
-    ``model`` is one model, or a tuple of one family's models (see
-    :data:`FAMILIES`), one per set of the (K, 1) columns of ``params``:
-    row k is then, bit for bit, the table of ``model[k]`` with the floats of
-    set k, each form taking its per-model constants as (K, 1) columns.
+    ``model`` is one model, or a tuple of models of any families (see
+    :data:`FAMILIES`), one per set of the (K, 1) columns of ``params``: row
+    k is then, bit for bit, the table of ``model[k]`` with the floats of set
+    k.  Each run of consecutive sets of one family fills its rows of the one
+    table, its form taking the run's rows of the caller's columns, which are
+    not validated again, and its per-model constants as (K, 1) columns.
     ``xi`` is read in the sets of ``XI_MODELS`` alone.  A tuple of one model
     only is a call on that model."""
     if field not in (None, *FIELDS):
         raise ValueError(f"field must be None or one of {FIELDS}, got {field!r}")
-    if isinstance(model, tuple) and model.count(model[0]) == len(model):
-        model = model[0]
     if isinstance(model, ModelId):
         require_xi(model, params)
         with_xi = model in XI_MODELS
@@ -849,7 +852,60 @@ def _predict(model, params: ModelParams, p, field: str | None = None) -> Predict
         with_xi = params.xi is not None
     p = np.atleast_1d(np.asarray(p, dtype=float))
     table = _empty_table(p, params, with_xi=with_xi, field=field)
-    return _blocked(lambda out: _table(model, params, out), table)
+    runs = () if isinstance(model, ModelId) else _family_runs(model)
+    if len(runs) < 2:
+        return _blocked(lambda out: _table(runs[0][1] if runs else model, params, out), table)
+    parts = [(run, _Columns.rows_of(params, sets), sets) for sets, run in runs]
+
+    def fill(out: PredictionTable) -> None:
+        for run, columns, sets in parts:
+            _table(run, columns, _sets_of(out, sets))
+
+    return _blocked(fill, table)
+
+
+#: The index in :data:`FAMILIES` of each model's family.
+_FAMILY_OF = {model: j for j, family in enumerate(FAMILIES) for model in family}
+
+
+@functools.lru_cache(maxsize=64)
+def _family_runs(models: tuple) -> tuple:
+    """The runs of consecutive sets of one family in a tuple of one model per
+    parameter set, in order: pairs of the run's slice of the sets and its
+    models, a tuple, or the one model of a run that has no other; kept, as
+    ``_lu_columns`` is, for the tuples that recur as a lockstep steps on."""
+    cuts = [0, *(k for k in range(1, len(models))
+                 if _FAMILY_OF.get(models[k]) != _FAMILY_OF.get(models[k - 1])), len(models)]
+    runs = []
+    for a, b in zip(cuts, cuts[1:]):
+        run = models[a:b]
+        runs.append((slice(a, b), run[0] if run.count(run[0]) == len(run) else run))
+    return tuple(runs)
+
+
+class _Columns(NamedTuple):
+    """The four parameters that the forms read, as :class:`ModelParams`
+    holds them, without its validation: rows of a validated batch's columns
+    (see :meth:`rows_of`)."""
+
+    lam: np.ndarray
+    delta_ab: np.ndarray
+    delta_anb: np.ndarray
+    xi: np.ndarray | None
+
+    @classmethod
+    def rows_of(cls, params: ModelParams, sets: slice) -> "_Columns":
+        """Views of the rows ``sets`` of each (K, 1) column of ``params``;
+        a float or ``None`` is kept as it is."""
+        return cls(*(v[sets] if isinstance(v, np.ndarray) else v
+                     for v in (params.lam, params.delta_ab, params.delta_anb, params.xi)))
+
+
+def _sets_of(table: PredictionTable, sets: slice) -> PredictionTable:
+    """Views of the parameter sets ``sets`` of each array that the batched
+    ``table`` holds."""
+    return PredictionTable(table.p, *(None if a is None else a[sets] for a in (
+        table.post_a, table.post_ab, table.prod_wa, table.prod_wab)))
 
 
 def _is(model, member: ModelId):
@@ -903,7 +959,7 @@ def _lu_columns(models: tuple) -> tuple:
 def _table(model, params: ModelParams, out: PredictionTable) -> None:
     """Write the table of ``model`` over the priors ``out.p`` into ``out``:
     of one model, or of a tuple of one family's models, one per parameter set
-    (see :func:`_predict`)."""
+    (a run of :func:`_predict`)."""
     kind = model[0] if isinstance(model, tuple) else model
     if kind in FAMILIES[0]:
         rho, shift, ends = _lu_constants(model, params.xi)

@@ -410,19 +410,24 @@ TASKINGS = pytest.mark.parametrize("models, cpus", [
 
 
 def test_compare_groups_the_families_on_few_workers_only():
-    # a family task outlasts its longest model's fit: with more workers than
-    # GROUPED_WORKERS, the models run side by side, a task each
+    # up to GROUPED_WORKERS workers, the families are dealt into one task per
+    # worker, the longest-running first (those with a model that fits xi, the
+    # larger first) and back and forth, each task's models family by family;
+    # with more workers, the models run side by side, a task each
     models = list(ModelId)
+    lu, svrsa, li, wrsa = FAMILIES
     singles = [(m,) for m in models]
-    for workers in range(1, fitting.GROUPED_WORKERS + 1):
-        tasks = fitting._tasks(models, workers)
-        assert set(tasks) == set(FAMILIES) and len(tasks) == len(FAMILIES)
-        assert tasks[0] == FAMILIES[0] and tasks[-1] == (ModelId.RSA_LI1, ModelId.RSA_LI2)
+    assert fitting._tasks(models, 1) == [lu + svrsa + wrsa + li]
+    assert fitting._tasks(models, 2) == [lu + li, svrsa + wrsa]
+    assert fitting.GROUPED_WORKERS == 2
     for workers in range(fitting.GROUPED_WORKERS + 1, len(models) + 1):
         assert fitting._tasks(models, workers) == singles
     assert fitting._tasks(models[:2], 2) == singles[:2]
     assert fitting._tasks([ModelId.FREE_LU, ModelId.BASE_RSA, ModelId.WRSA], 2) == [
         (ModelId.WRSA,), (ModelId.BASE_RSA, ModelId.FREE_LU)]
+    # fewer families than workers: fewer tasks
+    assert fitting._tasks([ModelId.EXH_LU, ModelId.BASE_RSA, ModelId.FREE_LU], 2) == [
+        (ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.EXH_LU)]
 
 
 @pytest.fixture
@@ -540,30 +545,40 @@ def test_compare_raises_the_first_fault_in_model_order(monkeypatch, pool_of_two,
 
 
 def test_a_family_that_fails_or_warns_gives_each_model_its_own_fit(monkeypatch, pool_of_two):
-    # a fault or a warning of the family's lockstep cannot be told apart by
-    # model: each model is refitted alone, and gets what its own fit gives
+    # a fault or a warning of a task's lockstep cannot be told apart by
+    # model: each model is refitted alone, and gets what its own fit gives.
+    # Pooled, the LU family is a task of its own; serially, the one task
+    # merges it with WRSA, whose fit is redone too
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
     options = FitOptions(restarts=1, seed=0)
-    restarts = fitting._restarts
+    restarts, locksteps = fitting._restarts, []
 
-    def shaky(family, *args):
-        if ModelId.BWRSA in family:
-            if len(family) > 1:
+    def shaky(task, *args):
+        locksteps.append(task)
+        if ModelId.BWRSA in task:
+            if len(task) > 1:
                 warnings.warn(UserWarning("mixed step"))
             else:
                 raise NonfiniteLikelihood("bwrsa alone")
-        return restarts(family, *args)
+        return restarts(task, *args)
 
     monkeypatch.setattr(fitting, "_restarts", shaky)
     models = [ModelId.BWRSA, ModelId.BASE_RSA, ModelId.WRSA]
+    lu = (ModelId.BASE_RSA, ModelId.BWRSA)
+    assert fitting._tasks(models, 2) == [lu, (ModelId.WRSA,)]
+    assert fitting._tasks(models, 1) == [lu + (ModelId.WRSA,)]
     for run in (compare, functools.partial(_serial_compare, monkeypatch)):
+        locksteps.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = run(models, ds, options=options)
+        ran = list(locksteps)  # a pool's run in its workers
         assert [str(w.message) for w in caught] == ["bwrsa: fit failed: bwrsa alone"]
         assert _bits(results[:2]) == _bits(sorted((fit(m, ds, options) for m in models[1:]),
                                                   key=lambda r: r.aic))
         assert results[2].model is ModelId.BWRSA and results[2].aic == math.inf
+    # the serial compare's locksteps: the merged task, then each model alone
+    assert ran == [lu + (ModelId.WRSA,), *((m,) for m in lu + (ModelId.WRSA,))]
 
 
 @pytest.mark.parametrize("equal_costs", [False, True], ids=["two-costs", "equal-costs"])
@@ -788,7 +803,7 @@ def test_profiled_scores_of_a_batch_are_its_sets_scored_alone():
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
-    for family in FAMILIES:
+    for family in (*FAMILIES, sum(FAMILIES, ())):  # each family, then all of them mixed
         params = _draw_box(np.random.default_rng(5), 12, True)
         models = tuple(family[j % len(family)] for j in range(12))
         batch = fitting._profiled_logliks(models, params, packed)
@@ -858,13 +873,15 @@ def test_nelder_mead_matches_scipy(fn, maxiter, maxfev):
         assert asked[-2:] == [1, 3] and ours.status == 1
 
 
-@pytest.mark.parametrize("family", [f for f in FAMILIES], ids=[f[0].value for f in FAMILIES])
+@pytest.mark.parametrize("family", [*FAMILIES, sum(FAMILIES, ())],
+                         ids=[*(f[0].value for f in FAMILIES), "mixed"])
 @pytest.mark.parametrize("equal_costs", [False, True], ids=["two-costs", "equal-costs"])
 def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
-    # a step of a family's searches, two per model, scores each point as the
-    # point's own model alone does (a float call), also where the step is cut
-    # into calls of two or three sets; lambda decodes to 0 at one point of
-    # each model (far past the clip), which scores inf
+    # a step of a family's searches, or of the searches of all four
+    # families, two per model, scores each point as the point's own model
+    # alone does (a float call), also where the step is cut into calls of
+    # two or three sets; lambda decodes to 0 at one point of each model (far
+    # past the clip), which scores inf
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
@@ -883,6 +900,29 @@ def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
     assert np.isinf(stack).sum() == len(family) and np.isfinite(stack).sum() == 3 * len(family)
     for size in (2, 3):
         assert _objective(asked, owners, layout, packed, size).tobytes() == stack.tobytes()
+
+
+def test_no_scoring_call_of_a_32_restart_compare_passes_the_cap(monkeypatch):
+    # one task fits all nine models, whose first step holds more sets than
+    # the cap: every table call of the lockstep takes at most as many sets
+    # as keep sets x priors within 16 blocks, and the first step fills it
+    ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
+                        NOISE, SMALL_DESIGN, seed=4)
+    priors = _PackedData.from_dataset(ds).priors.size
+    cap = fitting._sets_per_call(priors)
+    assert cap * priors <= 16 * fitting.BLOCK < (cap + 1) * priors
+    predict, calls = fitting._predict, []
+
+    def recording(model, params, p, *args):
+        calls.append((len(model) if isinstance(model, tuple) else 1, np.size(p)))
+        return predict(model, params, p, *args)
+
+    monkeypatch.setattr(fitting, "_predict", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoConvergence)
+        _serial_compare(monkeypatch, list(ModelId), ds, FitOptions(restarts=32, seed=0, maxiter=60))
+    assert {n for _, n in calls} == {priors}
+    assert max(sets for sets, _ in calls) == cap
 
 
 @pytest.mark.parametrize("models, evals_per_param", [

@@ -615,22 +615,36 @@ def _assert_same_tables(table, other, context):
             assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), (name, context)
 
 
-@pytest.mark.parametrize("family", models.FAMILIES, ids=[f[0].value for f in models.FAMILIES])
+#: Every model, family by family: the "family" of batches that mix them all.
+MIXED = sum(models.FAMILIES, ())
+
+
+@pytest.mark.parametrize("family", [*models.FAMILIES, MIXED],
+                         ids=[*(f[0].value for f in models.FAMILIES), "mixed"])
 def test_predict_gives_each_set_of_a_family_its_own_models_bits(family):
-    # a batch whose sets are of one family's models gives each set the bits
-    # of its own model's call with float parameters, in the full table and
-    # in each one-field table, which holds None for the other fields; xi,
-    # read in the sets of XI_MODELS alone, is any value in [0, 1] in the
-    # others.  A tuple of one model gives the bits and shapes of a call on
-    # that model, with columns and with floats
+    # a batch whose sets are of one family's models, or of models of any
+    # families, gives each set the bits of its own model's call with float
+    # parameters, in the full table and in each one-field table, which holds
+    # None for the other fields; xi, read in the sets of XI_MODELS alone, is
+    # any value in [0, 1] in the others.  A tuple of one model gives the bits
+    # and shapes of a call on that model, with columns and with floats
     priors = np.concatenate([[0.0, 1e-12, 1e-9, 0.005], GRID_199, [0.995, 1 - 1e-9, 1.0]])
     rows = _batch_rows()
     rng = np.random.default_rng(11)
-    assignments = [[model] * len(rows) for model in family]
+    assignments = [] if family is MIXED else [[model] * len(rows) for model in family]
     if len(family) > 1:
+        # sets dealt in turn (for MIXED, runs of one family), in one block per
+        # model, and drawn at random
         assignments += [[family[k % len(family)] for k in range(len(rows))],
                         [family[k * len(family) // len(rows)] for k in range(len(rows))],
                         list(rng.choice(np.array(family, dtype=object), len(rows)))]
+    if family is MIXED:
+        # families interleaved set by set, and models without xi from two
+        # families, whose batch has no xi column
+        order = list(ModelId)
+        no_xi = (ModelId.BASE_RSA, ModelId.RSA_LI1, ModelId.RSA_LI2, ModelId.FREE_LU)
+        assignments += [[order[k % len(order)] for k in range(len(rows))],
+                        [no_xi[k % len(no_xi)] for k in range(len(rows))]]
     for assign in assignments:
         columns = [np.array(r, dtype=float)[:, None] for r in zip(*rows)]
         if not any(model in XI_MODELS for model in assign):
@@ -718,6 +732,14 @@ def test_predict_table_does_not_depend_on_where_the_grid_is_cut(model, monkeypat
         for params in _block_params(model):
             _assert_cut_free(lambda p, field: _predict(model, params, p, field), grid,
                              monkeypatch, (None, *FIELDS))
+
+
+def test_a_mixed_batch_does_not_depend_on_where_the_grid_is_cut(monkeypatch):
+    # each run of one family's sets fills its rows of every block
+    mixed = (ModelId.BASE_RSA, ModelId.WRSA, ModelId.SVRSA2, ModelId.SVRSA1, ModelId.RSA_LI1)
+    params = _block_params(ModelId.WRSA)[-1]
+    _assert_cut_free(lambda p, field: _predict(mixed, params, p, field),
+                     np.linspace(0.0, 1.0, 2 * BLOCK + 3), monkeypatch, (None, *FIELDS))
 
 
 def test_lu_predict_does_not_depend_on_where_the_grid_is_cut(monkeypatch):
@@ -844,6 +866,8 @@ def test_predict_requires_xi_where_applicable():
             predict_table(model, ModelParams(lam=1.0), 0.5)
     with pytest.raises(MissingParameter, match="bwrsa"):
         _predict((ModelId.BASE_RSA, ModelId.BWRSA), ModelParams(np.ones((2, 1))), 0.5)
+    with pytest.raises(MissingParameter, match="wrsa"):
+        _predict((ModelId.RSA_LI1, ModelId.WRSA), ModelParams(np.ones((2, 1))), 0.5)
 
 
 def test_base_prediction_shape_example():
