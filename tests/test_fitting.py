@@ -572,7 +572,7 @@ def test_a_family_that_fails_or_warns_gives_each_model_its_own_fit(monkeypatch, 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             results = run(models, ds, options=options)
-        ran = list(locksteps)  # a pool's run in its workers
+        ran = list(locksteps)  # empty for the pool, whose locksteps run in its workers
         assert [str(w.message) for w in caught] == ["bwrsa: fit failed: bwrsa alone"]
         assert _bits(results[:2]) == _bits(sorted((fit(m, ds, options) for m in models[1:]),
                                                   key=lambda r: r.aic))
