@@ -40,10 +40,11 @@ another.  A fit reports its best point's solved noise and the exact joint
 log-likelihood there (:func:`_packed_loglik`, as :func:`dataset_loglik`).
 
 The lockstep runs the restarts of several models together, of any of the
-families (``models.FAMILIES``, the models that share a closed form: base,
-BWRSA, free-LU and exh-LU share the lexical-uncertainty form, SVRSA1 and
-SVRSA2 the supervaluationist one, LI1 and LI2 the lexical-intentions one,
-and WRSA is a family of its own).  At each step every model decodes its own
+families (``models.FAMILIES``, the models that share a closed form, read
+off the one registry ``models._FORMS``: base, BWRSA, free-LU and exh-LU
+share the lexical-uncertainty form, SVRSA1 and SVRSA2 the
+supervaluationist one, LI1 and LI2 the lexical-intentions one, and WRSA is
+a family of its own).  At each step every model decodes its own
 searches' points (:func:`_objective`), and all of them are scored in one
 batched call, cut only where it would pass a cap on sets x priors
 (:func:`_sets_per_call`): in it each run of one family's sets fills its rows
@@ -991,25 +992,27 @@ def compare(
     a pool of worker processes forked from this one, at most one per usable
     CPU and per task, which is shut down and joined before ``compare``
     returns or raises; the tasks run in this process, one after another,
-    where only one worker is possible, where this process is a daemon
-    (which may not have children), or where the platform cannot fork.  Each
-    distinct model is a task, except where the workers are fewer than the
-    distinct models and at most ``GROUPED_WORKERS``.  There the families
-    (``models.FAMILIES``: the models that share a closed form) of the
-    distinct models are dealt into one task per worker, so one task on one
-    CPU and two on two, and each task runs its models' restarts in one
-    lockstep: each step scores the points of all of them in one batched
-    call (or more, past the cap of :func:`_sets_per_call`), with one table
-    and one batched solve of each noise parameter, which, where the steps
-    hold few sets, costs little more than the call of one model.  The
-    families are dealt longest-running first, back and forth (tasks 0, 1,
-    1, 0), to even out the tasks: those with a model that fits xi first, as
-    their searches run longest, and the larger of those first.  Each
-    restart still walks its own simplex, and every score in a batch has the
-    bits of a score alone, so every fit is the one that :func:`fit` would
-    give.  A task's lockstep that raises or warns is run again model by
-    model, so each model also gets the outcome and warnings of its own fit.
-    The warnings are re-issued here in model order.
+    where they are one task (so always where only one worker is possible),
+    where this process is a daemon (which may not have children), or where
+    the platform cannot fork.  Each distinct model is a task, except where
+    the workers are fewer than the distinct models and at most
+    ``GROUPED_WORKERS``.  There the families (``models.FAMILIES``: the
+    models that ``models._FORMS`` gives one closed form) of the distinct
+    models are dealt into one task per worker, or fewer where there are
+    fewer families, so one task on one CPU and up to two on two, and each
+    task runs its models' restarts in one lockstep: each step scores the
+    points of all of them in one batched call (or more, past the cap of
+    :func:`_sets_per_call`), with one table and one batched solve of each
+    noise parameter, which, where the steps hold few sets, costs little
+    more than the call of one model.  The families are dealt
+    longest-running first, back and forth (tasks 0, 1, 1, 0), to even out
+    the tasks: those with a model that fits xi first, as their searches run
+    longest, and the larger of those first.  Each restart still walks its
+    own simplex, and every score in a batch has the bits of a score alone,
+    so every fit is the one that :func:`fit` would give.  A task's lockstep
+    that raises or warns is run again model by model, so each model also
+    gets the outcome and warnings of its own fit.  The warnings are
+    re-issued here in model order.
 
     A fit that fails with a ``ValueError`` becomes an inf-AIC row with a
     ``NoConvergence`` warning.  A missing model parameter is a fault of the
@@ -1030,9 +1033,9 @@ def compare(
     tasks = _tasks(distinct, workers)
     place = {model: (t, j) for t, task in enumerate(tasks) for j, model in enumerate(task)}
     run = functools.partial(_task_rows, dataset, options, equal_costs)
-    if workers == 1:
-        rows = functools.cache(lambda t: run(tasks[t]))
-        return _ranked(models, (rows(t)[j] for t, j in map(place.get, models)))
+    if len(tasks) == 1:
+        rows = run(tasks[0])
+        return _ranked(models, (rows[j] for _, j in map(place.get, models)))
     from concurrent.futures import ProcessPoolExecutor
 
     # fork: the workers inherit the loaded modules, which a fresh interpreter

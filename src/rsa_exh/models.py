@@ -15,9 +15,12 @@ reaches the lexical-uncertainty form under any interpretation prior.  One
 private builder, :func:`_predict`, makes the tables of ``predict_table``,
 and the fits and the region scans call it directly: it takes one model or a
 tuple of models, one per parameter set, each set with the bits of its own
-model's table (each run of sets whose models share a form, a family of
-:data:`FAMILIES`, fills its rows of the table in one batched call of that
-form), and it builds every field or one alone.  Each form is pinned
+model's table, and it builds every field or one alone.  One registry,
+:data:`_FORMS`, says which closed form each model uses and with which
+constants; :data:`FAMILIES`, the models that share a form, is read off it.
+Every call runs the cached plan of its model or tuple (:func:`_plan`): the
+runs of consecutive sets of one form, each of which fills its rows of the
+table in one batched call of that form.  Each form is pinned
 against the brute-force references of :mod:`rsa_exh.oracles` (the recursion
 of :func:`rsa_exh.engine.iterate`).  The builder allocates the output
 table once, and each form writes the fields that the table holds straight
@@ -125,19 +128,6 @@ FIXED_RHO = {
     ModelId.FREE_LU: (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
     ModelId.EXH_LU: (0.5, 0.5, 0.0),
 }
-
-#: The models of each closed form, largest family first.  The first family
-#: shares the lexical-uncertainty form (:func:`_lu_table`); each form takes
-#: the constants that tell its models apart as (K, 1) columns, so that one
-#: call of the form fills the rows of K parameter sets that mix them (see
-#: :func:`_predict`).
-FAMILIES = (
-    (ModelId.BASE_RSA, ModelId.BWRSA, ModelId.FREE_LU, ModelId.EXH_LU),
-    (ModelId.SVRSA1, ModelId.SVRSA2),
-    (ModelId.RSA_LI1, ModelId.RSA_LI2),
-    (ModelId.WRSA,),
-)
-
 
 @dataclass(frozen=True)
 class PredictionTable:
@@ -737,6 +727,24 @@ def _lu_table(params: ModelParams, out: PredictionTable, rho, shift=0.0) -> None
     _two_way_rows(*_s2_scores(params, log_ab, log_a, out), out)
 
 
+def _lu_form(params: ModelParams, out: PredictionTable, lit, exh, anti, shift, ends,
+             wonky) -> None:
+    """The lexical-uncertainty form of a model's constants (see
+    :data:`_FORMS`): :func:`_lu_table` under the weights ``(lit, exh,
+    anti)``, or BWRSA's ``(1 - xi, xi, xi)`` where ``wonky``, then the
+    prior's ends kept where ``ends``.  Each constant is a float or a bool,
+    or a (K, 1) column with one entry per parameter set."""
+    if wonky is True:
+        xi = params.xi
+        lit, exh, anti = 1 - xi, xi, xi
+    elif somewhere(wonky):
+        xi = params.xi
+        lit, exh, anti = np.where(wonky, 1 - xi, lit), np.where(wonky, xi, exh), np.where(wonky, xi, anti)
+    _lu_table(params, out, (lit, exh, anti), shift)
+    if somewhere(ends):
+        _keep_prior_ends(out, ends)
+
+
 def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
     """Lexical-uncertainty predictions over the priors ``p`` under the
     interpretation priors ``rho``, shaped as by :func:`predict_table`.
@@ -836,11 +844,12 @@ def _predict(model, params: ModelParams, p, field: str | None = None) -> Predict
     ``model`` is one model, or a tuple of models of any families (see
     :data:`FAMILIES`), one per set of the (K, 1) columns of ``params``: row
     k is then, bit for bit, the table of ``model[k]`` with the floats of set
-    k.  Each run of consecutive sets of one family fills its rows of the one
+    k.  The call runs the cached plan of ``model`` (see :func:`_plan`).  A
+    plan of one run hands its form the caller's ``params`` and the whole
+    table; in a plan of several runs, each run fills its rows of the one
     table, its form taking the run's rows of the caller's columns, which are
-    not validated again, and its per-model constants as (K, 1) columns.
-    ``xi`` is read in the sets of ``XI_MODELS`` alone.  A tuple of one model
-    only is a call on that model."""
+    not validated again.  ``xi`` is read in the sets of ``XI_MODELS`` alone.
+    A tuple of one model only is a call on that model."""
     if field not in (None, *FIELDS):
         raise ValueError(f"field must be None or one of {FIELDS}, got {field!r}")
     if isinstance(model, ModelId):
@@ -852,34 +861,73 @@ def _predict(model, params: ModelParams, p, field: str | None = None) -> Predict
         with_xi = params.xi is not None
     p = np.atleast_1d(np.asarray(p, dtype=float))
     table = _empty_table(p, params, with_xi=with_xi, field=field)
-    runs = () if isinstance(model, ModelId) else _family_runs(model)
-    if len(runs) < 2:
-        return _blocked(lambda out: _table(runs[0][1] if runs else model, params, out), table)
-    parts = [(run, _Columns.rows_of(params, sets), sets) for sets, run in runs]
+    plan = _plan(model)
+    if len(plan) == 1:
+        _, form, constants = plan[0]
+        return _blocked(lambda out: form(params, out, *constants), table)
+    parts = [(form, constants, _Columns.rows_of(params, sets), sets)
+             for sets, form, constants in plan]
 
     def fill(out: PredictionTable) -> None:
-        for run, columns, sets in parts:
-            _table(run, columns, _sets_of(out, sets))
+        for form, constants, columns, sets in parts:
+            form(columns, _sets_of(out, sets), *constants)
 
     return _blocked(fill, table)
 
 
-#: The index in :data:`FAMILIES` of each model's family.
-_FAMILY_OF = {model: j for j, family in enumerate(FAMILIES) for model in family}
+#: The closed form of each model and the constants that it hands the form,
+#: the one place that says both.  The lexical-uncertainty form
+#: (:func:`_lu_form`) takes the weights (literal, exhaustive,
+#: anti-exhaustive), the shift of the constant scores, whether the posterior
+#: keeps the prior's ends (see :func:`_keep_prior_ends`) and whether the
+#: weights are BWRSA's (1 - xi, xi, xi) rather than the first three; the
+#: supervaluationist form whether the level-2 speaker may address the partial
+#: QUD, and the lexical-intentions form whether it is LI1's.
+_FORMS = {
+    ModelId.BASE_RSA: (_lu_form, (1.0, 0.0, 0.0, 0.0, True, False)),
+    # The likelihoods of "A" mix the usual level-1 speaker (measured prior)
+    # with the wonky one (uniform prior), whose constant scores are lam
+    # (delta - log 2).
+    ModelId.BWRSA: (_lu_form, (1.0, 0.0, 0.0, float(LOG2), True, True)),
+    ModelId.FREE_LU: (_lu_form, (*FIXED_RHO[ModelId.FREE_LU], 0.0, False, False)),
+    ModelId.EXH_LU: (_lu_form, (*FIXED_RHO[ModelId.EXH_LU], 0.0, False, False)),
+    ModelId.SVRSA1: (_svrsa_table, (True,)),
+    ModelId.SVRSA2: (_svrsa_table, (False,)),
+    ModelId.RSA_LI1: (_li_table, (True,)),
+    ModelId.RSA_LI2: (_li_table, (False,)),
+    ModelId.WRSA: (_wrsa_table, ()),
+}
+
+#: The models of each closed form (see :data:`_FORMS`), largest family
+#: first: one call of a form fills the rows of K parameter sets that mix
+#: its models (see :func:`_predict`).
+FAMILIES = tuple(tuple(model for model, (form, _) in _FORMS.items() if form is shared)
+                 for shared in dict.fromkeys(form for form, _ in _FORMS.values()))
 
 
 @functools.lru_cache(maxsize=64)
-def _family_runs(models: tuple) -> tuple:
-    """The runs of consecutive sets of one family in a tuple of one model per
-    parameter set, in order: pairs of the run's slice of the sets and its
-    models, a tuple, or the one model of a run that has no other; kept, as
-    ``_lu_columns`` is, for the tuples that recur as a lockstep steps on."""
-    cuts = [0, *(k for k in range(1, len(models))
-                 if _FAMILY_OF.get(models[k]) != _FAMILY_OF.get(models[k - 1])), len(models)]
+def _plan(model) -> tuple:
+    """The runs of consecutive sets of one form of ``model``, one model or a
+    tuple of one model per parameter set, in order: triples of the run's
+    slice of the sets, its form and the constants that the form takes after
+    the parameters and the table (see :data:`_FORMS`).  A run of one model
+    takes that model's floats and bools; a run that mixes models takes
+    (K, 1) columns of them, read-only, as every call of the tuple shares
+    them.  Kept for the tuples that recur as the searches of a lockstep
+    step on."""
+    if isinstance(model, ModelId):
+        return ((slice(None),) + _FORMS[model],)
+    forms = [_FORMS[m][0] for m in model]
+    cuts = [0, *(k for k in range(1, len(model)) if forms[k] is not forms[k - 1]), len(model)]
     runs = []
     for a, b in zip(cuts, cuts[1:]):
-        run = models[a:b]
-        runs.append((slice(a, b), run[0] if run.count(run[0]) == len(run) else run))
+        run = model[a:b]
+        form, constants = _FORMS[run[0]]
+        if run.count(run[0]) < len(run):
+            constants = tuple(np.array(c)[:, None] for c in zip(*(_FORMS[m][1] for m in run)))
+            for column in constants:
+                column.flags.writeable = False
+        runs.append((slice(a, b), form, constants))
     return tuple(runs)
 
 
@@ -906,71 +954,3 @@ def _sets_of(table: PredictionTable, sets: slice) -> PredictionTable:
     ``table`` holds."""
     return PredictionTable(table.p, *(None if a is None else a[sets] for a in (
         table.post_a, table.post_ab, table.prod_wa, table.prod_wab)))
-
-
-def _is(model, member: ModelId):
-    """Whether ``model`` is ``member``: a bool for one model, a (K, 1) bool
-    column for a tuple of one model per parameter set."""
-    if isinstance(model, ModelId):
-        return model is member
-    return np.array([m is member for m in model])[:, None]
-
-
-#: The constants of each model of the lexical-uncertainty form: its weights
-#: (literal, exhaustive, anti-exhaustive), the shift of its constant scores,
-#: whether its posterior keeps the prior's ends (see :func:`_keep_prior_ends`)
-#: and whether its weights are BWRSA's (1 - xi, xi, xi) rather than these.
-_LU_CONSTANTS = {
-    ModelId.BASE_RSA: (1.0, 0.0, 0.0, 0.0, True, False),
-    # The likelihoods of "A" mix the usual level-1 speaker (measured prior)
-    # with the wonky one (uniform prior), whose constant scores are lam
-    # (delta - log 2).
-    ModelId.BWRSA: (1.0, 0.0, 0.0, float(LOG2), True, True),
-    ModelId.FREE_LU: (*FIXED_RHO[ModelId.FREE_LU], 0.0, False, False),
-    ModelId.EXH_LU: (*FIXED_RHO[ModelId.EXH_LU], 0.0, False, False),
-}
-
-
-def _lu_constants(model, xi):
-    """The weights, shift and prior-end sets of ``_LU_CONSTANTS`` for one
-    model (floats and a bool), or (K, 1) columns of them for a tuple of one
-    model per parameter set; BWRSA's weights from ``xi``."""
-    if isinstance(model, ModelId):
-        lit, exh, anti, shift, ends, wonky = _LU_CONSTANTS[model]
-        return ((1 - xi, xi, xi) if wonky else (lit, exh, anti)), shift, ends
-    lit, exh, anti, shift, ends, wonky = _lu_columns(model)
-    if wonky is not None:
-        lit, exh, anti = np.where(wonky, 1 - xi, lit), np.where(wonky, xi, exh), np.where(wonky, xi, anti)
-    return (lit, exh, anti), shift, ends
-
-
-@functools.lru_cache(maxsize=64)
-def _lu_columns(models: tuple) -> tuple:
-    """The (K, 1) columns of ``_LU_CONSTANTS`` for a tuple of models, the
-    two flags as bools, and the BWRSA one None where no set is BWRSA's;
-    kept for the tuples that recur as the searches of a lockstep step on,
-    and not to be written to."""
-    table = np.array([_LU_CONSTANTS[m] for m in models])
-    lit, exh, anti, shift, ends, wonky = (table[:, j:j + 1] for j in range(6))
-    wonky = wonky == 1.0
-    return lit, exh, anti, shift, ends == 1.0, wonky if somewhere(wonky) else None
-
-
-def _table(model, params: ModelParams, out: PredictionTable) -> None:
-    """Write the table of ``model`` over the priors ``out.p`` into ``out``:
-    of one model, or of a tuple of one family's models, one per parameter set
-    (a run of :func:`_predict`)."""
-    kind = model[0] if isinstance(model, tuple) else model
-    if kind in FAMILIES[0]:
-        rho, shift, ends = _lu_constants(model, params.xi)
-        _lu_table(params, out, rho, shift)
-        if somewhere(ends):
-            _keep_prior_ends(out, ends)
-    elif kind is ModelId.WRSA:
-        _wrsa_table(params, out)
-    elif kind in (ModelId.SVRSA1, ModelId.SVRSA2):
-        _svrsa_table(params, out, _is(model, ModelId.SVRSA1))
-    elif kind in (ModelId.RSA_LI1, ModelId.RSA_LI2):
-        _li_table(params, out, _is(model, ModelId.RSA_LI1))
-    else:
-        raise ValueError(f"unknown model {model!r}")

@@ -625,6 +625,20 @@ def test_pooled_compare_is_the_serial_compare_bit_for_bit(monkeypatch, pool_of_t
     assert [str(w.message) for w in pooled_warnings] == [str(w.message) for w in serial_warnings]
 
 
+def test_a_compare_of_one_task_forks_no_pool(monkeypatch, pool_of_two):
+    # three models of one family on two CPUs are one task, which runs in
+    # this process: a pool of one worker would only add the fork
+    import concurrent.futures
+
+    ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
+    models = [ModelId.BASE_RSA, ModelId.FREE_LU, ModelId.EXH_LU]
+    options = FitOptions(restarts=2, seed=0)
+    assert len(fitting._tasks(models, 2)) == 1
+    serial = _serial_compare(monkeypatch, models, ds, options=options)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _raise(AssertionError("forked")))
+    assert _bits(compare(models, ds, options=options)) == _bits(serial)
+
+
 def test_pooled_compare_issues_the_serial_warnings_in_model_order(monkeypatch, pool_of_two):
     ds = synth_generate(ModelId.BASE_RSA, BASE_PARAMS, NOISE, SMALL_DESIGN, seed=4)
     starved = FitOptions(restarts=2, seed=0, maxiter=20)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -670,22 +671,57 @@ def test_predict_gives_each_set_of_a_family_its_own_models_bits(family):
                     assert getattr(table, name)[k].tobytes() == one, (model, field, name, k)
 
 
-def test_lu_constants_of_a_model_tuple_are_built_once():
-    # a lockstep step's tuple of models recurs from step to step: its (K, 1)
-    # constant columns are built on its first call and reused, with xi read
-    # afresh in BWRSA's sets
-    models._lu_columns.cache_clear()
+def test_the_plan_of_a_model_tuple_is_built_once():
+    # a lockstep step's tuple of models recurs from step to step: its plan,
+    # with the (K, 1) constant columns of its mixed runs, is built on its
+    # first call and reused, and xi is read afresh in BWRSA's sets
+    models._plan.cache_clear()
     family = models.FAMILIES[0]
-    assign = [family[k % len(family)] for k in range(32)]
-    first = models._lu_constants(tuple(assign), np.full((32, 1), 0.3))
-    again = models._lu_constants(tuple(assign), np.full((32, 1), 0.6))
-    info = models._lu_columns.cache_info()
+    assign = tuple(family[k % len(family)] for k in range(32))
+    priors = np.concatenate([[0.0, 1e-12], GRID_199, [1.0]])
+    rng = np.random.default_rng(5)
+    lam, dab, danb = (rng.uniform(0.5, 20.0, (32, 1)), rng.uniform(0, 3, (32, 1)),
+                      rng.uniform(0, 3, (32, 1)))
+    xis = [np.full((32, 1), 0.3), rng.uniform(0, 1, (32, 1))]
+    tables = [_predict(assign, ModelParams(lam, dab, danb, xi), priors) for xi in xis]
+    info = models._plan.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    for k, model in enumerate(assign):
-        for xi, (rho, shift, ends) in ((0.3, first), (0.6, again)):
-            lone_rho, lone_shift, lone_ends = models._lu_constants(model, xi)
-            assert [r[k, 0] for r in rho] == list(lone_rho), (model, xi)
-            assert (shift[k, 0], ends[k, 0]) == (lone_shift, lone_ends), model
+    for xi, table in zip(xis, tables):
+        for k, model in enumerate(assign):
+            params = ModelParams(float(lam[k, 0]), float(dab[k, 0]), float(danb[k, 0]),
+                                 float(xi[k, 0]) if model in XI_MODELS else None)
+            single = predict_table(model, params, priors)
+            for name in FIELDS:
+                assert getattr(table, name)[k].tobytes() == getattr(single, name).tobytes(), (
+                    model, name, k)
+
+
+def test_the_constant_columns_of_a_plan_are_read_only():
+    # every call of a tuple shares its plan's columns: none may be written to
+    plan = models._plan(sum(models.FAMILIES, ()))
+    columns = [(sets, column) for sets, _, constants in plan for column in constants
+               if isinstance(column, np.ndarray)]
+    assert len(columns) == 6 + 1 + 1  # the LU form's six, SVRSA's and LI's flag
+    for sets, column in columns:
+        assert column.shape == (sets.stop - sets.start, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            column[0, 0] = column[1, 0]
+
+
+def test_the_families_partition_the_models_one_form_each():
+    # FAMILIES is read off the registry of forms: every model is in one
+    # family, the models of a family share one form, and no two families do
+    assert models.FAMILIES == (
+        (ModelId.BASE_RSA, ModelId.BWRSA, ModelId.FREE_LU, ModelId.EXH_LU),
+        (ModelId.SVRSA1, ModelId.SVRSA2),
+        (ModelId.RSA_LI1, ModelId.RSA_LI2),
+        (ModelId.WRSA,),
+    )
+    flat = sum(models.FAMILIES, ())
+    assert len(flat) == len(set(flat)) and set(flat) == set(ModelId) == set(models._FORMS)
+    forms = [{models._FORMS[model][0] for model in family} for family in models.FAMILIES]
+    assert all(len(shared) == 1 for shared in forms)
+    assert len(set.union(*forms)) == len(models.FAMILIES)
 
 
 #: (lam, delta_ab, delta_anb, xi): a fitted point, the band-heavy point
@@ -749,21 +785,29 @@ def test_lu_predict_does_not_depend_on_where_the_grid_is_cut(monkeypatch):
                          monkeypatch)
 
 
+def _spy_on_fills(monkeypatch, spy):
+    """Make every table call hand each block's table ``out`` to ``spy(fill,
+    out)`` in place of its own ``fill(out)`` (see ``models._blocked``)."""
+    blocked = models._blocked
+    monkeypatch.setattr(models, "_blocked",
+                        lambda fill, table: blocked(functools.partial(spy, fill), table))
+
+
 def _helpers_take_blocks(monkeypatch, form):
-    """Run ``form(model, params, out)`` on every block of a long grid, on two
-    threads that each take at least one block: the first block of each waits
-    until the other thread has taken one."""
+    """Run ``form(fill, out)`` on every block of a long grid in place of the
+    call's ``fill(out)``, on two threads that each take at least one block:
+    the first block of each waits until the other thread has taken one."""
     monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(models, "BLOCKS_PER_THREAD", 1)
     both, started = threading.Barrier(2, timeout=30), set()
 
-    def fill(model, params, out):
+    def spy(fill, out):
         if threading.get_ident() not in started:
             started.add(threading.get_ident())
             both.wait()
-        form(model, params, out)
+        form(fill, out)
 
-    monkeypatch.setattr(models, "_table", fill)
+    _spy_on_fills(monkeypatch, spy)
 
 
 def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
@@ -772,7 +816,7 @@ def test_an_error_in_a_helper_thread_reaches_the_caller(monkeypatch):
 
     caller = threading.get_ident()
 
-    def form(model, params, out):
+    def form(fill, out):
         if threading.get_ident() != caller:
             raise Fault("raised in a block")
 
@@ -790,15 +834,15 @@ def test_each_block_is_filled_once_under_contention(monkeypatch):
     params = ModelParams(25.0, 2.0, 2.2, 0.5)
     monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
     serial = predict_table(ModelId.BWRSA, params, grid)
-    form, firsts = models._table, []
+    firsts = []
 
-    def fill(model, params, out):
+    def spy(fill, out):
         firsts.append(float(out.p[0]))
-        form(model, params, out)
+        fill(out)
 
     monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(models, "BLOCKS_PER_THREAD", 1)
-    monkeypatch.setattr(models, "_table", fill)
+    _spy_on_fills(monkeypatch, spy)
     before, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -814,7 +858,7 @@ def test_each_block_is_filled_once_under_contention(monkeypatch):
 def test_every_block_runs_under_the_callers_error_state(monkeypatch):
     seen = []
 
-    def form(model, params, out):
+    def form(fill, out):
         seen.append((threading.get_ident(), np.geterr()["divide"]))
 
     _helpers_take_blocks(monkeypatch, form)
