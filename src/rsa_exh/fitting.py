@@ -27,7 +27,11 @@ which keeps the logistic's shape inside the box but reaches each bound at a
 finite t, about +-9.9, and holds it beyond.  Best fits often sit on a bound
 (a cost of 0, a cost or rationality at its cap), and a map that reaches a
 bound only at t = +-inf sends the simplex chasing it; a fit names the
-parameters that land on a bound in ``at_bounds``.
+parameters that land on a bound in ``at_bounds``.  One layout serves every
+model: a point's coordinates are laid out as the four fields of
+``ModelParams`` (``_PARAMS``) through its model's ``_ParamSpec.columns``,
+and decoded there, by the search's scores, a fit's parameters and its
+bound flags alike.
 
 The restarts of a fit run in lockstep.  Each restart's simplex search is a
 coroutine (:func:`_nelder_mead`) that yields the points it needs and is sent
@@ -44,22 +48,21 @@ families (``models.FAMILIES``, the models that share a closed form, read
 off the one registry ``models._FORMS``: base, BWRSA, free-LU and exh-LU
 share the lexical-uncertainty form, SVRSA1 and SVRSA2 the
 supervaluationist one, LI1 and LI2 the lexical-intentions one, and WRSA is
-a family of its own).  At each step every model decodes its own
-searches' points (:func:`_objective`), and all of them are scored in one
-batched call, cut only where it would pass a cap on sets x priors
-(:func:`_sets_per_call`): in it each run of one family's sets fills its rows
-of one table, each set with its own model's constants (see
-``models._predict``), and one batched solve of each noise parameter scores
-them all.  Where steps hold few sets, a step's cost is mostly paid per
-call, not per set: a solve takes 4-5 Newton rounds of 20-40 numpy calls
-whatever the sets.  On the first dataset of fit-compare seed 8301 at 2
+a family of its own).  At each step the points of every model's searches
+are laid out as the four fields and decoded at once (:func:`_objective`),
+and all of them are scored in one batched call, cut only where it would
+pass a cap on sets x priors (:func:`_sets_per_call`): in it each run of one
+family's sets fills its rows of one table, each set with its own model's
+constants (see ``models._predict``), and one batched solve of each noise
+parameter scores them all.  Where steps hold few sets, a step's cost is
+mostly paid per call, not per set: a solve takes 4-5 Newton rounds of 20-40
+numpy calls whatever the sets.  On the first dataset of fit-compare seed 8301 at 2
 restarts, on one CPU, one lockstep of the nine models made 811 scoring
 calls against 1,928 for a lockstep per family (2.9 sets per call), and took
 0.68x the time; at 32 restarts, whose steps hold hundreds of sets, 0.87x.
-Each set's score in a mixed
-batch has the bits of its own model's single call, so every search, and
-every fit, is the one that fitting its model alone gives: :func:`fit` is the
-one-model case of the same lockstep.
+Each set's score in a mixed batch has the bits of its own model's single
+call, so every search, and every fit, is the one that fitting its model
+alone gives: :func:`fit` is the one-model case of the same lockstep.
 
 :func:`compare` fits its models in a pool of worker processes forked for the
 call (at most one per usable CPU and per task), and collects the results,
@@ -92,7 +95,6 @@ import numpy as np
 from .data import Condition, Dataset, MODEL_MESSAGES, N_CANDIDATE_MESSAGES, preprocess
 from .models import (BLOCK, FAMILIES, MissingParameter, ModelId, ModelParams, XI_MODELS,
                      _predict, _usable_cpus)
-from .scenario import everywhere
 
 
 class NonfiniteLikelihood(ValueError):
@@ -105,17 +107,16 @@ class NoConvergence(UserWarning):
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Observation-noise parameters fitted alongside the model parameters:
-    floats, or (K, 1) columns of K parameter sets as in ``ModelParams``."""
+    """Observation-noise parameters fitted alongside the model parameters."""
 
-    sigma_a: float | np.ndarray
-    sigma_ab: float | np.ndarray
-    epsilon: float | np.ndarray
+    sigma_a: float
+    sigma_ab: float
+    epsilon: float
 
     def __post_init__(self) -> None:
-        if not (everywhere(self.sigma_a > 0) and everywhere(self.sigma_ab > 0)):
+        if not (self.sigma_a > 0 and self.sigma_ab > 0):
             raise ValueError("comprehension noise scales must be positive")
-        if not everywhere(self.epsilon >= 0):
+        if not self.epsilon >= 0:
             raise ValueError("production error rate must be nonnegative")
 
 
@@ -191,8 +192,10 @@ def production_loglik(pred, observed, epsilon: float) -> float:
     ``pred`` is the model's distribution over the three candidate messages
     and ``observed`` the produced category (a ``ResponseMessage`` or its
     index).  Smoothing mixes the prediction with a uniform error floor:
-    (S + eps) / (1 + n*eps).
+    (S + eps) / (1 + n*eps).  Raises ValueError unless ``epsilon`` >= 0.
     """
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be nonnegative")
     pred = np.asarray(pred, dtype=float)
     idx = observed if isinstance(observed, (int, np.integer)) else MODEL_MESSAGES.index(observed)
     numer = pred[idx] + epsilon
@@ -209,8 +212,9 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
     Normal noise of scale ``sigma`` around the predicted posterior, censored
     at the slider bounds: responses at exactly 0 or 1 are scored by the
     corresponding normal tail mass, interior responses by the density.
+    Raises ValueError unless ``sigma`` > 0.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
     responses = _SliderResponses.split(np.array([float(observed)]), np.array([0]),
                                        np.array([True]))
@@ -537,12 +541,12 @@ def _epsilon_root(picked: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-#: The search space: name -> (upper bound, start range low, high, whether the
-#: starts are spaced logarithmically).  "delta" is the one cost of a fit with
-#: equal costs.
+#: The search space, one row per field of ``ModelParams`` in its order: name
+#: -> (upper bound, start range low, high, whether the starts are spaced
+#: logarithmically).  The one cost of a fit with equal costs reads
+#: ``delta_ab``'s row.
 _PARAMS = {
     "lambda": (LAM_MAX, 0.2, 30.0, True),
-    "delta": (DELTA_MAX, 0.01, 5.0, True),
     "delta_ab": (DELTA_MAX, 0.01, 5.0, True),
     "delta_anb": (DELTA_MAX, 0.01, 5.0, True),
     "xi": (1.0, 0.05, 0.95, False),
@@ -553,59 +557,56 @@ _PARAMS = {
 NOISE_COLUMNS = ("sigma_a", "sigma_ab", "epsilon")
 
 
-#: Every model's parameters, in the order in which a step of the lockstep
-#: decodes the points of all its searches at once (see :func:`_objective`).
-_LAYOUT = ("lambda", "delta_ab", "delta_anb", "xi")
-
-
 @dataclass(frozen=True)
 class _ParamSpec:
-    """The searched parameters of one fit, in order, with their rows of
-    ``_PARAMS``; the only code that knows the parameter layout.
-    ``columns`` picks the coordinates of a point that hold the parameters of
-    ``_LAYOUT`` (one cost's twice where the costs are equal; any one where
-    the fit has no xi, whose value then goes unread), or is None where the
-    point holds them in that order."""
+    """The searched coordinates of one model's fit and the map from them onto
+    the fields of ``_PARAMS``; the only code that knows the parameter layout.
 
+    ``names`` are the ``_PARAMS`` rows of the searched coordinates, in
+    order, and ``box`` holds those rows as read when the spec was built, one
+    row of it per entry (the upper bounds, the start ranges' low and high
+    ends, and whether the starts are spaced logarithmically); ``highs`` is
+    each field's upper bound.  ``columns`` gives the coordinate that feeds
+    each field: the one cost's twice where the costs are equal, and
+    lambda's for the xi of a model without one, which goes unread."""
+
+    model: ModelId
+    equal_costs: bool
     names: tuple[str, ...]
+    box: np.ndarray
     highs: np.ndarray
-    init_lo: np.ndarray  # initialization ranges, in parameter space
-    init_hi: np.ndarray
-    log_init: np.ndarray  # bool: space the initial grid logarithmically
-    columns: np.ndarray | None
+    columns: np.ndarray
 
     @classmethod
     def build(cls, model: ModelId, equal_costs: bool) -> "_ParamSpec":
-        costs = ("delta",) if equal_costs else ("delta_ab", "delta_anb")
-        extra = ("xi",) if model in XI_MODELS else ()
-        return cls.of(("lambda", *costs, *extra))
+        costs = ("delta_ab",) if equal_costs else ("delta_ab", "delta_anb")
+        names = ("lambda", *costs, *(("xi",) if model in XI_MODELS else ()))
+        columns = (0, 1, len(costs), len(names) - 1 if model in XI_MODELS else 0)
+        box = np.array(list(zip(*(_PARAMS[name] for name in names))))
+        return cls(model, equal_costs, names, box,
+                   np.array([row[0] for row in _PARAMS.values()]), np.array(columns))
 
-    @classmethod
-    def of(cls, names: tuple[str, ...]) -> "_ParamSpec":
-        highs, lo, hi, log = map(np.array, zip(*(_PARAMS[name] for name in names)))
-        alias = {"delta_ab": "delta", "delta_anb": "delta", "xi": "lambda"}
-        columns = [names.index(name if name in names else alias[name]) for name in _LAYOUT]
-        return cls(names, highs, lo, hi, log,
-                   None if names == _LAYOUT else np.array(columns))
+    def decode(self, t: np.ndarray) -> np.ndarray:
+        """The fields' values at a point ``t`` laid out as the fields (see
+        :meth:`values`), or at each row of a (K, 4) stack of such points:
+        ``high * _rounded_clip((1 + 2c) expit(t) - c)`` with c =
+        ``OVERSHOOT``, exactly 0 or ``high`` wherever the stretched logistic
+        passes a bound by ``_CORNER``."""
+        return self.highs * _rounded_clip((1 + 2 * OVERSHOOT) * _special().expit(t) - OVERSHOOT)
 
-    def decode(self, t: np.ndarray) -> dict:
-        """Parameter values at a point ``t``, or (K, 1) columns of them at
-        each row of a (K, d) stack of points: ``high * _rounded_clip((1 +
-        2c) expit(t) - c)`` with c = ``OVERSHOOT``, exactly 0 or ``high``
-        wherever the stretched logistic passes a bound by ``_CORNER``."""
-        values = self.highs * _rounded_clip((1 + 2 * OVERSHOOT) * _special().expit(t) - OVERSHOOT)
-        if values.ndim == 2:
-            values = np.ascontiguousarray(values.T)[:, :, None]
-        return dict(zip(self.names, values))
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """The fields' values (see :meth:`decode`) at a point ``t`` of the
+        searched coordinates, or at each row of a (K, d) stack of points."""
+        return self.decode(t[..., self.columns])
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        """The points of parameter values, element by element: the inverse
-        of :meth:`decode` inside the box.  A value on or beyond a bound is
-        encoded halfway into the flat stretch past the corner, where
-        :meth:`decode` has reached that bound: at the corner's end the two
-        maps are inverse only to a few ulps of c, which could decode beside
-        the bound."""
-        ratio = np.clip(values / self.highs, 0.0, 1.0)
+        """The points of the searched coordinates' values, element by
+        element: the inverse of :meth:`decode` inside the box.  A value on
+        or beyond a bound is encoded halfway into the flat stretch past the
+        corner, where :meth:`decode` has reached that bound: at the corner's
+        end the two maps are inverse only to a few ulps of c, which could
+        decode beside the bound."""
+        ratio = np.clip(values / self.box[0], 0.0, 1.0)
         lower = 2 * np.sqrt(_CORNER * ratio) - _CORNER
         upper = 1 + _CORNER - 2 * np.sqrt(_CORNER * (1 - ratio))
         r = np.where(ratio < _CORNER, lower, np.where(ratio > 1 - _CORNER, upper, ratio))
@@ -613,29 +614,20 @@ class _ParamSpec:
         return _special().logit((r + OVERSHOOT) / (1 + 2 * OVERSHOOT))
 
     def params(self, t: np.ndarray) -> ModelParams:
-        """Model parameters at a point ``t`` (floats) or at each row of a
-        (K, d) stack of points ((K, 1) columns); raises ValueError where an
-        entry is out of range."""
-        return self.assemble(self.decode(t))
-
-    @staticmethod
-    def assemble(values: dict) -> ModelParams:
-        """Model parameters from the values of :meth:`decode`, floats or
-        (K, 1) columns; raises ValueError as :meth:`params` does."""
-        if "delta" in values:
-            values["delta_ab"] = values["delta_anb"] = values["delta"]
-        return ModelParams(lam=values["lambda"], delta_ab=values["delta_ab"],
-                           delta_anb=values["delta_anb"], xi=values.get("xi"))
+        """Model parameters at a point ``t`` (floats; xi None for a model
+        without it); raises ValueError where an entry is out of range."""
+        lam, delta_ab, delta_anb, xi = self.values(t)
+        return ModelParams(lam, delta_ab, delta_anb, xi if self.model in XI_MODELS else None)
 
     def at_bounds(self, t: np.ndarray) -> tuple[str, ...]:
-        """The parameters whose value at a point ``t`` is exactly 0 or their
+        """The fields whose value at a point ``t`` is exactly 0 or their
         upper bound, by their ``FIT_COLUMNS`` names: the one cost of an
-        equal-cost fit as both ``delta_ab`` and ``delta_anb``."""
-        values = self.decode(t)
-        hits = [name for name, high in zip(self.names, self.highs)
-                if values[name] == 0.0 or values[name] == high]
-        return tuple(column for name in hits
-                     for column in (("delta_ab", "delta_anb") if name == "delta" else (name,)))
+        equal-cost fit as both ``delta_ab`` and ``delta_anb``, and xi only
+        for a model that has it."""
+        # xi is the last field; a model without it leaves its value unread
+        names = tuple(_PARAMS)[:None if self.model in XI_MODELS else -1]
+        return tuple(name for name, value, high in zip(names, self.values(t), self.highs)
+                     if value == 0.0 or value == high)
 
     def initial_points(self, n: int, seed: int) -> np.ndarray:
         """``n`` starts: a Latin hypercube over the start ranges, drawn with
@@ -644,11 +636,10 @@ class _ParamSpec:
         noise as well, whatever the noise is searched or solved."""
         d = len(self.names)
         cube = _latin_hypercube(n, d + len(NOISE_COLUMNS), seed)[:, :d]
-        span_lin = self.init_lo + cube * (self.init_hi - self.init_lo)
-        span_log = np.exp(
-            np.log(self.init_lo) + cube * (np.log(self.init_hi) - np.log(self.init_lo))
-        )
-        return self.encode(np.where(self.log_init, span_log, span_lin))
+        _, init_lo, init_hi, log_init = self.box
+        span_lin = init_lo + cube * (init_hi - init_lo)
+        span_log = np.exp(np.log(init_lo) + cube * (np.log(init_hi) - np.log(init_lo)))
+        return self.encode(np.where(log_init == 1.0, span_log, span_lin))
 
 
 def _rounded_clip(r: np.ndarray) -> np.ndarray:
@@ -682,43 +673,44 @@ def _latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return (perms.T - samples) / n
 
 
-def _objective(asked: list, owners: list, layout: _ParamSpec, packed: _PackedData,
-               size: int) -> np.ndarray:
+def _objective(asked: list, owners: list, packed: _PackedData, size: int) -> np.ndarray:
     """Negated log-likelihoods at the points that searches ask for, in the
     order of ``asked``: pairs of a search's index i and the (m, d) stack of
-    points it asks for, in the coordinates of ``owners[i]``, a (model,
-    ``_ParamSpec``) pair.  inf where lambda decodes to 0.
+    points it asks for, in the coordinates of ``owners[i]``, a
+    ``_ParamSpec``.  inf where lambda decodes to 0.
 
-    The points are decoded at once, in the parameters of ``_LAYOUT``
-    (``layout``), and the live ones scored together, in batched calls of at
-    most ``size`` sets, each call on the tuple of its sets' models (see
-    ``models._predict``), each set at its own best noise (see
-    :func:`_profiled_logliks`).  A lone set is scored with float parameters,
-    which gives the same bits as a batch of one at less cost."""
-    runs: list = []  # the (model, spec) and stacks of consecutive searches of one model
+    Each spec's ``columns`` lay its points out as the fields of
+    ``_PARAMS``, which are decoded at once, and the live ones scored
+    together, in batched calls of at most ``size`` sets, each call on the
+    tuple of its sets' models (see ``models._predict``), each set at its own
+    best noise (see :func:`_profiled_logliks`).  A lone set is scored with
+    float parameters, which gives the same bits as a batch of one at less
+    cost."""
+    runs: list = []  # the spec and stacks of consecutive searches of one model
     for i, points in asked:
         if runs and runs[-1][0] is owners[i]:
             runs[-1][1].append(points)
         else:
             runs.append((owners[i], [points]))
     parts, models = [], []
-    for (model, spec), stacks in runs:
+    for spec, stacks in runs:
         points = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
-        parts.append(points if spec.columns is None else points[:, spec.columns])
-        models += [model] * len(points)
-    values = layout.decode(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        parts.append(points[:, spec.columns])
+        models += [spec.model] * len(points)
+    # every spec holds the same fields' bounds
+    values = runs[0][0].decode(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    fields = np.ascontiguousarray(values.T)[:, :, None]
     # the value that ModelParams rejects at 0; the others may be 0
-    live = np.flatnonzero(values["lambda"] > 0)
+    live = np.flatnonzero(values[:, 0] > 0)
     scores = np.full(len(models), np.inf)
     for start in range(0, live.size, size):
         sets = live[start:start + size]
         if sets.size == 1:
-            chunk = {name: v[sets[0], 0] for name, v in values.items()}
+            chunk = fields[:, sets[0], 0]
         else:
-            chunk = values if sets.size == len(models) else {
-                name: v[sets] for name, v in values.items()}
+            chunk = fields if sets.size == len(models) else fields[:, sets]
         of = models if sets.size == len(models) else [models[k] for k in sets.tolist()]
-        scores[sets] = -_profiled_logliks(tuple(of), _ParamSpec.assemble(chunk), packed)[0]
+        scores[sets] = -_profiled_logliks(tuple(of), ModelParams(*chunk), packed)[0]
     return scores
 
 
@@ -874,14 +866,14 @@ def _restarts(models, dataset: Dataset, options: FitOptions, equal_costs: bool) 
     dataset."""
     packed = _PackedData.from_dataset(dataset)
     specs = [_ParamSpec.build(model, equal_costs) for model in models]
-    layout, owners, starts, budgets = _ParamSpec.of(_LAYOUT), [], [], []
-    for model, spec in zip(models, specs):
+    owners, starts, budgets = [], [], []
+    for spec in specs:
         points = spec.initial_points(options.restarts, options.seed)
-        owners += [(model, spec)] * len(points)
+        owners += [spec] * len(points)
         starts.extend(points)
         budgets += [options.maxiter or EVALS_PER_PARAM * len(spec.names)] * len(points)
     size = _sets_per_call(packed.priors.size)
-    results = _lockstep(lambda asked: _objective(asked, owners, layout, packed, size),
+    results = _lockstep(lambda asked: _objective(asked, owners, packed, size),
                         starts, budgets)
     n = options.restarts
     return [(spec, results[j * n:(j + 1) * n], packed) for j, spec in enumerate(specs)]
@@ -907,11 +899,12 @@ def _sets_per_call(priors: int) -> int:
     return max(1, 16 * BLOCK // max(priors, 1))
 
 
-def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list,
-              packed: _PackedData) -> FitResult:
-    """The fit of ``model`` from its restarts' results: the best restart, the
-    first of equals, with its best noise, and the log-likelihood there.
-    Warns ``NoConvergence`` where no restart met the tolerances."""
+def _best_fit(spec: _ParamSpec, results: list, packed: _PackedData) -> FitResult:
+    """The fit of ``spec``'s model from its restarts' results: the best
+    restart, the first of equals, with its best noise, and the
+    log-likelihood there.  Warns ``NoConvergence`` where no restart met the
+    tolerances."""
+    model = spec.model
     best = min(results, key=lambda res: res.fun)
     if not any(res.success for res in results):
         warnings.warn(
@@ -933,7 +926,7 @@ def _best_fit(model: ModelId, equal_costs: bool, spec: _ParamSpec, results: list
         converged=bool(best.success and np.isfinite(loglik)),
         at_bounds=spec.at_bounds(best.x) + tuple(
             name for name, hit in zip(NOISE_COLUMNS, noise_hits) if hit),
-        equal_costs=equal_costs,
+        equal_costs=spec.equal_costs,
     )
 
 
@@ -950,9 +943,10 @@ def fit(
     costs, and the extra prior xi where the model has one, mapped to an
     unconstrained space by clipped-logit transforms onto the box below
     ``LAM_MAX``, ``DELTA_MAX`` and 1 (see ``OVERSHOOT``), which reach each
-    bound at a finite point.  Each point is scored at its best sigma_a,
-    sigma_ab in (0, ``SIGMA_MAX``] and epsilon in [0, 1], solved exactly
-    (see the module docstring).  A restart's budget is ``EVALS_PER_PARAM``
+    bound at a finite point; ``_ParamSpec`` lays each point out as the four
+    fields of ``ModelParams`` and decodes it there.  Each point is scored at
+    its best sigma_a, sigma_ab in (0, ``SIGMA_MAX``] and epsilon in [0, 1],
+    solved exactly (see the module docstring).  A restart's budget is ``EVALS_PER_PARAM``
     evaluations per searched coordinate.  The starts are a Latin hypercube
     over sensible ranges, drawn with a column for each noise parameter as
     well, whose draws are dropped: so each restart starts where a search
@@ -976,7 +970,7 @@ def fit(
     """
     ((spec, results, packed),) = _restarts((model,), dataset, options or FitOptions(),
                                            equal_costs)
-    return _best_fit(model, equal_costs, spec, results, packed)
+    return _best_fit(spec, results, packed)
 
 
 def compare(
@@ -1101,8 +1095,7 @@ def _task_rows(dataset, options, equal_costs, models) -> list:
             except Exception:  # refitted model by model below
                 runs = None
         if runs is not None and not caught:
-            return [_compare_row(model, equal_costs,
-                                 functools.partial(_best_fit, model, equal_costs, *run))
+            return [_compare_row(model, equal_costs, functools.partial(_best_fit, *run))
                     for model, run in zip(models, runs)]
     return [_compare_row(model, equal_costs,
                          functools.partial(fit, model, dataset, options, equal_costs))

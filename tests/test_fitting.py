@@ -69,6 +69,13 @@ def test_production_loglik_nonfinite():
         production_loglik([0.0, 1.0, 0.0], ResponseMessage.A, 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [-0.2, math.nan])
+def test_production_loglik_requires_nonnegative_epsilon(epsilon):
+    # as NoiseParams does: a negative rate scored [.6, .3, .1] above 0, NaN as NaN
+    with pytest.raises(ValueError, match="nonnegative"):
+        production_loglik([0.6, 0.3, 0.1], ResponseMessage.A, epsilon)
+
+
 def test_smoothed_probs_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -89,9 +96,10 @@ def test_comprehension_loglik_interior_density():
     assert value == pytest.approx(math.log(1 / (0.33 * math.sqrt(2 * math.pi))), abs=1e-12)
 
 
-def test_comprehension_loglik_requires_positive_sigma():
+@pytest.mark.parametrize("sigma", [0.0, -0.2, math.nan])
+def test_comprehension_loglik_requires_positive_sigma(sigma):
     with pytest.raises(ValueError):
-        comprehension_loglik(0.5, 0.5, 0.0)
+        comprehension_loglik(0.5, 0.5, sigma)
 
 
 def test_tobit_density_integrates_to_one_spot():
@@ -267,22 +275,22 @@ def test_initial_points_match_scipy_latin_hypercube(model, equal_costs):
     qmc = pytest.importorskip("scipy.stats.qmc")
     spec = _ParamSpec.build(model, equal_costs)
     d = len(spec.names)
+    _, init_lo, init_hi, log_init = map(np.array, zip(*(fitting._PARAMS[n] for n in spec.names)))
+    fields = [list(fitting._PARAMS).index(name) for name in spec.names]
     for n in (1, 2, 10, 32):
         for seed in range(10):
             cube = qmc.LatinHypercube(d=d + 3, seed=seed).random(n)[:, :d]
-            span_lin = spec.init_lo + cube * (spec.init_hi - spec.init_lo)
-            span_log = np.exp(
-                np.log(spec.init_lo) + cube * (np.log(spec.init_hi) - np.log(spec.init_lo))
-            )
+            span_lin = init_lo + cube * (init_hi - init_lo)
+            span_log = np.exp(np.log(init_lo) + cube * (np.log(init_hi) - np.log(init_lo)))
             expected = np.apply_along_axis(
-                spec.encode, 1, np.where(spec.log_init, span_log, span_lin)
+                spec.encode, 1, np.where(log_init, span_log, span_lin)
             )
             np.testing.assert_array_equal(spec.initial_points(n, seed), expected)
             # the starts decode back into their ranges (to rounding)
-            values = spec.decode(spec.initial_points(n, seed))
-            for name, lo, hi in zip(spec.names, spec.init_lo, spec.init_hi):
-                assert np.all((values[name] >= lo * (1 - 1e-12))
-                              & (values[name] <= hi * (1 + 1e-12))), name
+            values = spec.values(spec.initial_points(n, seed))
+            for name, field, lo, hi in zip(spec.names, fields, init_lo, init_hi):
+                assert np.all((values[:, field] >= lo * (1 - 1e-12))
+                              & (values[:, field] <= hi * (1 + 1e-12))), name
 
 
 @pytest.mark.parametrize("model", [ModelId.BASE_RSA, ModelId.WRSA])
@@ -290,18 +298,20 @@ def test_initial_points_match_scipy_latin_hypercube(model, equal_costs):
 def test_clipped_logit_reaches_the_bounds_and_inverts_inside_the_box(model, equal_costs):
     spec = _ParamSpec.build(model, equal_costs)
     d = len(spec.names)
+    highs = np.array([fitting._PARAMS[name][0] for name in spec.names])
+    fields = [list(fitting._PARAMS).index(name) for name in spec.names]
 
-    def decoded(t):
-        return np.array(list(spec.decode(t).values()))
+    def decoded(t):  # the value of each searched coordinate
+        return spec.values(t)[fields]
 
     for t in (-800.0, -40.0, 0.0, 40.0, 800.0):
         values = decoded(np.full(d, t))
-        assert np.all((values >= 0.0) & (values <= spec.highs))
+        assert np.all((values >= 0.0) & (values <= highs))
     assert decoded(spec.encode(np.zeros(d))).tolist() == [0.0] * d
-    assert decoded(spec.encode(spec.highs)).tolist() == spec.highs.tolist()
+    assert decoded(spec.encode(highs)).tolist() == highs.tolist()
     ratios = np.concatenate([np.geomspace(1e-6, 0.5, 40), 1.0 - np.geomspace(1e-6, 0.5, 40)])
     for ratio in ratios:
-        inside = ratio * spec.highs
+        inside = ratio * highs
         np.testing.assert_allclose(decoded(spec.encode(inside)), inside, rtol=1e-12, atol=0)
     for t in np.linspace(-9.2, 9.2, 37):
         np.testing.assert_allclose(spec.encode(decoded(np.full(d, t))), t, rtol=1e-12, atol=1e-12)
@@ -313,6 +323,20 @@ def test_at_bounds_names_the_columns_on_either_bound():
     assert spec.at_bounds(t) == ("delta_ab", "delta_anb", "xi")
     t[0] = 40.0
     assert spec.at_bounds(t) == ("lambda", "delta_ab", "delta_anb", "xi")
+
+
+@pytest.mark.parametrize("model", [m for m in ModelId if m not in XI_MODELS])
+@pytest.mark.parametrize("equal_costs", [False, True], ids=["two-costs", "equal-costs"])
+def test_a_model_without_xi_never_names_or_carries_it(model, equal_costs):
+    # xi's field is fed by lambda's coordinate, through xi's own bound, and
+    # goes unread: lambda past either corner puts it on a bound, too
+    spec = _ParamSpec.build(model, equal_costs)
+    t = spec.encode(np.array([fitting._PARAMS[name][1] for name in spec.names]))
+    for corner in (-40.0, 40.0):
+        t[0] = corner
+        assert spec.values(t)[3] in (0.0, 1.0)
+        assert spec.at_bounds(t) == ("lambda",)
+    assert spec.params(t).xi is None
 
 
 def test_aic_identity_arithmetic():
@@ -899,21 +923,20 @@ def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
-    layout = _ParamSpec.of(fitting._LAYOUT)
     owners, asked = [], []
     for model in family:
         spec = _ParamSpec.build(model, equal_costs)
         points = spec.initial_points(4, 3)
         points[1, 0] = -800.0
-        owners += [(model, spec)] * 2
+        owners += [spec] * 2
         asked += [(len(owners) - 2, points[:3]), (len(owners) - 1, points[3:])]
-    one_by_one = [_objective([(i, t[None])], owners, layout, packed, 1)[0]
+    one_by_one = [_objective([(i, t[None])], owners, packed, 1)[0]
                   for i, points in asked for t in points]
-    stack = _objective(asked, owners, layout, packed, 4 * len(family))
+    stack = _objective(asked, owners, packed, 4 * len(family))
     assert stack.tobytes() == np.array(one_by_one).tobytes()
     assert np.isinf(stack).sum() == len(family) and np.isfinite(stack).sum() == 3 * len(family)
     for size in (2, 3):
-        assert _objective(asked, owners, layout, packed, size).tobytes() == stack.tobytes()
+        assert _objective(asked, owners, packed, size).tobytes() == stack.tobytes()
 
 
 def test_no_scoring_call_of_a_32_restart_compare_passes_the_cap(monkeypatch):
@@ -974,7 +997,7 @@ def test_lockstep_restarts_match_sequential_scipy_searches(monkeypatch, models, 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoConvergence)
             result = fit(model, ds, options=options)
-        assert result.params.lam == spec.decode(best.x)["lambda"]
+        assert result.params.lam == spec.values(best.x)[0]
         _, (sigma,), (epsilon,) = fitting._profiled_logliks(model, result.params, packed)
         assert (result.noise.sigma_a, result.noise.sigma_ab) == tuple(sigma)
         assert result.noise.epsilon == epsilon
