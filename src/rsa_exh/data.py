@@ -261,7 +261,14 @@ def preprocess(dataset: Dataset) -> Dataset:
 
 
 def write_dataset(dataset: Dataset) -> str:
-    """Serialize to the native CSV layout (UTF-8, comma, header row)."""
+    """Serialize to the native CSV layout (UTF-8, comma, header row).
+
+    Raises ValueError for a preprocessed dataset: its priors are compressed,
+    and the layout has no column to say so, so a file read back would be
+    compressed a second time."""
+    if dataset.preprocessed:
+        raise ValueError("cannot write a preprocessed dataset: the raw prior column "
+                         "would hold compressed priors; write the dataset before preprocess")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(COLUMNS)

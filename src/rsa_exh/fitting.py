@@ -88,7 +88,7 @@ import functools
 import math
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -152,7 +152,8 @@ class FitOptions:
     All ``restarts`` run together, in lockstep (see the module docstring);
     ``maxiter`` (default ``EVALS_PER_PARAM`` per searched coordinate: the
     model parameters, as the noise is solved at each point) caps both the
-    iterations and the evaluations of each restart.  Both must be >= 1.
+    iterations and the evaluations of each restart.  Both must be >= 1,
+    and ``seed`` >= 0.
     """
 
     restarts: int = 32
@@ -164,6 +165,8 @@ class FitOptions:
             raise ValueError("restarts must be at least 1")
         if self.maxiter is not None and self.maxiter < 1:
             raise ValueError("maxiter must be at least 1")
+        if not self.seed >= 0:
+            raise ValueError("seed must be at least 0")
 
 
 @dataclass(frozen=True)
@@ -179,13 +182,6 @@ class FitResult:
     equal_costs: bool = False
 
 
-#: Exact column set of serialized fit results.
-FIT_COLUMNS = (
-    "model", "lambda", "delta_ab", "delta_anb", "xi",
-    "sigma_a", "sigma_ab", "epsilon", "loglik", "n_params", "aic", "converged",
-)
-
-
 def production_loglik(pred, observed, epsilon: float) -> float:
     """Log-likelihood of one production category under error smoothing.
 
@@ -196,14 +192,13 @@ def production_loglik(pred, observed, epsilon: float) -> float:
     """
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
-    pred = np.asarray(pred, dtype=float)
     idx = observed if isinstance(observed, (int, np.integer)) else MODEL_MESSAGES.index(observed)
-    numer = pred[idx] + epsilon
-    if numer <= 0.0:
+    picked = np.asarray(pred, dtype=float)[idx].reshape(1, 1)
+    if picked[0, 0] + epsilon <= 0.0:
         raise NonfiniteLikelihood(
             "observed message has probability 0 and epsilon is 0"
         )
-    return float(np.log(numer) - np.log1p(N_CANDIDATE_MESSAGES * epsilon))
+    return float(_production_loglik(picked, np.array([epsilon], dtype=float))[0])
 
 
 def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
@@ -373,9 +368,7 @@ def _packed_loglik(
     """Joint log-likelihood of one parameter set (float fields).  Raises
     ``NonfiniteLikelihood``, naming the row, where a production row gets
     probability 0."""
-    table = _predict(model, params, packed.priors)
-    picked = _picked((table.prod_wa.reshape(1, -1), table.prod_wab.reshape(1, -1)),
-                     packed.choices)
+    residuals, picked = _observed(model, params, packed)
     zero = picked[0] + noise.epsilon <= 0.0
     if zero.any():
         raise NonfiniteLikelihood(
@@ -383,10 +376,21 @@ def _packed_loglik(
             "probability 0 and epsilon is 0"
         )
     h = np.array([[1.0 / noise.sigma_a, 1.0 / noise.sigma_ab]])
-    residuals = packed.sliders.residuals(table.post_a[None], table.post_ab[None])
     total = (packed.sliders.loglik(h, residuals).sum()
              + _production_loglik(picked, np.array([float(noise.epsilon)]))[0])
     return float(total)
+
+
+def _observed(model, params: ModelParams, packed: _PackedData) -> tuple:
+    """The predictions of the observed rows alone, from one table call on K
+    parameter sets (see :func:`_profiled_logliks`): the sliders'
+    :meth:`_SliderResponses.residuals` and the (K, n) probabilities of the
+    n produced messages, each picked from its field of the table."""
+    table = _predict(model, params, packed.priors)
+    k = np.size(params.lam)
+    residuals = packed.sliders.residuals(table.post_a.reshape(k, -1), table.post_ab.reshape(k, -1))
+    picked = _picked((table.prod_wa.reshape(k, -1), table.prod_wab.reshape(k, -1)), packed.choices)
+    return residuals, picked
 
 
 def dataset_loglik(
@@ -429,14 +433,11 @@ def _profiled_logliks(model, params: ModelParams, packed: _PackedData) -> tuple:
     one maximum over its box, which a safeguarded Newton solve finds.  Every
     step of a solve acts on each set's own values, and a set stops at its
     own convergence, so set k gets the same bits as it would in a K = 1
-    call.  The solves read the predictions of the observed rows alone,
-    picked from each field of the table."""
-    table = _predict(model, params, packed.priors)
-    k = np.size(params.lam)
-    residuals = packed.sliders.residuals(table.post_a.reshape(k, -1), table.post_ab.reshape(k, -1))
+    call.  The solves read the predictions of the observed rows alone
+    (:func:`_observed`)."""
+    residuals, picked = _observed(model, params, packed)
     tobit, h = _tobit_profile(residuals, packed.sliders)
-    production, epsilon = _epsilon_profile(_picked(
-        (table.prod_wa.reshape(k, -1), table.prod_wab.reshape(k, -1)), packed.choices))
+    production, epsilon = _epsilon_profile(picked)
     return tobit + production, 1.0 / h, epsilon
 
 
@@ -501,7 +502,7 @@ def _epsilon_profile(picked: np.ndarray) -> tuple:
         rising = ((picked.min(axis=-1) < floor)
                   | ((1.0 / np.maximum(picked, floor)).sum(axis=-1) > 3 * n))
         if rising.any():
-            epsilon[rising] = _epsilon_root(picked[rising] if not rising.all() else picked)
+            epsilon[rising] = _epsilon_root(picked[rising])
     return _production_loglik(picked, epsilon), epsilon
 
 
@@ -555,6 +556,10 @@ _PARAMS = {
 #: The noise parameters, solved at each point rather than searched.  The
 #: starts still draw a column for each (see ``_ParamSpec.initial_points``).
 NOISE_COLUMNS = ("sigma_a", "sigma_ab", "epsilon")
+
+#: Exact column set of serialized fit results: the model parameters and the
+#: noise in the order of their fields.
+FIT_COLUMNS = ("model", *_PARAMS, *NOISE_COLUMNS, "loglik", "n_params", "aic", "converged")
 
 
 @dataclass(frozen=True)
@@ -682,10 +687,9 @@ def _objective(asked: list, owners: list, packed: _PackedData, size: int) -> np.
     Each spec's ``columns`` lay its points out as the fields of
     ``_PARAMS``, which are decoded at once, and the live ones scored
     together, in batched calls of at most ``size`` sets, each call on the
-    tuple of its sets' models (see ``models._predict``), each set at its own
-    best noise (see :func:`_profiled_logliks`).  A lone set is scored with
-    float parameters, which gives the same bits as a batch of one at less
-    cost."""
+    (K, 1) columns of its sets and the tuple of their models (see
+    ``models._predict``), a lone set too, each set at its own best noise
+    (see :func:`_profiled_logliks`)."""
     runs: list = []  # the spec and stacks of consecutive searches of one model
     for i, points in asked:
         if runs and runs[-1][0] is owners[i]:
@@ -694,23 +698,19 @@ def _objective(asked: list, owners: list, packed: _PackedData, size: int) -> np.
             runs.append((owners[i], [points]))
     parts, models = [], []
     for spec, stacks in runs:
-        points = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        points = np.concatenate(stacks)
         parts.append(points[:, spec.columns])
         models += [spec.model] * len(points)
     # every spec holds the same fields' bounds
-    values = runs[0][0].decode(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    values = runs[0][0].decode(np.concatenate(parts))
     fields = np.ascontiguousarray(values.T)[:, :, None]
     # the value that ModelParams rejects at 0; the others may be 0
     live = np.flatnonzero(values[:, 0] > 0)
     scores = np.full(len(models), np.inf)
     for start in range(0, live.size, size):
         sets = live[start:start + size]
-        if sets.size == 1:
-            chunk = fields[:, sets[0], 0]
-        else:
-            chunk = fields if sets.size == len(models) else fields[:, sets]
-        of = models if sets.size == len(models) else [models[k] for k in sets.tolist()]
-        scores[sets] = -_profiled_logliks(tuple(of), ModelParams(*chunk), packed)[0]
+        of = tuple(models[k] for k in sets.tolist())
+        scores[sets] = -_profiled_logliks(of, ModelParams(*fields[:, sets]), packed)[0]
     return scores
 
 
@@ -1085,18 +1085,17 @@ class _RemoteTraceback(Exception):
 
 def _task_rows(dataset, options, equal_costs, models) -> list:
     """The outcomes of ``models``, a task's, in order (see
-    :func:`_compare_row`): from one lockstep of all their restarts, or from
-    each model's :func:`fit` where there is one model, or where the
-    lockstep raised or warned (so each model gets what its own fit gives)."""
-    if len(models) > 1:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                runs = _restarts(models, dataset, options or FitOptions(), equal_costs)
-            except Exception:  # refitted model by model below
-                runs = None
-        if runs is not None and not caught:
-            return [_compare_row(model, equal_costs, functools.partial(_best_fit, *run))
-                    for model, run in zip(models, runs)]
+    :func:`_compare_row`): from one lockstep of all their restarts, one
+    model's or many, or from each model's :func:`fit` where the lockstep
+    raised or warned (so each model gets what its own fit gives)."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            runs = _restarts(models, dataset, options or FitOptions(), equal_costs)
+        except Exception:  # refitted model by model below
+            runs = None
+    if runs is not None and not caught:
+        return [_compare_row(model, equal_costs, functools.partial(_best_fit, *run))
+                for model, run in zip(models, runs)]
     return [_compare_row(model, equal_costs,
                          functools.partial(fit, model, dataset, options, equal_costs))
             for model in models]
@@ -1155,19 +1154,9 @@ def _ranked(models: list, outcomes) -> list[FitResult]:
 
 
 def fit_result_row(result: FitResult) -> dict:
-    """Flatten a fit result to the exact serialization column set."""
-    params, noise = result.params, result.noise
-    return {
-        "model": result.model.value,
-        "lambda": None if params is None else params.lam,
-        "delta_ab": None if params is None else params.delta_ab,
-        "delta_anb": None if params is None else params.delta_anb,
-        "xi": None if params is None else params.xi,
-        "sigma_a": None if noise is None else noise.sigma_a,
-        "sigma_ab": None if noise is None else noise.sigma_ab,
-        "epsilon": None if noise is None else noise.epsilon,
-        "loglik": result.loglik,
-        "n_params": result.n_params,
-        "aic": result.aic,
-        "converged": result.converged,
-    }
+    """Flatten a fit result to the exact serialization column set; a failed
+    fit's parameters and noise are ``None``."""
+    fitted = ((None,) * (len(_PARAMS) + len(NOISE_COLUMNS)) if result.params is None
+              else astuple(result.params) + astuple(result.noise))
+    return dict(zip(FIT_COLUMNS, (result.model.value, *fitted, result.loglik, result.n_params,
+                                  result.aic, result.converged)))

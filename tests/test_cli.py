@@ -13,7 +13,8 @@ import rsa_exh
 from rsa_exh.analysis import Predicate
 from rsa_exh.cli import build_parser, run
 from rsa_exh.data import parse_dataset
-from rsa_exh.fitting import FIT_COLUMNS
+from rsa_exh import fitting
+from rsa_exh.fitting import FIT_COLUMNS, NonfiniteLikelihood
 from rsa_exh.models import ModelId
 
 
@@ -249,6 +250,24 @@ def test_fit_notes_each_parameter_on_a_bound_with_its_value(capsys, synth_file):
     assert err == "note: base fit at bound for: delta_ab=0, delta_anb=0\n"
     (row,) = rows_of(out)
     assert tuple(row) == FIT_COLUMNS and row["delta_ab"] == row["delta_anb"] == "0"
+
+
+def test_compare_leaves_a_failed_fits_parameter_and_noise_cells_empty(
+        capsys, synth_file, monkeypatch):
+    def failing(*args):
+        raise NonfiniteLikelihood("row 's0001'")
+
+    monkeypatch.setattr(fitting, "_restarts", failing)
+    code, out, err = invoke(capsys, "compare", "--models", "base,wrsa",
+                            "--data", str(synth_file), "--restarts", "2")
+    assert code == 0
+    assert err == ("warning: base: fit failed: row 's0001'\n"
+                   "warning: wrsa: fit failed: row 's0001'\n")
+    rows = rows_of(out)
+    assert [row["model"] for row in rows] == ["base", "wrsa"]
+    for row in rows:
+        assert tuple(row) == FIT_COLUMNS and [row[name] for name in FIT_COLUMNS[1:8]] == [""] * 7
+        assert (row["aic"], row["converged"]) == ("inf", "false")
 
 
 def test_compare_subset_sorted_by_aic(capsys, synth_file):

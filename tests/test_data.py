@@ -199,6 +199,14 @@ def test_synth_round_trips_through_csv():
     assert parsed.rows == ds.rows
 
 
+def test_write_dataset_refuses_a_preprocessed_dataset():
+    # the layout has no column for the flag, so a file read back would have
+    # its compressed priors compressed a second time
+    ds = synth_generate(ModelId.WRSA, WRSA_PARAMS, NOISE, seed=3)
+    with pytest.raises(ValueError, match="preprocessed dataset"):
+        write_dataset(preprocess(ds))
+
+
 def test_design_beta_moments():
     alpha, beta = SynthDesign().beta_shape()
     mean = alpha / (alpha + beta)

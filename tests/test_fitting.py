@@ -384,9 +384,11 @@ def test_fit_flags_a_parameter_on_its_lower_bound(params, noise, flagged):
     assert fit_result_row(res)[flagged] == 0.0
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"maxiter": 0}])
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1}, {"maxiter": 0},
+                                    {"seed": -1}])
 def test_fit_options_reject_fewer_than_one_restart_or_iteration(kwargs):
-    with pytest.raises(ValueError, match="at least 1"):
+    # a negative seed too, which numpy would refuse only once a fit starts
+    with pytest.raises(ValueError, match=f"at least {0 if 'seed' in kwargs else 1}"):
         FitOptions(**kwargs)
 
 
@@ -714,6 +716,17 @@ def test_fit_result_row_schema():
     assert isinstance(row["converged"], bool)
 
 
+def test_a_failed_fit_serializes_without_parameters_or_noise(monkeypatch):
+    monkeypatch.setattr(fitting, "_restarts", _raise(NonfiniteLikelihood("row 's0001'")))
+    with pytest.warns(NoConvergence, match="wrsa: fit failed"):
+        (result,) = compare([ModelId.WRSA], Dataset(()))
+    row = fit_result_row(result)
+    assert tuple(row) == FIT_COLUMNS
+    fitted = ("lambda", "delta_ab", "delta_anb", "xi", "sigma_a", "sigma_ab", "epsilon")
+    assert [row[name] for name in fitted] == [None] * 7
+    assert row["model"] == "wrsa" and row["aic"] == math.inf and row["converged"] is False
+
+
 def test_noise_params_validation():
     with pytest.raises(ValueError):
         NoiseParams(sigma_a=0.0, sigma_ab=0.2, epsilon=0.0)
@@ -918,8 +931,8 @@ def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
     # a step of a family's searches, or of the searches of all four
     # families, two per model, scores each point as the point's own model
     # alone does (a float call), also where the step is cut into calls of
-    # two or three sets; lambda decodes to 0 at one point of each model (far
-    # past the clip), which scores inf
+    # one, two or three sets; lambda decodes to 0 at one point of each model
+    # (far past the clip), which scores inf
     ds = synth_generate(ModelId.WRSA, ModelParams(lam=3.9, delta_ab=0.0, delta_anb=0.37, xi=0.86),
                         NOISE, SMALL_DESIGN, seed=8)
     packed = _PackedData.from_dataset(ds)
@@ -930,12 +943,16 @@ def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
         points[1, 0] = -800.0
         owners += [spec] * 2
         asked += [(len(owners) - 2, points[:3]), (len(owners) - 1, points[3:])]
-    one_by_one = [_objective([(i, t[None])], owners, packed, 1)[0]
-                  for i, points in asked for t in points]
+    def alone(spec, t):
+        if spec.values(t)[0] == 0.0:
+            return np.inf
+        return -fitting._profiled_logliks(spec.model, spec.params(t), packed)[0][0]
+
+    one_by_one = [alone(owners[i], t) for i, points in asked for t in points]
     stack = _objective(asked, owners, packed, 4 * len(family))
     assert stack.tobytes() == np.array(one_by_one).tobytes()
     assert np.isinf(stack).sum() == len(family) and np.isfinite(stack).sum() == 3 * len(family)
-    for size in (2, 3):
+    for size in (1, 2, 3):
         assert _objective(asked, owners, packed, size).tobytes() == stack.tobytes()
 
 
