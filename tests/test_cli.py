@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import rsa_exh
+from rsa_exh import fitting
 from rsa_exh.analysis import Predicate
 from rsa_exh.cli import build_parser, run
 from rsa_exh.data import parse_dataset
-from rsa_exh import fitting
 from rsa_exh.fitting import FIT_COLUMNS, NonfiniteLikelihood
 from rsa_exh.models import ModelId
 

@@ -943,6 +943,7 @@ def test_objective_scores_a_step_as_its_points_one_by_one(family, equal_costs):
         points[1, 0] = -800.0
         owners += [spec] * 2
         asked += [(len(owners) - 2, points[:3]), (len(owners) - 1, points[3:])]
+
     def alone(spec, t):
         if spec.values(t)[0] == 0.0:
             return np.inf
