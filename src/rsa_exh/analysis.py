@@ -256,14 +256,14 @@ SWEEP_COLUMNS = (
 
 
 def sweep(model: ModelId, params: ModelParams, grid) -> list[dict]:
-    """Predictions plus predicate values over a grid of priors, as rows keyed
-    in ``SWEEP_COLUMNS`` order."""
+    """Predictions plus predicate values over a grid of priors in [0, 1], as
+    rows keyed in ``SWEEP_COLUMNS`` order."""
     p = np.asarray(list(grid), dtype=float)
     if p.size == 0:
         raise ValueError("grid must be nonempty")
     table = predict_table(model, params, p)
     inner = _clip_prior(p)
-    # the clamp changes only a grid that holds 0, 1 or priors beyond it
+    # the clamp changes only a grid that holds 0 or 1
     clamped = table if np.array_equal(inner, p) else predict_table(model, params, inner)
     columns = (p, *(_predicate_values(clamped, pred) for pred in Predicate),
                table.post_a, table.post_ab, *table.prod_wa.T, *table.prod_wab.T)

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="prediction table over a prior grid")
     _add_model_params(p_sweep)
-    p_sweep.add_argument("--grid", type=_count, default=99,
+    p_sweep.add_argument("--grid", type=_grid_size, default=99,
                          help="number of evenly spaced interior priors")
     _add_common(p_sweep)
 
@@ -193,6 +193,19 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+#: The most priors of a sweep's grid: about the most of a scan's grid at its
+#: finest step (see :func:`rsa_exh.analysis.require_grid_step`).  A sweep holds
+#: a dict of its row for every prior, hundreds of bytes each.
+MAX_GRID = 1_000_000
+
+
+def _grid_size(text: str) -> int:
+    value = _count(text)
+    if value > MAX_GRID:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID}")
     return value
 
 

@@ -114,10 +114,10 @@ class NoiseParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (self.sigma_a > 0 and self.sigma_ab > 0):
-            raise ValueError("comprehension noise scales must be positive")
-        if not self.epsilon >= 0:
-            raise ValueError("production error rate must be nonnegative")
+        if not (0 < self.sigma_a < math.inf and 0 < self.sigma_ab < math.inf):
+            raise ValueError("comprehension noise scales must be positive and finite")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("production error rate must be nonnegative and finite")
 
 
 #: Upper bounds of the search box; every lower bound is 0.
@@ -188,10 +188,11 @@ def production_loglik(pred, observed, epsilon: float) -> float:
     ``pred`` is the model's distribution over the three candidate messages
     and ``observed`` the produced category (a ``ResponseMessage`` or its
     index).  Smoothing mixes the prediction with a uniform error floor:
-    (S + eps) / (1 + n*eps).  Raises ValueError unless ``epsilon`` >= 0.
+    (S + eps) / (1 + n*eps).  Raises ValueError unless ``epsilon`` is
+    nonnegative and finite.
     """
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     idx = observed if isinstance(observed, (int, np.integer)) else MODEL_MESSAGES.index(observed)
     picked = np.asarray(pred, dtype=float)[idx].reshape(1, 1)
     if picked[0, 0] + epsilon <= 0.0:
@@ -207,10 +208,10 @@ def comprehension_loglik(pred: float, observed: float, sigma: float) -> float:
     Normal noise of scale ``sigma`` around the predicted posterior, censored
     at the slider bounds: responses at exactly 0 or 1 are scored by the
     corresponding normal tail mass, interior responses by the density.
-    Raises ValueError unless ``sigma`` > 0.
+    Raises ValueError unless ``sigma`` is positive and finite.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     responses = _SliderResponses.split(np.array([float(observed)]), np.array([0]),
                                        np.array([True]))
     h = np.array([[1.0 / sigma, 1.0]])

@@ -152,6 +152,16 @@ class PredictionTable:
 FIELDS = ("post_a", "post_ab", "prod_wa", "prod_wab")
 
 
+def _priors(p) -> np.ndarray:
+    """``p`` as a float array of at least one dimension, with a ``ValueError``
+    that names the first prior outside [0, 1] or NaN."""
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):
+        bad = p[~((p >= 0.0) & (p <= 1.0))][0]
+        raise ValueError(f"priors must be in [0, 1], got {float(bad)!r}")
+    return p
+
+
 def _clip_prior(p) -> np.ndarray:
     # np.clip's bounds, without its Python-level wrapper
     return np.minimum(np.maximum(np.asarray(p, dtype=float), P_EPS), 1.0 - P_EPS)
@@ -164,23 +174,23 @@ def _keep_prior_ends(out: PredictionTable, sets=True) -> None:
     selects."""
     if out.post_a is None:
         return
-    if sets is True:
-        out.post_a[..., out.p <= 0.0] = 0.0
-        out.post_a[..., out.p >= 1.0] = 1.0
-    else:
-        np.copyto(out.post_a, 0.0, where=sets & (out.p <= 0.0))
-        np.copyto(out.post_a, 1.0, where=sets & (out.p >= 1.0))
+    np.copyto(out.post_a, 0.0, where=sets & (out.p <= 0.0))
+    np.copyto(out.post_a, 1.0, where=sets & (out.p >= 1.0))
 
 
 #: Priors per block of a long grid (see :func:`predict_table`).  On a 2-vCPU
 #: AMD EPYC VM, the nine models' 1e6-point calls at three parameter draws took,
 #: in the median of interleaved repeats on two threads, 0.12 s per draw with
-#: this block, 0.16 s with 8192 priors and 0.26 s with 4096, where the threads
-#: spend more time handing the interpreter lock over than in numpy's loops; on
-#: one thread they took 0.20 s.  32768 and 65536 priors gained 2-4% but double
-#: a block's temporaries (128 KB each here), so a grid would need twice as many
-#: priors per thread to stay within 1.5 times its table's bytes, the bound that
-#: the tests hold.  Above two CPUs the timings are unmeasured.
+#: this block, 0.16 s with 8192 priors and 0.26 s with 4096; on one thread they
+#: took 0.20 s.  32768 and 65536 priors gained 2-4% but double a block's
+#: temporaries (128 KB each here), so a grid would need twice as many priors
+#: per thread to stay within 1.5 times its table's bytes, the bound that the
+#: tests hold.  The calls are bound by the interpreter lock: re-measured later
+#: on the same VM, one thread took 525-580 ms per draw and two 350-415 ms
+#: (1.4x), against 295 ms for two single-threaded processes side by side
+#: (1.8x); with 8192-prior blocks two threads were no faster than one, and
+#: ``sys.setswitchinterval`` changed nothing.  Above two CPUs the timings are
+#: unmeasured.
 BLOCK = 16384
 
 #: The fewest blocks of a long grid per thread that shares them (see
@@ -747,7 +757,8 @@ def _lu_form(params: ModelParams, out: PredictionTable, lit, exh, anti, shift, e
 
 def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
     """Lexical-uncertainty predictions over the priors ``p`` under the
-    interpretation priors ``rho``, shaped as by :func:`predict_table`.
+    interpretation priors ``rho``, shaped and checked as by
+    :func:`predict_table`.
 
     ``rho`` weighs (literal, exhaustive, anti-exhaustive).  The named
     variants fix rho: the free variant uses the uniform simplex point, the
@@ -756,7 +767,7 @@ def lu_predict(params: ModelParams, p, rho) -> PredictionTable:
     if len(rho) != 3 or not (all(r >= 0 for r in rho) and abs(sum(rho) - 1.0) <= 1e-9):
         raise ValueError("rho must be three nonnegative weights summing to 1")
     rho = tuple(rho)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = _priors(p)
     return _blocked(lambda out: _lu_table(params, out, rho), _empty_table(p, params))
 
 
@@ -830,8 +841,11 @@ def predict_table(model: ModelId, params: ModelParams, p) -> PredictionTable:
     any number of CPUs.  Every entry is a function of its own prior alone, so
     the table is bit for bit the same as one evaluated in a single piece,
     whatever the number of threads.
+
+    Raises ``ValueError``, naming the first, where a prior is outside [0, 1]
+    or NaN.
     """
-    return _predict(model, params, p)
+    return _predict(model, params, _priors(p))
 
 
 def _predict(model, params: ModelParams, p, field: str | None = None) -> PredictionTable:

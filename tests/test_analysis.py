@@ -342,6 +342,13 @@ def test_sweep_rejects_empty_grid():
         sweep(ModelId.BASE_RSA, ModelParams(lam=1.0), [])
 
 
+@pytest.mark.parametrize("grid", [[-0.5], [0.2, 1.5], [0.5, math.nan]])
+def test_sweep_rejects_a_prior_outside_the_unit_interval(grid):
+    # a row for p = -0.5 read the predictions of the clamped prior
+    with pytest.raises(ValueError, match="priors must be in"):
+        sweep(ModelId.BASE_RSA, ModelParams(lam=1.0), grid)
+
+
 def test_sweep_rows_and_reference_curve():
     params = ModelParams(lam=3.0, delta_ab=0.5, delta_anb=1.0)
     grid = np.arange(1, 100) / 100

@@ -12,7 +12,7 @@ import pytest
 import rsa_exh
 from rsa_exh import fitting
 from rsa_exh.analysis import Predicate
-from rsa_exh.cli import build_parser, run
+from rsa_exh.cli import MAX_GRID, _grid_size, build_parser, run
 from rsa_exh.data import parse_dataset
 from rsa_exh.fitting import FIT_COLUMNS, NonfiniteLikelihood
 from rsa_exh.models import ModelId
@@ -330,12 +330,25 @@ SYNTH = ["synth", "--model", "base", "--lambda", "1", "--sigma-a", "0.3",
     [*SYNTH, "--levels", "0"],
     [*SYNTH, "--n-utt-a", "-1"],
     [*SYNTH, "--prior-sd", "0.9"],
+    [*SYNTH, "--epsilon", "inf"],
+    [*SYNTH, "--sigma-a", "inf"],
 ])
 def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_sweep_grid_is_capped_at_the_scans_grid_size(capsys):
+    # a sweep holds a row dict per prior: a grid past the cap is a usage
+    # error, not an out-of-memory failure
+    assert MAX_GRID == 1_000_000 and _grid_size(str(MAX_GRID)) == MAX_GRID
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--model", "base", "--lambda", "1", "--grid", str(MAX_GRID + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--grid: must be at most 1000000" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

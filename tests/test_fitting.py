@@ -69,9 +69,10 @@ def test_production_loglik_nonfinite():
         production_loglik([0.0, 1.0, 0.0], ResponseMessage.A, 0.0)
 
 
-@pytest.mark.parametrize("epsilon", [-0.2, math.nan])
+@pytest.mark.parametrize("epsilon", [-0.2, math.nan, math.inf])
 def test_production_loglik_requires_nonnegative_epsilon(epsilon):
-    # as NoiseParams does: a negative rate scored [.6, .3, .1] above 0, NaN as NaN
+    # as NoiseParams does: a negative rate scored [.6, .3, .1] above 0, NaN as
+    # NaN, and an infinite one smoothed every row to NaN
     with pytest.raises(ValueError, match="nonnegative"):
         production_loglik([0.6, 0.3, 0.1], ResponseMessage.A, epsilon)
 
@@ -96,9 +97,9 @@ def test_comprehension_loglik_interior_density():
     assert value == pytest.approx(math.log(1 / (0.33 * math.sqrt(2 * math.pi))), abs=1e-12)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -0.2, math.nan])
+@pytest.mark.parametrize("sigma", [0.0, -0.2, math.nan, math.inf])
 def test_comprehension_loglik_requires_positive_sigma(sigma):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
         comprehension_loglik(0.5, 0.5, sigma)
 
 
@@ -736,6 +737,11 @@ def test_noise_params_validation():
                                        (0.2, 0.2, math.nan),
                                        (0.2, np.array([[0.2], [math.nan]]), 0.0)]:
         with pytest.raises(ValueError):
+            NoiseParams(sigma_a, sigma_ab, epsilon)
+    # an infinite scale or rate scored every dataset as -inf or nan
+    for sigma_a, sigma_ab, epsilon in [(math.inf, 0.2, 0.02), (0.3, math.inf, 0.02),
+                                       (0.3, 0.2, math.inf)]:
+        with pytest.raises(ValueError, match="and finite"):
             NoiseParams(sigma_a, sigma_ab, epsilon)
 
 

@@ -362,6 +362,25 @@ def test_lu_rejects_bad_rho():
             lu_predict(ModelParams(lam=1.0), 0.5, rho)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan, -math.inf, math.inf, -5e-324])
+def test_predictions_refuse_a_prior_outside_the_unit_interval(bad):
+    # the forms clamp the prior, so a prior beyond [0, 1] was given the rows
+    # of the clamped one, and NaN a NaN posterior; the error names the first
+    params = ModelParams(3.0, 0.5, 1.0)
+    message = f"priors must be in \\[0, 1\\], got {bad!r}"
+    for model in ModelId:
+        model_params = params if model not in XI_MODELS else ModelParams(3.0, 0.5, 1.0, 0.4)
+        for priors in ([0.0, 0.3, bad, 1.0, -2.0], bad):
+            with pytest.raises(ValueError, match=message):
+                predict_table(model, model_params, priors)
+    with pytest.raises(ValueError, match=message):
+        lu_predict(params, [0.5, bad, 2.0], (0.5, 0.5, 0.0))
+    # the ends stay valid, and an empty grid gives an empty table
+    assert predict_table(ModelId.BASE_RSA, params, [0.0, 1.0]).post_a.tolist() == [0.0, 1.0]
+    assert lu_predict(params, [0.0, 1.0], (1.0, 0.0, 0.0)).post_a.shape == (2,)
+    assert predict_table(ModelId.BASE_RSA, params, []).post_a.shape == (0,)
+
+
 def test_lu_predict_named_rho_is_the_named_variant():
     params = ModelParams(lam=3.9, delta_ab=0.37, delta_anb=2.0)
     for model, rho in FIXED_RHO.items():
