@@ -167,11 +167,11 @@ def _clip_prior(p) -> np.ndarray:
     return np.minimum(np.maximum(np.asarray(p, dtype=float), P_EPS), 1.0 - P_EPS)
 
 
-def _keep_prior_ends(out: PredictionTable, sets=True) -> None:
+def _keep_prior_ends(out: PredictionTable, sets) -> None:
     """Set the posterior after ``A`` in ``out`` to the prior where that is
     exactly 0 or 1 (see :func:`predict_table`), where ``out`` holds it: in
-    every parameter set, or in those that the (K, 1) bool column ``sets``
-    selects."""
+    every parameter set where ``sets`` is True, or in those that the (K, 1)
+    bool column ``sets`` selects."""
     if out.post_a is None:
         return
     np.copyto(out.post_a, 0.0, where=sets & (out.p <= 0.0))
